@@ -39,6 +39,7 @@ from .dynamics import (
     decompose_step,
     default_checkpoints,
     noise_norm_bound,
+    run_chunk,
     run_trial,
     update_step,
 )
@@ -76,10 +77,9 @@ from .network import (
 from .sampling import (
     SamplingPolicy,
     categorical_covariance,
-    draw_message,
     draw_messages,
     message_covariance_limit,
-    message_uniform_panel,
+    message_uniform_blocks,
     sampling_distribution,
     substream,
 )

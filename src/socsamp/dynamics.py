@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .network import FIXED, IID, SWITCHING, mean_matrix, sample_weight_matrix
+from .network import BIRKHOFF, FIXED, IID, SWITCHING, mean_matrix, sample_weight_matrix
 from .sampling import (
     SamplingPolicy,
-    message_uniform_panel,
+    inverse_cdf_draw,
+    message_uniform_blocks,
     policy_matrix,
     weight_stream,
 )
@@ -61,10 +63,6 @@ class StepSchedule:
         if k < 1:
             raise ValueError(f"step index starts at 1, got {k}")
         return self.amplitude / (k + self.offset) ** self.exponent
-
-
-def step_size(schedule, k):
-    return schedule.step_size(k)
 
 
 @dataclass(frozen=True)
@@ -196,13 +194,17 @@ class TrialTrace:
 
 
 class TrialAborted(RuntimeError):
-    def __init__(self, step_index, diagnostics):
+    """A trial hit a non-finite value; names the trial, its seed and the step."""
+
+    def __init__(self, step_index, diagnostics, trial_index=None, seed=None):
         super().__init__(
             f"non-finite value encountered at step {step_index}; "
             f"diagnostics: {diagnostics.as_dict()}"
         )
         self.step_index = step_index
         self.diagnostics = diagnostics
+        self.trial_index = trial_index
+        self.seed = seed
 
 
 def default_checkpoints(horizon):
@@ -243,12 +245,47 @@ def _check_update_args(state, w, mix, messages):
     return w, y
 
 
+def _increment(w, q, y, ym_q, ab_col, b_col):
+    """``(Q_{k+1} - Q_k) / d`` of one round, for one state or a batch.
+
+    ``ab_col`` is None when every ``b_ii`` is 1: the retained and the
+    transmitted own estimate then cancel, leaving ``W Y - Y``.
+    """
+    if ab_col is None:
+        return w @ y - y
+    return w @ y - ab_col * q - b_col * ym_q
+
+
+def _martingale_noise(w, wbar, b_col, ym_p, p):
+    """``(W - B)(Y - P) + (W - Wbar) P`` for one state or a batch.
+
+    The second term is left out when ``w is wbar``, where it is zero.
+    """
+    mart = w @ ym_p - b_col * ym_p
+    if wbar is not w:
+        mart += (w - wbar) @ p
+    return mart
+
+
+def _mixing_columns(mix):
+    """``(ab_col, b_col)`` as :func:`_increment` takes them."""
+    b = mix.b_diag
+    ab_col = None if np.all(b == 1.0) else (mix.a_diag + b)[:, None]
+    return ab_col, b[:, None]
+
+
 def update_step(state, w, mix, messages, delta_k):
-    """One synchronous protocol round; preserves each agent's component sum."""
+    """One synchronous protocol round.
+
+    With one-hot messages and estimates that sum to 1, each agent's
+    component sum is preserved (up to rounding, which b != 1 lets build up).
+    A silent (all-zero) message, which censored sampling without
+    renormalization emits, carries no mass, so the agents that hear it lose
+    component sum: silent runs do not conserve it.
+    """
     w, y = _check_update_args(state, w, mix, messages)
-    a, b = mix.a_diag, mix.b_diag
     q = state.q
-    increment = w @ y - (a + b)[:, None] * q - b[:, None] * (y - q)
+    increment = _increment(w, q, y, y - q, *_mixing_columns(mix))
     return StackedState(q + delta_k * increment, state.step_index + 1)
 
 
@@ -266,7 +303,7 @@ def decompose_step(state, w, wbar, mix, p, messages, delta_k):
     b = mix.b_diag[:, None]
     drift = wbar @ q - q
     censor = wbar @ (p - q) - b * (p - q)
-    mart = (w @ (y - p) - b * (y - p)) + (w - wbar) @ p
+    mart = _martingale_noise(w, wbar, b, y - p, p)
     return StepDecomposition(drift, censor, mart)
 
 
@@ -275,151 +312,172 @@ def noise_norm_bound(n_agents, n_opinions, scale=1.0):
     return scale * n_agents**2 * n_opinions**2
 
 
-def run_trial(config):
-    """Execute one trial and capture checkpoint snapshots and diagnostics.
+_COUNTERS = ("simplex_violation_agent_steps", "silent_messages",
+             "uniform_fallbacks", "clamped_agents")
+_MAXIMA = ("max_negative_component", "max_sum_drift", "max_noise_norm",
+           "max_martingale_norm")
 
-    Step ``k`` (1-based) samples the weight matrix, forms the sampling
-    distributions from the current state, draws the messages using the
-    pre-assigned uniform of each (agent, step), and applies the update with
-    step size ``schedule.step_size(k)``.  Deterministic given
-    ``config.seed``.
+
+def run_trial(config):
+    """Execute one trial: :func:`run_chunk` on a chunk of one."""
+    return run_chunk(config, [(config.trial_index, config.seed)])[0]
+
+
+def run_chunk(config, trials):
+    """Step a chunk of trials together on one ``(R, N, M)`` state.
+
+    ``trials`` holds ``(trial_index, seed)`` pairs; trial ``r`` of the chunk
+    is ``config`` with that index and seed (``config``'s own are not used).
+    Step ``k`` (1-based) samples each trial's weight matrix, forms the
+    sampling distributions from the current states, draws the messages
+    using the pre-assigned uniform of each (trial, agent, step), and applies
+    the update with step size ``schedule.step_size(k)``.  Every trial draws
+    from its own streams and every operation acts on each trial's slice
+    alone, so a trial's trace is the same bits in any chunk, a chunk of one
+    included.
+
+    A trial that hits a non-finite value is put back to its initial state
+    and stepped on, so that it cannot disturb the rest; the chunk then
+    raises :class:`TrialAborted` for the first such trial in chunk order,
+    with its index, seed, step and the diagnostics it had at that step.
     """
     n, m = config.n_agents, config.n_opinions
     model = config.weight_model
-    mix = config.mixing
     schedule = config.schedule
     horizon = config.horizon
     checkpoints = resolve_checkpoints(config.checkpoints, horizon)
-    checkpoint_set = set(checkpoints)
+    column = {k: c for c, k in enumerate(checkpoints)}
+    indices = [int(i) for i, _ in trials]
+    seeds = [int(s) for _, s in trials]
+    chunk = len(seeds)
 
-    state0 = initial_state(config.initial_samples, m)
-    q = state0.q.copy()
-    initial_avg = q.mean(axis=0)
+    q0 = initial_state(config.initial_samples, m).q
+    initial_avg = q0.mean(axis=0)
+    q = np.repeat(q0[None], chunk, axis=0)
+    ab_col, b_col = _mixing_columns(config.mixing)
+    b = config.mixing.b_diag
 
-    a, b = mix.a_diag, mix.b_diag
-    ab = a + b
-    b_col = b[:, None]
-
-    uniforms = message_uniform_panel(config.seed, n, horizon)
-    wrng = weight_stream(config.seed)
-    support_idx = None
     if model.kind == IID:
-        support_idx = wrng.choice(
-            len(model.support), size=horizon, p=np.asarray(model.probabilities)
-        )
-    wbar_static = None if model.kind == SWITCHING else mean_matrix(model)
+        probs = np.asarray(model.probabilities)
+        support = np.stack(model.support)
+        small = np.min_scalar_type(len(model.support) - 1)
+        picks = np.stack([
+            weight_stream(s).choice(len(model.support), size=horizon, p=probs)
+            .astype(small)
+            for s in seeds
+        ], axis=1)
+    elif model.kind == BIRKHOFF:
+        weight_rngs = [weight_stream(s) for s in seeds]
+    wbar_static = mean_matrix(model) if model.kind in (IID, BIRKHOFF) else None
 
-    diag = TrialDiagnostics()
-    diag.noise_norm_bound = noise_norm_bound(n, m)
+    counters = {name: np.zeros(chunk, dtype=np.int64) for name in _COUNTERS}
+    maxima = {name: np.zeros(chunk) for name in _MAXIMA}
+    bound = noise_norm_bound(n, m)
+
+    def diagnostics(r):
+        values = {name: arr[r].item() for name, arr in (counters | maxima).items()}
+        return TrialDiagnostics(noise_norm_bound=bound, **values)
+
     record_noise = config.record_noise and n >= 2
     mean_increments = (
-        np.zeros((horizon, m)) if config.record_mean_increments else None
+        np.zeros((chunk, horizon, m)) if config.record_mean_increments else None
     )
+    snapshots = np.empty((chunk, len(checkpoints), n, m))
+    errs = np.empty((chunk, len(checkpoints)))
+    spreads = np.empty((chunk, len(checkpoints)))
 
-    # loop constants hoisted: the per-step work is small-array numpy, so
-    # call count dominates the runtime
-    policy = config.policy
-    direct = policy.kind == "direct"
-    fixed_w = model.kind == FIXED
-    w_static = model.support[0] if fixed_w else None
-    col_sums_static = w_static.sum(axis=0) if fixed_w else None
-    conserving = bool(np.all(b == 1.0))
-    ab_col = ab[:, None]
-    all_rows = np.arange(n)
+    def snapshot(c):
+        snapshots[:, c] = q
+        errs[:, c] = consensus_error(q, initial_avg)
+        spreads[:, c] = consensus_error(q, q.mean(axis=1))
 
-    snapshots, errs, spreads, kept = [], [], [], []
+    if 0 in column:
+        snapshot(column[0])
 
-    def snapshot(k):
-        kept.append(k)
-        snapshots.append(q.copy())
-        errs.append(consensus_error(q, initial_avg))
-        spreads.append(consensus_error(q, q.mean(axis=0)))
-
-    if 0 in checkpoint_set:
-        snapshot(0)
-
+    aborted = {}  # chunk position -> (step, diagnostics at that step)
     delta = math.nan
-    qmin = float(q.min())
-    for k in range(1, horizon + 1):
+    uniforms = chain.from_iterable(message_uniform_blocks(seeds, n, horizon))
+    for k, u in enumerate(uniforms, start=1):
         delta = schedule.step_size(k)
-        if fixed_w:
-            w = w_static
-            wbar = w
+        if model.kind == FIXED:
+            w = wbar = model.support[0]
         elif model.kind == SWITCHING:
-            w = model.support[k % len(model.support)]
-            wbar = w
+            w = wbar = model.support[k % len(model.support)]
         elif model.kind == IID:
-            w = model.support[support_idx[k - 1]]
-            wbar = wbar_static
+            w, wbar = support[picks[k - 1]], wbar_static
         else:
-            w = sample_weight_matrix(model, k, wrng)
+            w = np.stack([sample_weight_matrix(model, k, g) for g in weight_rngs])
             wbar = wbar_static
 
-        if direct and qmin >= 0.0:
-            p = q
-        else:
-            p, fallbacks, clamped = policy_matrix(policy, q, delta)
-            diag.uniform_fallbacks += fallbacks
-            diag.clamped_agents += clamped
-
-        # inverse-CDF draws, one pre-assigned uniform per agent
-        cdf = np.cumsum(p, axis=1)
-        u = uniforms[:, k - 1]
-        idx = (u[:, None] < cdf).argmax(axis=1)
-        active = u < cdf[:, -1]
-        y = np.zeros((n, m))
-        if active.all():
-            y[all_rows, idx] = 1.0
-        else:
-            rows = np.flatnonzero(active)
-            y[rows, idx[rows]] = 1.0
-            diag.silent_messages += n - rows.size
+        p, fallbacks, clamped = policy_matrix(config.policy, q, delta)
+        if p is not q:
+            counters["uniform_fallbacks"] += fallbacks
+            counters["clamped_agents"] += clamped
+        y, active = inverse_cdf_draw(p, u)
+        if not active.all():
+            counters["silent_messages"] += n - active.sum(axis=1)
 
         ym_q = y - q
         ym_p = ym_q if p is q else y - p
 
         if record_noise:
-            mart = w @ ym_p - b_col * ym_p
-            if wbar is not w:
-                mart += (w - wbar) @ p
-            sq = float((mart * mart).sum())
-            diag.max_martingale_norm = max(diag.max_martingale_norm, math.sqrt(sq))
-            col_mean = mart.mean(axis=0)
-            proj = math.sqrt(max(sq - n * float(col_mean @ col_mean), 0.0))
-            diag.max_noise_norm = max(diag.max_noise_norm, proj)
+            mart = _martingale_noise(w, wbar, b_col, ym_p, p)
+            sq = (mart * mart).reshape(chunk, -1).sum(axis=1)
+            # fmax keeps the old maximum over a NaN, as max() does
+            maxima["max_martingale_norm"] = np.fmax(
+                maxima["max_martingale_norm"], np.sqrt(sq))
+            # mart.mean(axis=1) without its Python wrapper; the batched matmul
+            # gives each trial's col_mean @ col_mean bits, einsum rounds
+            # differently
+            col_mean = np.add.reduce(mart, axis=1) / n
+            cc = (col_mean[:, None, :] @ col_mean[:, :, None])[:, 0, 0]
+            proj = np.sqrt(np.maximum(sq - n * cc, 0.0))
+            maxima["max_noise_norm"] = np.fmax(maxima["max_noise_norm"], proj)
 
         if mean_increments is not None:
-            col_sums = col_sums_static if fixed_w else w.sum(axis=0)
-            mean_increments[k - 1] = (delta / n) * ((col_sums - b) @ ym_q)
+            shift = (w.sum(axis=-2) - b)[..., None, :] @ ym_q
+            mean_increments[:, k - 1] = (delta / n) * shift[..., 0, :]
 
-        if conserving:
-            q = q + delta * (w @ y - y)
-        else:
-            q = q + delta * (w @ y - ab_col * q - b_col * ym_q)
+        q = q + delta * _increment(w, q, y, ym_q, ab_col, b_col)
 
-        qmin = float(q.min())
-        if qmin < 0.0:
-            diag.simplex_violation_agent_steps += int((q < 0.0).any(axis=1).sum())
-            diag.max_negative_component = max(diag.max_negative_component, -qmin)
-        drift = float(np.abs(q.sum(axis=1) - 1.0).max())
-        if not drift < math.inf:
-            raise TrialAborted(k, diag)
-        if drift > diag.max_sum_drift:
-            diag.max_sum_drift = drift
+        qmin = q.min(axis=(1, 2))
+        neg = qmin < 0.0
+        if neg.any():
+            rows = (q < 0.0).any(axis=2).sum(axis=1)
+            counters["simplex_violation_agent_steps"] += np.where(neg, rows, 0)
+            maxima["max_negative_component"] = np.fmax(
+                maxima["max_negative_component"], -qmin)
+        drift = np.abs(q.sum(axis=2) - 1.0).max(axis=1)
+        if not np.isfinite(drift).all():
+            bad = ~np.isfinite(drift)
+            for r in np.flatnonzero(bad):
+                aborted.setdefault(int(r), (k, diagnostics(r)))
+            q[bad] = q0
+            if 0 in aborted:
+                break  # no earlier trial in the chunk can abort instead
+        maxima["max_sum_drift"] = np.fmax(maxima["max_sum_drift"], drift)
 
-        if k in checkpoint_set:
-            snapshot(k)
+        if k in column:
+            snapshot(column[k])
 
-    return TrialTrace(
-        trial_index=config.trial_index,
-        seed=config.seed,
-        checkpoints=kept,
-        snapshots=snapshots,
-        consensus_errors=errs,
-        disagreements=spreads,
-        final_state=StackedState(q, step_index=horizon),
-        final_step_size=delta,
-        diagnostics=diag,
-        mean_increments=mean_increments,
-        initial_average=initial_avg,
-    )
+    if aborted:
+        r = min(aborted)
+        step, diag = aborted[r]
+        raise TrialAborted(step, diag, trial_index=indices[r], seed=seeds[r])
+
+    return [
+        TrialTrace(
+            trial_index=indices[r],
+            seed=seeds[r],
+            checkpoints=list(checkpoints),
+            snapshots=list(snapshots[r]),
+            consensus_errors=errs[r].tolist(),
+            disagreements=spreads[r].tolist(),
+            final_state=StackedState(q[r], step_index=horizon),
+            final_step_size=delta,
+            diagnostics=diagnostics(r),
+            mean_increments=None if mean_increments is None else mean_increments[r],
+            initial_average=initial_avg.copy(),
+        )
+        for r in range(chunk)
+    ]

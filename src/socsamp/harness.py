@@ -27,6 +27,7 @@ from .dynamics import (
     StepSchedule,
     TrialAborted,
     TrialConfig,
+    run_chunk,
     run_trial,
 )
 from .network import (
@@ -345,22 +346,52 @@ def trial_config(cfg, trial_index):
     )
 
 
-def _trial_worker(tc):
+# step working set of one chunk: each trial holds a weight matrix and about
+# a dozen (N, M) arrays while it is stepped
+CHUNK_BYTES = 1 << 23
+
+
+def trial_chunks(replications, n_agents, n_opinions, workers):
+    """Contiguous ``(start, stop)`` trial ranges, at least one per worker.
+
+    A chunk is as large as ``CHUNK_BYTES`` lets it be, so the per-step
+    Python overhead is paid once for as many trials as fit; the sizes differ
+    by at most one.
+    """
+    per_trial = 8 * n_agents * (n_agents + 12 * n_opinions)
+    by_size = -(-replications * per_trial // CHUNK_BYTES)
+    count = min(replications, max(workers, by_size))
+    edges = [replications * j // count for j in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _chunk_worker(tc, trials):
     try:
-        return run_trial(tc)
+        return run_chunk(tc, trials)
     except TrialAborted as e:
         raise RuntimeError(
-            f"trial {tc.trial_index} (seed {tc.seed}) aborted: {e}"
+            f"trial {e.trial_index} (seed {e.seed}) aborted: {e}"
         ) from e
 
 
 def run_trials(cfg):
-    """All replications; trial results do not depend on the worker count."""
-    tcs = [trial_config(cfg, i) for i in range(cfg.replications)]
-    if cfg.threads <= 1 or cfg.replications == 1:
-        return [_trial_worker(tc) for tc in tcs]
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(_trial_worker, tcs))
+    """All replications, stepped in chunks of trials.
+
+    Trial results do not depend on the worker count or the chunk sizes.
+    """
+    tc = replace(trial_config(cfg, 0), record_mean_increments=False)
+    chunks = [
+        [(i, derive_trial_seed(cfg.master_seed, i)) for i in range(start, stop)]
+        for start, stop in trial_chunks(
+            cfg.replications, cfg.n_agents, cfg.n_opinions, cfg.threads
+        )
+    ]
+    if cfg.threads <= 1 or len(chunks) == 1:
+        results = [_chunk_worker(tc, trials) for trials in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+            results = list(pool.map(_chunk_worker, [tc] * len(chunks), chunks))
+    return [trace for traces in results for trace in traces]
 
 
 def audit_assumptions(cfg):

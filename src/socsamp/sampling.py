@@ -22,6 +22,10 @@ AGENT_DOMAIN = 1
 WEIGHT_DOMAIN = 2
 INIT_DOMAIN = 3
 
+# bound on one block of streamed message uniforms; a full (trials, agents,
+# horizon) panel would grow without bound in the horizon
+UNIFORM_BLOCK_BYTES = 1 << 22
+
 
 def substream(seed, *path):
     """Independent generator addressed by (seed, path)."""
@@ -31,12 +35,24 @@ def substream(seed, *path):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def message_uniform_panel(seed, n_agents, horizon):
-    """Uniform variate for every (agent, step): row i is agent i's stream."""
-    panel = np.empty((n_agents, horizon))
-    for i in range(n_agents):
-        panel[i] = substream(seed, AGENT_DOMAIN, i).random(horizon)
-    return panel
+def message_uniform_blocks(seeds, n_agents, horizon, block_bytes=UNIFORM_BLOCK_BYTES):
+    """Message uniforms of the trials ``seeds``, streamed in blocks of steps.
+
+    Yields arrays of shape ``(steps, trials, agents)`` of at most
+    ``block_bytes`` each (and at least one step).  Concatenated along the
+    first axis they give, for each (trial, agent), the first ``horizon``
+    uniforms of that agent's substream: a generator's draws continue where
+    its last draw stopped, so the block size does not change the values.
+    """
+    streams = [[substream(seed, AGENT_DOMAIN, i) for i in range(n_agents)]
+               for seed in seeds]
+    steps = max(1, block_bytes // (8 * len(streams) * n_agents))
+    for start in range(0, horizon, steps):
+        block = np.empty((min(steps, horizon - start), len(streams), n_agents))
+        for r, agents in enumerate(streams):
+            for i, gen in enumerate(agents):
+                block[:, r, i] = gen.random(block.shape[0])
+        yield block
 
 
 def weight_stream(seed):
@@ -112,77 +128,87 @@ def sampling_distribution(policy, q, delta_k):
     return np.full(q.size, 1.0 / q.size)
 
 
-def policy_matrix(policy, q, delta_k):
-    """Per-agent sampling distributions for a whole state matrix.
+def _count(rows):
+    counts = rows.sum(axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
 
-    Returns ``(p, uniform_fallbacks, clamped_agents)`` where the counters
-    record agents that degenerated to the uniform fallback and agents whose
-    negative in-flight components were treated as zero mass.
+
+def policy_matrix(policy, q, delta_k):
+    """Per-agent sampling distributions for a state matrix or a batch of them.
+
+    ``q`` has shape ``(N, M)`` or ``(..., N, M)``.  Returns
+    ``(p, uniform_fallbacks, clamped_agents)`` where the counters record
+    agents that degenerated to the uniform fallback and agents whose
+    negative in-flight components were treated as zero mass: ints for one
+    state, one count per state (an array over the leading axes) for a batch.
+    Each row depends only on its own estimate, so a batch gives the rows a
+    single state would.
     """
     q = np.asarray(q, dtype=float)
-    neg_rows = (q < 0.0).any(axis=1)
-    clamped = int(neg_rows.sum())
+    neg = q < 0.0
+    if policy.kind == "direct" and not neg.any():
+        none = 0 if q.ndim == 2 else np.zeros(q.shape[:-2], dtype=np.int64)
+        return q, none, none
+    neg_rows = neg.any(axis=-1)
+    fallback_rows = np.zeros_like(neg_rows)
     if policy.kind == "direct":
-        if not clamped:
-            return q, 0, 0
         p = q.copy()
-        fallbacks = 0
-        for i in np.flatnonzero(neg_rows):
+        for i in zip(*np.nonzero(neg_rows)):
             pos = np.clip(q[i], 0.0, None)
             ptot = pos.sum()
             if ptot > 0.0:
                 p[i] = pos / ptot if ptot > 1.0 else pos
             else:
-                p[i] = 1.0 / q.shape[1]
-                fallbacks += 1
-        return p, fallbacks, clamped
+                p[i] = 1.0 / q.shape[-1]
+                fallback_rows[i] = True
+        return p, _count(fallback_rows), _count(neg_rows)
 
     alpha = censor_threshold(policy, delta_k)
-    kept = np.where(q >= alpha, q, 0.0)
-    totals = kept.sum(axis=1)
-    p = kept.copy()
-    fallbacks = 0
+    p = np.where(q >= alpha, q, 0.0)
+    totals = p.sum(axis=-1)
     live = totals > 0.0
-    if policy.renormalize:
-        p[live] = kept[live] / totals[live, None]
-    else:
-        over = live & (totals > 1.0)
-        p[over] = kept[over] / totals[over, None]
-    for i in np.flatnonzero(~live):
+    scaled = live if policy.renormalize else live & (totals > 1.0)
+    p[scaled] = p[scaled] / totals[scaled, None]
+    for i in zip(*np.nonzero(~live)):
         p[i] = sampling_distribution(policy, q[i], delta_k)
-        if not policy.renormalize:
-            continue
-        if np.clip(q[i], 0.0, None).sum() <= 0.0:
-            fallbacks += 1
-    return p, fallbacks, clamped
+        if policy.renormalize and np.clip(q[i], 0.0, None).sum() <= 0.0:
+            fallback_rows[i] = True
+    return p, _count(fallback_rows), _count(neg_rows)
+
+
+def inverse_cdf_draw(p, uniforms):
+    """One-hot draws by inverse CDF, one uniform per row, without validation.
+
+    ``p`` has shape ``(..., M)`` with finite nonnegative rows, and
+    ``uniforms`` the shape ``p.shape[:-1]``.  Returns ``(messages, active)``:
+    a row whose uniform falls beyond its total mass gets the zero (silent)
+    message and ``active`` False.  Use :func:`draw_messages` for rows that
+    are not known to be valid.
+    """
+    # a nonnegative row has a nondecreasing CDF, so ``u < cdf`` switches on
+    # once, at the drawn component, and stays on
+    below = uniforms[..., None] < p.cumsum(axis=-1)
+    messages = below.astype(float)
+    messages[..., 1:] -= messages[..., :-1]
+    return messages, below[..., -1]
 
 
 def draw_messages(p, uniforms):
     """Inverse-CDF one-hot draws, one uniform per row.
 
+    ``p`` is one distribution, a matrix of rows, or a batch ``(..., M)``.
     Rows must be nonnegative with sums at most 1 (tiny tolerance); residual
     mass of a sub-stochastic row yields the zero (silent) message.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     if (p < 0.0).any():
         raise ValueError("negative component in sampling distribution")
-    cdf = np.cumsum(p, axis=1)
-    if (cdf[:, -1] > 1.0 + 1e-12).any():
+    if (np.cumsum(p, axis=-1)[..., -1] > 1.0 + 1e-12).any():
         raise ValueError("sampling distribution components sum to more than 1")
-    u = np.asarray(uniforms, dtype=float).reshape(-1)
-    if u.shape[0] != p.shape[0]:
+    u = np.asarray(uniforms, dtype=float)
+    if u.size != p.size // p.shape[-1]:
         raise ValueError("need exactly one uniform per distribution row")
-    idx = (u[:, None] < cdf).argmax(axis=1)
-    active = u < cdf[:, -1]
-    y = np.zeros_like(p)
-    rows = np.flatnonzero(active)
-    y[rows, idx[rows]] = 1.0
-    return y
-
-
-def draw_message(p, rng):
-    """Single one-hot (or silent) draw using one uniform variate from ``rng``."""
-    return draw_messages(p, np.array([rng.random()]))[0]
+    return inverse_cdf_draw(p, u.reshape(p.shape[:-1]))[0]
 
 
 def message_covariance_limit(q_star, n_agents):

@@ -118,11 +118,16 @@ def network_average(state):
 
 
 def consensus_error(state, target):
-    """Largest per-agent sup-norm deviation from ``target``."""
+    """Largest per-agent sup-norm deviation from ``target``.
+
+    A batch of states ``(..., N, M)`` takes one target per state, or one
+    length-M target for all, and gives an array with one error per state.
+    """
     q = _as_matrix(state)
     t = np.asarray(target, dtype=float)
-    if t.ndim != 1 or t.size != q.shape[1]:
+    if not 1 <= t.ndim < q.ndim or t.shape[-1] != q.shape[-1]:
         raise ValueError(
-            f"target length {t.size} does not match opinion count {q.shape[1]}"
+            f"target shape {t.shape} does not match opinion count {q.shape[-1]}"
         )
-    return float(np.abs(q - t).max())
+    err = np.abs(q - t[..., None, :]).max(axis=(-2, -1))
+    return float(err) if err.ndim == 0 else err

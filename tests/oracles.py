@@ -1,9 +1,12 @@
 """Independent oracles used by the tests.
 
 These deliberately take different computational routes than the library:
-brute-force transitive closure for reachability, and direct numerical
-quadrature of the matrix-exponential integral for the stationary covariance.
+brute-force transitive closure for reachability, direct numerical
+quadrature of the matrix-exponential integral for the stationary covariance,
+and a one-trial-at-a-time step loop for the trial-batched kernel.
 """
+
+import math
 
 import numpy as np
 import scipy.integrate
@@ -60,3 +63,114 @@ def random_doubly_stochastic(rng, n, n_perms=3, min_coef=0.05):
         perm = rng.permutation(n)
         w[np.arange(n), perm] += c
     return w
+
+
+def per_trial_reference(config):
+    """One trial stepped alone, with scalar diagnostics: the reference loop.
+
+    This is the per-trial step loop the batched kernel replaced, kept as the
+    reference that the kernel must reproduce bit for bit.  It draws the same
+    streams as the kernel (a full uniform panel per agent, one weight stream
+    per trial) and uses the library only for the sampling map and the weight
+    draws.
+    """
+    from socsamp.dynamics import (
+        TrialDiagnostics, TrialTrace, noise_norm_bound, resolve_checkpoints,
+    )
+    from socsamp.network import FIXED, IID, SWITCHING, mean_matrix, sample_weight_matrix
+    from socsamp.sampling import AGENT_DOMAIN, policy_matrix, substream, weight_stream
+    from socsamp.state import StackedState, initial_state
+
+    n, m = config.n_agents, config.n_opinions
+    model, schedule, horizon = config.weight_model, config.schedule, config.horizon
+    checkpoints = set(resolve_checkpoints(config.checkpoints, horizon))
+    q = initial_state(config.initial_samples, m).q.copy()
+    initial_avg = q.mean(axis=0)
+    a, b = config.mixing.a_diag, config.mixing.b_diag
+    ab_col, b_col = (a + b)[:, None], b[:, None]
+    conserving = bool(np.all(b == 1.0))
+
+    uniforms = np.stack(
+        [substream(config.seed, AGENT_DOMAIN, i).random(horizon) for i in range(n)]
+    )
+    wrng = weight_stream(config.seed)
+    if model.kind == IID:
+        support_idx = wrng.choice(
+            len(model.support), size=horizon, p=np.asarray(model.probabilities)
+        )
+    wbar_static = None if model.kind == SWITCHING else mean_matrix(model)
+
+    diag = TrialDiagnostics()
+    diag.noise_norm_bound = noise_norm_bound(n, m)
+    record_noise = config.record_noise and n >= 2
+    mean_increments = np.zeros((horizon, m)) if config.record_mean_increments else None
+    kept, snapshots, errs, spreads = [], [], [], []
+
+    def snapshot(k):
+        kept.append(k)
+        snapshots.append(q.copy())
+        errs.append(float(np.abs(q - initial_avg).max()))
+        spreads.append(float(np.abs(q - q.mean(axis=0)).max()))
+
+    if 0 in checkpoints:
+        snapshot(0)
+    delta = math.nan
+    qmin = float(q.min())
+    for k in range(1, horizon + 1):
+        delta = schedule.step_size(k)
+        if model.kind in (FIXED, SWITCHING):
+            w = wbar = sample_weight_matrix(model, k)
+        elif model.kind == IID:
+            w, wbar = model.support[support_idx[k - 1]], wbar_static
+        else:
+            w, wbar = sample_weight_matrix(model, k, wrng), wbar_static
+
+        if config.policy.kind == "direct" and qmin >= 0.0:
+            p = q
+        else:
+            p, fallbacks, clamped = policy_matrix(config.policy, q, delta)
+            diag.uniform_fallbacks += fallbacks
+            diag.clamped_agents += clamped
+
+        cdf = np.cumsum(p, axis=1)
+        u = uniforms[:, k - 1]
+        idx = (u[:, None] < cdf).argmax(axis=1)
+        rows = np.flatnonzero(u < cdf[:, -1])
+        y = np.zeros((n, m))
+        y[rows, idx[rows]] = 1.0
+        diag.silent_messages += n - rows.size
+
+        ym_q = y - q
+        ym_p = ym_q if p is q else y - p
+        if record_noise:
+            mart = w @ ym_p - b_col * ym_p
+            if wbar is not w:
+                mart += (w - wbar) @ p
+            sq = float((mart * mart).sum())
+            diag.max_martingale_norm = max(diag.max_martingale_norm, math.sqrt(sq))
+            col_mean = mart.mean(axis=0)
+            proj = math.sqrt(max(sq - n * float(col_mean @ col_mean), 0.0))
+            diag.max_noise_norm = max(diag.max_noise_norm, proj)
+        if mean_increments is not None:
+            mean_increments[k - 1] = (delta / n) * ((w.sum(axis=0) - b) @ ym_q)
+
+        if conserving:
+            q = q + delta * (w @ y - y)
+        else:
+            q = q + delta * (w @ y - ab_col * q - b_col * ym_q)
+
+        qmin = float(q.min())
+        if qmin < 0.0:
+            diag.simplex_violation_agent_steps += int((q < 0.0).any(axis=1).sum())
+            diag.max_negative_component = max(diag.max_negative_component, -qmin)
+        drift = float(np.abs(q.sum(axis=1) - 1.0).max())
+        if not drift < math.inf:
+            raise FloatingPointError(f"non-finite value at step {k}")
+        diag.max_sum_drift = max(diag.max_sum_drift, drift)
+        if k in checkpoints:
+            snapshot(k)
+
+    return TrialTrace(
+        config.trial_index, config.seed, kept, snapshots, errs, spreads,
+        StackedState(q, step_index=horizon), delta, diag, mean_increments, initial_avg,
+    )

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socsamp as ss
-from socsamp.dynamics import resolve_checkpoints, step_size
+from socsamp.dynamics import resolve_checkpoints
 
 from conftest import random_trial_config
 
@@ -52,7 +52,7 @@ def test_schedule_validation():
         ss.StepSchedule(-1.0, 0.75, 0)
     with pytest.raises(ValueError):
         ss.StepSchedule(1.0, 0.75, 0).step_size(0)
-    assert step_size(ss.StepSchedule(1.0, 0.75, 0), 1) == 1.0
+    assert ss.StepSchedule(1.0, 0.75, 0).step_size(1) == 1.0
 
 
 def test_schedule_is_decreasing_and_square_summable_shape():

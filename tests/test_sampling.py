@@ -64,6 +64,13 @@ def test_policy_matrix_direct_clamps_negative_rows():
     np.testing.assert_array_equal(p[0], q[0])
     np.testing.assert_allclose(p[1], [1.0, 0.0])
     assert p[1].sum() == pytest.approx(1.0)
+    # a batch of states gives each state's rows and its own counts
+    batch = np.stack([q, np.array([[0.3, 0.7], [0.5, 0.5]])])
+    pb, fallbacks, clamped = policy_matrix(DIRECT, batch, 0.5)
+    np.testing.assert_array_equal(pb[0], p)
+    np.testing.assert_array_equal(pb[1], batch[1])
+    np.testing.assert_array_equal(clamped, [1, 0])
+    np.testing.assert_array_equal(fallbacks, [0, 0])
 
 
 def test_threshold_shape():
@@ -106,7 +113,7 @@ def test_stacked_censoring_bound_with_quadratic_floor(n, m, seed):
 def test_draw_message_deterministic():
     rng = ss.substream(0, 0)
     for _ in range(20):
-        y = ss.draw_message(np.array([1.0, 0.0, 0.0]), rng)
+        y = ss.draw_messages(np.array([1.0, 0.0, 0.0]), rng.random(1))[0]
         np.testing.assert_array_equal(y, [1.0, 0.0, 0.0])
 
 
@@ -138,30 +145,52 @@ def test_draw_message_unbiased():
     y = ss.draw_messages(np.tile(p, (n_draws, 1)), rng.random(n_draws))
     se = np.sqrt(p * (1 - p) / n_draws)
     assert (np.abs(y.mean(axis=0) - p) <= 4 * se).all()
+    # a batch of matrices draws row by row with the same uniforms
+    u = ss.substream(7, 1).random(12)
+    rows = np.tile(p, (12, 1))
+    np.testing.assert_array_equal(
+        ss.draw_messages(rows.reshape(3, 4, 4), u.reshape(3, 4)).reshape(12, 4),
+        ss.draw_messages(rows, u),
+    )
 
 
 def test_draw_message_rejects_negative():
     rng = ss.substream(1, 0)
     with pytest.raises(ValueError, match="negative"):
-        ss.draw_message(np.array([-0.1, 1.1]), rng)
+        ss.draw_messages(np.array([-0.1, 1.1]), rng.random(1))
 
 
 def test_draw_message_rejects_super_stochastic():
     rng = ss.substream(1, 0)
     with pytest.raises(ValueError, match="more than 1"):
-        ss.draw_message(np.array([0.7, 0.7]), rng)
+        ss.draw_messages(np.array([0.7, 0.7]), rng.random(1))
+
+
+def uniform_panel(seeds, n_agents, horizon, **kw):
+    """Streamed message uniforms as one (steps, trials, agents) array."""
+    return np.concatenate(list(ss.message_uniform_blocks(seeds, n_agents, horizon, **kw)))
 
 
 def test_reproducibility_per_agent_step():
     # same (seed, agent, step) gives the same uniform, hence the same message
-    a = ss.message_uniform_panel(123, 4, 50)
-    b = ss.message_uniform_panel(123, 4, 50)
+    a = uniform_panel([123], 4, 50)
+    b = uniform_panel([123], 4, 50)
     np.testing.assert_array_equal(a, b)
-    c = ss.message_uniform_panel(124, 4, 50)
+    c = uniform_panel([124], 4, 50)
     assert not np.array_equal(a, c)
-    # agent rows are independent streams: a shorter panel is a prefix
-    d = ss.message_uniform_panel(123, 4, 20)
-    np.testing.assert_array_equal(a[:, :20], d)
+    # agent rows are independent streams: a shorter draw is a prefix
+    d = uniform_panel([123], 4, 20)
+    np.testing.assert_array_equal(a[:20], d)
+    # so blocks of any size, and any other trials streamed alongside, give
+    # the same uniforms as one draw per (trial, agent)
+    blocks = list(ss.message_uniform_blocks([7, 123], 4, 50, block_bytes=7 * 8 * 2 * 4))
+    assert [len(blk) for blk in blocks] == [7] * 7 + [1]
+    np.testing.assert_array_equal(np.concatenate(blocks)[:, 1:], a)
+    for i in range(4):
+        np.testing.assert_array_equal(
+            np.concatenate(blocks)[:, 0, i],
+            ss.substream(7, ss.sampling.AGENT_DOMAIN, i).random(50),
+        )
 
 
 def test_message_covariance_limit_vertex():

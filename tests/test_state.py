@@ -84,12 +84,20 @@ def test_consensus_error_hand_values():
     assert ss.consensus_error(st0, np.array([0.5, 0.5])) == pytest.approx(0.5)
     st1 = ss.StackedState(np.array([[0.6, 0.4]]))
     assert ss.consensus_error(st1, np.array([0.5, 0.5])) == pytest.approx(0.1)
+    # a batch gives one error per state, against a shared or a per-state target
+    batch = np.stack([st0.q, np.array([[0.6, 0.4], [0.5, 0.5]])])
+    np.testing.assert_allclose(ss.consensus_error(batch, np.array([0.5, 0.5])), [0.5, 0.1])
+    np.testing.assert_allclose(
+        ss.consensus_error(batch, np.array([[1.0, 0.0], [0.6, 0.4]])), [1.0, 0.1]
+    )
 
 
 def test_consensus_error_dimension_mismatch():
     st0 = ss.StackedState(np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError, match="does not match"):
         ss.consensus_error(st0, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="does not match"):
+        ss.consensus_error(st0, np.array([[0.5, 0.5]]))  # one target per state
 
 
 @given(
