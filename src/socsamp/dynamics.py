@@ -206,6 +206,11 @@ class TrialAborted(RuntimeError):
         self.trial_index = trial_index
         self.seed = seed
 
+    def __reduce__(self):
+        # RuntimeError pickles only the message, which __init__ cannot take
+        args = (self.step_index, self.diagnostics, self.trial_index, self.seed)
+        return type(self), args
+
 
 def default_checkpoints(horizon):
     """Logarithmic checkpoints 1, 2, 5, 10, ... plus 0 and the horizon."""
@@ -312,12 +317,6 @@ def noise_norm_bound(n_agents, n_opinions, scale=1.0):
     return scale * n_agents**2 * n_opinions**2
 
 
-_COUNTERS = ("simplex_violation_agent_steps", "silent_messages",
-             "uniform_fallbacks", "clamped_agents")
-_MAXIMA = ("max_negative_component", "max_sum_drift", "max_noise_norm",
-           "max_martingale_norm")
-
-
 def run_trial(config):
     """Execute one trial: :func:`run_chunk` on a chunk of one."""
     return run_chunk(config, [(config.trial_index, config.seed)])[0]
@@ -370,18 +369,41 @@ def run_chunk(config, trials):
         weight_rngs = [weight_stream(s) for s in seeds]
     wbar_static = mean_matrix(model) if model.kind in (IID, BIRKHOFF) else None
 
-    counters = {name: np.zeros(chunk, dtype=np.int64) for name in _COUNTERS}
-    maxima = {name: np.zeros(chunk) for name in _MAXIMA}
+    violations = np.zeros(chunk, dtype=np.int64)
+    silent = np.zeros(chunk, dtype=np.int64)
+    fallbacks = np.zeros(chunk, dtype=np.int64)
+    clamped = np.zeros(chunk, dtype=np.int64)
+    max_negative = np.zeros(chunk)
+    # a step writes its squared martingale norm, squared projected noise
+    # norm and sum drift into ``now``; one fmax folds them into ``maxima``.
+    # sqrt is monotone and correctly rounded, so the root of the largest
+    # square is the largest root, bit for bit
+    maxima = np.zeros((3, chunk))
+    now = np.zeros((3, chunk))
+    mart_sq, noise_sq, drift = now
     bound = noise_norm_bound(n, m)
 
     def diagnostics(r):
-        values = {name: arr[r].item() for name, arr in (counters | maxima).items()}
-        return TrialDiagnostics(noise_norm_bound=bound, **values)
+        return TrialDiagnostics(
+            simplex_violation_agent_steps=violations[r].item(),
+            max_negative_component=max_negative[r].item(),
+            silent_messages=silent[r].item(),
+            uniform_fallbacks=fallbacks[r].item(),
+            clamped_agents=clamped[r].item(),
+            max_sum_drift=maxima[2, r].item(),
+            max_noise_norm=math.sqrt(maxima[1, r]),
+            max_martingale_norm=math.sqrt(maxima[0, r]),
+            noise_norm_bound=bound,
+        )
 
     record_noise = config.record_noise and n >= 2
     mean_increments = (
         np.zeros((chunk, horizon, m)) if config.record_mean_increments else None
     )
+    # column sums of W less b, as a row: the mean increment is d/n times
+    # this row times Y - Q
+    if model.kind == FIXED:
+        excess = (model.support[0].sum(axis=0) - b)[None, :]
     snapshots = np.empty((chunk, len(checkpoints), n, m))
     errs = np.empty((chunk, len(checkpoints)))
     spreads = np.empty((chunk, len(checkpoints)))
@@ -395,8 +417,16 @@ def run_chunk(config, trials):
         snapshot(column[0])
 
     aborted = {}  # chunk position -> (step, diagnostics at that step)
+    # the direct policy passes nonnegative estimates through unchanged, so
+    # policy_matrix runs only once a negative component has been seen (a
+    # non-finite trial is reset before the next step)
+    direct = config.policy.kind == "direct"
+    pass_through = direct  # the one-hot initial estimates are nonnegative
     delta = math.nan
-    uniforms = chain.from_iterable(message_uniform_blocks(seeds, n, horizon))
+    uniforms = chain.from_iterable(
+        np.moveaxis(block, -1, 0)
+        for block in message_uniform_blocks(seeds, n, horizon)
+    )
     for k, u in enumerate(uniforms, start=1):
         delta = schedule.step_size(k)
         if model.kind == FIXED:
@@ -409,53 +439,63 @@ def run_chunk(config, trials):
             w = np.stack([sample_weight_matrix(model, k, g) for g in weight_rngs])
             wbar = wbar_static
 
-        p, fallbacks, clamped = policy_matrix(config.policy, q, delta)
-        if p is not q:
-            counters["uniform_fallbacks"] += fallbacks
-            counters["clamped_agents"] += clamped
+        if pass_through:
+            p = q
+        else:
+            p, fell_back, clamps = policy_matrix(config.policy, q, delta)
+            if p is not q:
+                fallbacks += fell_back
+                clamped += clamps
         y, active = inverse_cdf_draw(p, u)
         if not active.all():
-            counters["silent_messages"] += n - active.sum(axis=1)
+            silent += n - active.sum(axis=1)
 
         ym_q = y - q
         ym_p = ym_q if p is q else y - p
 
         if record_noise:
             mart = _martingale_noise(w, wbar, b_col, ym_p, p)
-            sq = (mart * mart).reshape(chunk, -1).sum(axis=1)
-            # fmax keeps the old maximum over a NaN, as max() does
-            maxima["max_martingale_norm"] = np.fmax(
-                maxima["max_martingale_norm"], np.sqrt(sq))
+            np.add.reduce((mart * mart).reshape(chunk, -1), axis=1, out=mart_sq)
             # mart.mean(axis=1) without its Python wrapper; the batched matmul
             # gives each trial's col_mean @ col_mean bits, einsum rounds
-            # differently
+            # differently.  The starting maximum 0 stands in for the clamp
+            # of a negative difference at 0.
             col_mean = np.add.reduce(mart, axis=1) / n
             cc = (col_mean[:, None, :] @ col_mean[:, :, None])[:, 0, 0]
-            proj = np.sqrt(np.maximum(sq - n * cc, 0.0))
-            maxima["max_noise_norm"] = np.fmax(maxima["max_noise_norm"], proj)
+            np.subtract(mart_sq, n * cc, out=noise_sq)
 
         if mean_increments is not None:
-            shift = (w.sum(axis=-2) - b)[..., None, :] @ ym_q
+            if model.kind != FIXED:
+                excess = (w.sum(axis=-2) - b)[..., None, :]
+            shift = excess @ ym_q
             mean_increments[:, k - 1] = (delta / n) * shift[..., 0, :]
 
         q = q + delta * _increment(w, q, y, ym_q, ab_col, b_col)
 
-        qmin = q.min(axis=(1, 2))
-        neg = qmin < 0.0
-        if neg.any():
-            rows = (q < 0.0).any(axis=2).sum(axis=1)
-            counters["simplex_violation_agent_steps"] += np.where(neg, rows, 0)
-            maxima["max_negative_component"] = np.fmax(
-                maxima["max_negative_component"], -qmin)
-        drift = np.abs(q.sum(axis=2) - 1.0).max(axis=1)
-        if not np.isfinite(drift).all():
+        # one reduction over the chunk in the common all-nonnegative case;
+        # a NaN fails the comparison too and takes the per-trial path
+        pass_through = direct and q.min() >= 0.0
+        if not pass_through:
+            qmin = q.min(axis=(1, 2))
+            neg = qmin < 0.0
+            if neg.any():
+                rows = (q < 0.0).any(axis=2).sum(axis=1)
+                violations += np.where(neg, rows, 0)
+                np.fmax(max_negative, -qmin, out=max_negative)
+        np.abs(q.sum(axis=2) - 1.0).max(axis=1, out=drift)
+        # max() passes a NaN on, so one comparison finds every bad trial
+        if not drift.max() < math.inf:
+            # an aborted trial's diagnostics hold the noise maxima of the
+            # failing step but not its drift
+            np.fmax(maxima[:2], now[:2], out=maxima[:2])
             bad = ~np.isfinite(drift)
             for r in np.flatnonzero(bad):
                 aborted.setdefault(int(r), (k, diagnostics(r)))
             q[bad] = q0
             if 0 in aborted:
                 break  # no earlier trial in the chunk can abort instead
-        maxima["max_sum_drift"] = np.fmax(maxima["max_sum_drift"], drift)
+        # fmax keeps the old maximum over a NaN, as max() does
+        np.fmax(maxima, now, out=maxima)
 
         if k in column:
             snapshot(column[k])

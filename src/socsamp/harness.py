@@ -346,21 +346,22 @@ def trial_config(cfg, trial_index):
     )
 
 
-# step working set of one chunk: each trial holds a weight matrix and about
-# a dozen (N, M) arrays while it is stepped
-CHUNK_BYTES = 1 << 23
+# (trial, agent) rows stepped together in one chunk.  The kernel's cost per
+# agent-step stops falling at about 4000 rows (normality_n5 and
+# consensus_n50 alike), and a chunk's uniform block then holds
+# CHUNK_ROWS * BLOCK_STEPS doubles, 4 MiB
+CHUNK_ROWS = 4096
 
 
-def trial_chunks(replications, n_agents, n_opinions, workers):
+def trial_chunks(replications, n_agents, workers):
     """Contiguous ``(start, stop)`` trial ranges, at least one per worker.
 
-    A chunk is as large as ``CHUNK_BYTES`` lets it be, so the per-step
-    Python overhead is paid once for as many trials as fit; the sizes differ
-    by at most one.
+    A chunk holds at most ``CHUNK_ROWS`` (trial, agent) rows unless a
+    single trial has more, so the per-step Python overhead is paid once for
+    enough rows to hide it; the sizes differ by at most one.
     """
-    per_trial = 8 * n_agents * (n_agents + 12 * n_opinions)
-    by_size = -(-replications * per_trial // CHUNK_BYTES)
-    count = min(replications, max(workers, by_size))
+    by_rows = -(-replications * n_agents // CHUNK_ROWS)
+    count = min(replications, max(workers, by_rows))
     edges = [replications * j // count for j in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -383,7 +384,7 @@ def run_trials(cfg):
     chunks = [
         [(i, derive_trial_seed(cfg.master_seed, i)) for i in range(start, stop)]
         for start, stop in trial_chunks(
-            cfg.replications, cfg.n_agents, cfg.n_opinions, cfg.threads
+            cfg.replications, cfg.n_agents, cfg.threads
         )
     ]
     if cfg.threads <= 1 or len(chunks) == 1:

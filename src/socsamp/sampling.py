@@ -22,9 +22,12 @@ AGENT_DOMAIN = 1
 WEIGHT_DOMAIN = 2
 INIT_DOMAIN = 3
 
-# bound on one block of streamed message uniforms; a full (trials, agents,
-# horizon) panel would grow without bound in the horizon
-UNIFORM_BLOCK_BYTES = 1 << 22
+# steps of uniforms drawn per (trial, agent) generator call.  A call costs
+# about 1 us plus 4 ns per uniform, so 128-step blocks keep the call
+# overhead under 10 ns per agent-step, against about 300 ns for the rest of
+# the step; a full (trials, agents, horizon) panel would instead grow
+# without bound in the horizon
+BLOCK_STEPS = 128
 
 
 def substream(seed, *path):
@@ -35,23 +38,21 @@ def substream(seed, *path):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def message_uniform_blocks(seeds, n_agents, horizon, block_bytes=UNIFORM_BLOCK_BYTES):
+def message_uniform_blocks(seeds, n_agents, horizon):
     """Message uniforms of the trials ``seeds``, streamed in blocks of steps.
 
-    Yields arrays of shape ``(steps, trials, agents)`` of at most
-    ``block_bytes`` each (and at least one step).  Concatenated along the
-    first axis they give, for each (trial, agent), the first ``horizon``
+    Yields arrays of shape ``(trials, agents, steps)``, each holding the next
+    ``BLOCK_STEPS`` steps (fewer in the last block).  Concatenated along the
+    last axis they give, for each (trial, agent), the first ``horizon``
     uniforms of that agent's substream: a generator's draws continue where
-    its last draw stopped, so the block size does not change the values.
+    its last draw stopped, so the block length does not change the values.
     """
-    streams = [[substream(seed, AGENT_DOMAIN, i) for i in range(n_agents)]
-               for seed in seeds]
-    steps = max(1, block_bytes // (8 * len(streams) * n_agents))
-    for start in range(0, horizon, steps):
-        block = np.empty((min(steps, horizon - start), len(streams), n_agents))
-        for r, agents in enumerate(streams):
-            for i, gen in enumerate(agents):
-                block[:, r, i] = gen.random(block.shape[0])
+    streams = [substream(seed, AGENT_DOMAIN, i)
+               for seed in seeds for i in range(n_agents)]
+    for start in range(0, horizon, BLOCK_STEPS):
+        block = np.empty((len(seeds), n_agents, min(BLOCK_STEPS, horizon - start)))
+        for gen, row in zip(streams, block.reshape(len(streams), -1)):
+            gen.random(out=row)
         yield block
 
 
@@ -187,7 +188,7 @@ def inverse_cdf_draw(p, uniforms):
     """
     # a nonnegative row has a nondecreasing CDF, so ``u < cdf`` switches on
     # once, at the drawn component, and stays on
-    below = uniforms[..., None] < p.cumsum(axis=-1)
+    below = uniforms[..., None] < np.add.accumulate(p, axis=-1)
     messages = below.astype(float)
     messages[..., 1:] -= messages[..., :-1]
     return messages, below[..., -1]
@@ -197,10 +198,13 @@ def draw_messages(p, uniforms):
     """Inverse-CDF one-hot draws, one uniform per row.
 
     ``p`` is one distribution, a matrix of rows, or a batch ``(..., M)``.
-    Rows must be nonnegative with sums at most 1 (tiny tolerance); residual
-    mass of a sub-stochastic row yields the zero (silent) message.
+    Rows must be finite and nonnegative with sums at most 1 (tiny
+    tolerance); residual mass of a sub-stochastic row yields the zero
+    (silent) message.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite component in sampling distribution")
     if (p < 0.0).any():
         raise ValueError("negative component in sampling distribution")
     if (np.cumsum(p, axis=-1)[..., -1] > 1.0 + 1e-12).any():

@@ -75,7 +75,8 @@ def per_trial_reference(config):
     draws.
     """
     from socsamp.dynamics import (
-        TrialDiagnostics, TrialTrace, noise_norm_bound, resolve_checkpoints,
+        TrialAborted, TrialDiagnostics, TrialTrace, noise_norm_bound,
+        resolve_checkpoints,
     )
     from socsamp.network import FIXED, IID, SWITCHING, mean_matrix, sample_weight_matrix
     from socsamp.sampling import AGENT_DOMAIN, policy_matrix, substream, weight_stream
@@ -165,7 +166,7 @@ def per_trial_reference(config):
             diag.max_negative_component = max(diag.max_negative_component, -qmin)
         drift = float(np.abs(q.sum(axis=1) - 1.0).max())
         if not drift < math.inf:
-            raise FloatingPointError(f"non-finite value at step {k}")
+            raise TrialAborted(k, diag, config.trial_index, config.seed)
         diag.max_sum_drift = max(diag.max_sum_drift, drift)
         if k in checkpoints:
             snapshot(k)

@@ -7,6 +7,7 @@ stepped in.
 """
 
 import hashlib
+import pickle
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import socsamp as ss
-from socsamp.harness import derive_trial_seed, trial_chunks, trial_config
+from socsamp.harness import CHUNK_ROWS, derive_trial_seed, trial_chunks, trial_config
 
 from conftest import random_trial_config
 from oracles import per_trial_reference
@@ -129,13 +130,17 @@ def test_chunk_size_does_not_change_traces(renormalize):
 
 
 def test_trial_chunks_cover_trials_in_order():
-    assert trial_chunks(1000, 5, 3, 2) == [(0, 500), (500, 1000)]
-    assert trial_chunks(2, 50, 4, 1) == [(0, 2)]
-    assert trial_chunks(3, 2, 2, 8) == [(0, 1), (1, 2), (2, 3)]
-    # large states split even a one-worker run into several chunks
-    bounds = trial_chunks(1000, 200, 4, 1)
-    assert len(bounds) > 1 and bounds[0][0] == 0 and bounds[-1][1] == 1000
+    assert trial_chunks(1000, 5, 2) == [(0, 500), (500, 1000)]
+    assert trial_chunks(2, 50, 1) == [(0, 2)]
+    assert trial_chunks(3, 2, 8) == [(0, 1), (1, 2), (2, 3)]
+    # many rows split even a one-worker run into chunks of at most
+    # CHUNK_ROWS rows
+    bounds = trial_chunks(1000, 50, 1)
+    assert len(bounds) == 13 and bounds[0][0] == 0 and bounds[-1][1] == 1000
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    assert all((b - a) * 50 <= CHUNK_ROWS for a, b in bounds)
+    # a trial with more rows than CHUNK_ROWS is a chunk of its own
+    assert trial_chunks(3, CHUNK_ROWS + 1, 1) == [(0, 1), (1, 2), (2, 3)]
 
 
 def blowup_config(horizon=40, seed=1):
@@ -163,6 +168,25 @@ def test_trial_abort_names_trial_seed_and_step():
             ss.run_chunk(tc, [(4, 99), (1, 5), (2, 6)])
     assert (chunked.value.trial_index, chunked.value.seed) == (4, 99)
     assert str(chunked.value) == str(alone.value)
+    # the abort survives a trip through a process pool
+    copy = pickle.loads(pickle.dumps(chunked.value))
+    assert (copy.step_index, copy.trial_index, copy.seed) == (2, 4, 99)
+    assert str(copy) == str(chunked.value)
+
+
+def test_trial_abort_diagnostics_match_reference_loop():
+    # random weights give the failing step a martingale noise larger than
+    # step 1's, which the diagnostics must hold, as the reference loop's do
+    model = ss.birkhoff_model(3, (0.5, 0.3, 0.2))
+    tc = replace(blowup_config(seed=3), weight_model=model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ss.TrialAborted) as kernel:
+            ss.run_trial(tc)
+        with pytest.raises(ss.TrialAborted) as reference:
+            per_trial_reference(tc)
+    assert kernel.value.step_index == reference.value.step_index == 2
+    assert str(kernel.value) == str(reference.value)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -166,12 +166,22 @@ def test_draw_message_rejects_super_stochastic():
         ss.draw_messages(np.array([0.7, 0.7]), rng.random(1))
 
 
-def uniform_panel(seeds, n_agents, horizon, **kw):
-    """Streamed message uniforms as one (steps, trials, agents) array."""
-    return np.concatenate(list(ss.message_uniform_blocks(seeds, n_agents, horizon, **kw)))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_draw_messages_rejects_non_finite(bad):
+    # a NaN passes both the sign and the sum check; the inverse-CDF draw
+    # would turn it into a message that is not one-hot
+    with pytest.raises(ValueError, match="non-finite"):
+        ss.draw_messages(np.array([[0.5, bad], [0.5, 0.5]]), np.array([0.2, 0.2]))
 
 
-def test_reproducibility_per_agent_step():
+def uniform_panel(seeds, n_agents, horizon):
+    """Streamed message uniforms as one (trials, agents, steps) array."""
+    return np.concatenate(
+        list(ss.message_uniform_blocks(seeds, n_agents, horizon)), axis=-1
+    )
+
+
+def test_reproducibility_per_agent_step(monkeypatch):
     # same (seed, agent, step) gives the same uniform, hence the same message
     a = uniform_panel([123], 4, 50)
     b = uniform_panel([123], 4, 50)
@@ -180,15 +190,16 @@ def test_reproducibility_per_agent_step():
     assert not np.array_equal(a, c)
     # agent rows are independent streams: a shorter draw is a prefix
     d = uniform_panel([123], 4, 20)
-    np.testing.assert_array_equal(a[:20], d)
-    # so blocks of any size, and any other trials streamed alongside, give
+    np.testing.assert_array_equal(a[..., :20], d)
+    # so blocks of any length, and any other trials streamed alongside, give
     # the same uniforms as one draw per (trial, agent)
-    blocks = list(ss.message_uniform_blocks([7, 123], 4, 50, block_bytes=7 * 8 * 2 * 4))
-    assert [len(blk) for blk in blocks] == [7] * 7 + [1]
-    np.testing.assert_array_equal(np.concatenate(blocks)[:, 1:], a)
+    monkeypatch.setattr(ss.sampling, "BLOCK_STEPS", 7)
+    blocks = list(ss.message_uniform_blocks([7, 123], 4, 50))
+    assert [blk.shape[-1] for blk in blocks] == [7] * 7 + [1]
+    np.testing.assert_array_equal(np.concatenate(blocks, axis=-1)[1:], a)
     for i in range(4):
         np.testing.assert_array_equal(
-            np.concatenate(blocks)[:, 0, i],
+            np.concatenate(blocks, axis=-1)[0, i],
             ss.substream(7, ss.sampling.AGENT_DOMAIN, i).random(50),
         )
 
