@@ -9,18 +9,12 @@ trials.
 """
 
 from .analysis import (
-    AsymptoticReport,
-    NormalityResult,
-    ProjectionBasis,
-    ReducedDrift,
-    StabilityError,
     asymptotic_report,
     build_projection,
     empirical_scaled_covariance,
     joint_stability_margin,
     lyapunov_residual,
     lyapunov_solve,
-    normality_test,
     q_star_prediction,
     q_star_running,
     reconstruct_state,
@@ -31,7 +25,6 @@ from .analysis import (
 )
 from .dynamics import (
     MixingMatrices,
-    StepDecomposition,
     StepSchedule,
     TrialAborted,
     TrialConfig,
@@ -44,9 +37,7 @@ from .dynamics import (
     update_step,
 )
 from .harness import (
-    ConfigError,
     ExperimentConfig,
-    RunSummary,
     audit_assumptions,
     config_digest,
     derive_trial_seed,
@@ -55,7 +46,6 @@ from .harness import (
     run_experiment,
     run_trials,
     save_config,
-    serialize_config,
 )
 from .network import (
     WeightMatrixModel,
@@ -67,7 +57,6 @@ from .network import (
     metropolis_complete,
     sample_weight_matrix,
     spectral_gap,
-    step_mean_matrix,
     strongly_connected,
     switching_model,
     topology,
@@ -78,9 +67,7 @@ from .sampling import (
     SamplingPolicy,
     categorical_covariance,
     draw_messages,
-    message_covariance_limit,
     message_uniform_blocks,
-    sampling_distribution,
     substream,
 )
 from .state import (

@@ -14,7 +14,7 @@ mean weight matrix; :func:`decompose_step` reproduces that split exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -132,19 +132,6 @@ class TrialDiagnostics:
     max_martingale_norm: float = 0.0
     noise_norm_bound: float = math.nan
 
-    def as_dict(self):
-        return {
-            "simplex_violation_agent_steps": self.simplex_violation_agent_steps,
-            "max_negative_component": self.max_negative_component,
-            "silent_messages": self.silent_messages,
-            "uniform_fallbacks": self.uniform_fallbacks,
-            "clamped_agents": self.clamped_agents,
-            "max_sum_drift": self.max_sum_drift,
-            "max_noise_norm": self.max_noise_norm,
-            "max_martingale_norm": self.max_martingale_norm,
-            "noise_norm_bound": self.noise_norm_bound,
-        }
-
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -199,7 +186,7 @@ class TrialAborted(RuntimeError):
     def __init__(self, step_index, diagnostics, trial_index=None, seed=None):
         super().__init__(
             f"non-finite value encountered at step {step_index}; "
-            f"diagnostics: {diagnostics.as_dict()}"
+            f"diagnostics: {asdict(diagnostics)}"
         )
         self.step_index = step_index
         self.diagnostics = diagnostics

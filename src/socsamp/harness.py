@@ -330,6 +330,11 @@ def config_digest(cfg):
 
 
 def trial_config(cfg, trial_index):
+    """Trial ``trial_index`` of the experiment, seeded from the master seed.
+
+    Nothing the harness writes reads the mean-increment series, so it is not
+    recorded.
+    """
     return TrialConfig(
         n_agents=cfg.n_agents,
         n_opinions=cfg.n_opinions,
@@ -343,6 +348,7 @@ def trial_config(cfg, trial_index):
         checkpoints=cfg.stride,
         trial_index=trial_index,
         record_noise=cfg.record_noise,
+        record_mean_increments=False,
     )
 
 
@@ -380,7 +386,7 @@ def run_trials(cfg):
 
     Trial results do not depend on the worker count or the chunk sizes.
     """
-    tc = replace(trial_config(cfg, 0), record_mean_increments=False)
+    tc = trial_config(cfg, 0)
     chunks = [
         [(i, derive_trial_seed(cfg.master_seed, i)) for i in range(start, stop)]
         for start, stop in trial_chunks(

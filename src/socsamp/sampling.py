@@ -69,10 +69,9 @@ class SamplingPolicy:
     """Map from an internal estimate to the message distribution.
 
     ``direct`` transmits the estimate as-is.  ``censored`` zeroes components
-    below the step-dependent floor ``c * delta_k**exponent`` (negative
-    components always fall below it) and then either renormalizes the
-    survivors (default) or leaves the vector sub-stochastic, in which case
-    the residual mass becomes a silent zero message.
+    below the step-dependent floor ``c * delta_k**exponent`` and then either
+    renormalizes the survivors (default) or leaves the vector sub-stochastic;
+    :func:`policy_matrix` applies the policy to every row.
 
     With ``exponent = 1`` the censoring distortion is proportional to the
     step size, which keeps the consensus limit finite; ``exponent >= 2``
@@ -98,37 +97,6 @@ def censor_threshold(policy, delta_k):
     return policy.censor_floor_scale * delta_k ** policy.censor_exponent
 
 
-def sampling_distribution(policy, q, delta_k):
-    """Distribution the message is drawn from, given estimate ``q``.
-
-    Direct policy returns ``q`` unchanged (same array).  Censored policy
-    zeroes components below the floor and renormalizes survivors; if nothing
-    survives it falls back to the positive part of ``q`` (the whole of ``q``
-    whenever ``q`` is a proper distribution), and to the uniform vector only
-    if ``q`` has no positive mass at all.  Without renormalization an
-    all-censored vector stays zero, i.e. the agent is silent.
-    """
-    if delta_k <= 0:
-        raise ValueError("step size must be positive")
-    q = np.asarray(q, dtype=float)
-    if policy.kind == "direct":
-        return q
-    alpha = censor_threshold(policy, delta_k)
-    kept = np.where(q >= alpha, q, 0.0)
-    total = float(kept.sum())
-    if total > 0.0:
-        if policy.renormalize or total > 1.0:
-            return kept / total
-        return kept
-    if not policy.renormalize:
-        return kept  # everything censored: the agent stays silent
-    pos = np.clip(q, 0.0, None)
-    ptot = float(pos.sum())
-    if ptot > 0.0:
-        return pos / ptot
-    return np.full(q.size, 1.0 / q.size)
-
-
 def _count(rows):
     counts = rows.sum(axis=-1)
     return int(counts) if counts.ndim == 0 else counts
@@ -137,44 +105,51 @@ def _count(rows):
 def policy_matrix(policy, q, delta_k):
     """Per-agent sampling distributions for a state matrix or a batch of them.
 
-    ``q`` has shape ``(N, M)`` or ``(..., N, M)``.  Returns
-    ``(p, uniform_fallbacks, clamped_agents)`` where the counters record
-    agents that degenerated to the uniform fallback and agents whose
-    negative in-flight components were treated as zero mass: ints for one
-    state, one count per state (an array over the leading axes) for a batch.
-    Each row depends only on its own estimate, so a batch gives the rows a
-    single state would.
+    ``q`` has shape ``(N, M)`` or ``(..., N, M)``, one estimate per row:
+
+    * ``direct`` returns ``q`` itself (same array) when no component is
+      negative.  A row with a negative in-flight component keeps its
+      positive part, scaled to sum 1 only when it exceeds 1.
+    * ``censored`` zeroes the components below :func:`censor_threshold`
+      (negative ones always fall below it) and renormalizes the survivors.
+      Without renormalization it scales a row only when its sum exceeds 1,
+      and a row with nothing left stays zero: the agent is silent.  With
+      renormalization a row with nothing left falls back to its positive
+      part, renormalized (the whole of ``q`` for a proper distribution).
+    * A row falling back to its positive part with no positive mass at all
+      becomes the uniform distribution.
+
+    Returns ``(p, uniform_fallbacks, clamped_agents)``, counting the rows
+    set to uniform and the rows with a negative component: ints for one
+    state, one count per state (an array over the leading axes) for a
+    batch.  Each row depends only on its own estimate, so a batch gives the
+    rows a single state would.
     """
     q = np.asarray(q, dtype=float)
-    neg = q < 0.0
-    if policy.kind == "direct" and not neg.any():
-        none = 0 if q.ndim == 2 else np.zeros(q.shape[:-2], dtype=np.int64)
-        return q, none, none
-    neg_rows = neg.any(axis=-1)
-    fallback_rows = np.zeros_like(neg_rows)
+    neg_rows = (q < 0.0).any(axis=-1)
+    fallbacks = np.zeros_like(neg_rows)
     if policy.kind == "direct":
-        p = q.copy()
-        for i in zip(*np.nonzero(neg_rows)):
-            pos = np.clip(q[i], 0.0, None)
-            ptot = pos.sum()
-            if ptot > 0.0:
-                p[i] = pos / ptot if ptot > 1.0 else pos
-            else:
-                p[i] = 1.0 / q.shape[-1]
-                fallback_rows[i] = True
-        return p, _count(fallback_rows), _count(neg_rows)
-
-    alpha = censor_threshold(policy, delta_k)
-    p = np.where(q >= alpha, q, 0.0)
-    totals = p.sum(axis=-1)
-    live = totals > 0.0
-    scaled = live if policy.renormalize else live & (totals > 1.0)
-    p[scaled] = p[scaled] / totals[scaled, None]
-    for i in zip(*np.nonzero(~live)):
-        p[i] = sampling_distribution(policy, q[i], delta_k)
-        if policy.renormalize and np.clip(q[i], 0.0, None).sum() <= 0.0:
-            fallback_rows[i] = True
-    return p, _count(fallback_rows), _count(neg_rows)
+        if not neg_rows.any():
+            return q, _count(fallbacks), _count(neg_rows)
+        # rows rebuilt from the positive part, and the sum it is scaled above
+        p, rebuilt, cap = q.copy(), neg_rows, 1.0
+    else:
+        p = np.where(q >= censor_threshold(policy, delta_k), q, 0.0)
+        totals = p.sum(axis=-1)
+        live = totals > 0.0
+        scaled = live if policy.renormalize else live & (totals > 1.0)
+        p[scaled] /= totals[scaled, None]
+        rebuilt, cap = ~live & policy.renormalize, 0.0
+    if rebuilt.any():  # rare, so the common censored call skips the block
+        pos = np.clip(q[rebuilt], 0.0, None)
+        totals = pos.sum(axis=-1)
+        scaled = totals > cap
+        pos[scaled] /= totals[scaled, None]
+        empty = ~(totals > 0.0)
+        pos[empty] = 1.0 / q.shape[-1]
+        p[rebuilt] = pos
+        fallbacks[rebuilt] = empty
+    return p, _count(fallbacks), _count(neg_rows)
 
 
 def inverse_cdf_draw(p, uniforms):
@@ -213,18 +188,6 @@ def draw_messages(p, uniforms):
     if u.size != p.size // p.shape[-1]:
         raise ValueError("need exactly one uniform per distribution row")
     return inverse_cdf_draw(p, u.reshape(p.shape[:-1]))[0]
-
-
-def message_covariance_limit(q_star, n_agents):
-    """Per-component message variances at the consensus limit, block diagonal.
-
-    Each agent contributes the diagonal block ``diag(q*(1 - q*))``; the
-    cross-component terms of the one-hot draw are dropped.  Use
-    :func:`categorical_covariance` for the full covariance matrix.
-    """
-    q = as_opinion_vector(q_star)
-    block = np.diag(q * (1.0 - q))
-    return np.kron(np.eye(n_agents), block)
 
 
 def categorical_covariance(q_star, n_agents):

@@ -68,9 +68,10 @@ def initial_state(samples, n_opinions):
 class StackedState:
     """All agents' estimates at one step, agent-major.
 
-    Row i of ``q`` is agent i's length-M estimate; flattening concatenates
-    the rows, so entries ``i*M .. (i+1)*M - 1`` belong to agent i.  The array
-    is marked read-only; updates construct a new state.
+    Row i of ``q`` is agent i's length-M estimate, so the stacked vector
+    ``q.reshape(-1)`` has agent i in entries ``i*M .. (i+1)*M - 1``, the
+    order of the block-diagonal covariances.  The array is marked read-only;
+    updates construct a new state.
     """
 
     q: np.ndarray
@@ -96,16 +97,6 @@ class StackedState:
     def agent(self, i):
         """Estimate vector of agent ``i`` (0-based)."""
         return self.q[i]
-
-    def flatten(self):
-        return self.q.reshape(-1).copy()
-
-    @classmethod
-    def from_flat(cls, vec, n_agents, n_opinions, step_index=0):
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != n_agents * n_opinions:
-            raise ValueError("flat vector length does not match (agents, opinions)")
-        return cls(vec.reshape(n_agents, n_opinions).copy(), step_index)
 
 
 def _as_matrix(state):

@@ -3,7 +3,8 @@
 These deliberately take different computational routes than the library:
 brute-force transitive closure for reachability, direct numerical
 quadrature of the matrix-exponential integral for the stationary covariance,
-and a one-trial-at-a-time step loop for the trial-batched kernel.
+a row-at-a-time sampling map, and a one-trial-at-a-time step loop for the
+trial-batched kernel.
 """
 
 import math
@@ -65,21 +66,71 @@ def random_doubly_stochastic(rng, n, n_perms=3, min_coef=0.05):
     return w
 
 
+def _reference_row(policy, q, delta_k):
+    """Sampling distribution of one censored estimate row, case by case."""
+    from socsamp.sampling import censor_threshold
+
+    kept = np.where(q >= censor_threshold(policy, delta_k), q, 0.0)
+    total = float(kept.sum())
+    if total > 0.0:
+        if policy.renormalize or total > 1.0:
+            return kept / total
+        return kept
+    if not policy.renormalize:
+        return kept  # everything censored: the agent stays silent
+    pos = np.clip(q, 0.0, None)
+    ptot = float(pos.sum())
+    if ptot > 0.0:
+        return pos / ptot
+    return np.full(q.size, 1.0 / q.size)
+
+
+def reference_policy_matrix(policy, q, delta_k):
+    """The sampling map one row at a time, with the library's return contract.
+
+    ``policy_matrix`` must give the same bits, the same counts and the same
+    count types (ints for one state, arrays for a batch).
+    """
+    q = np.asarray(q, dtype=float)
+    neg_rows = (q < 0.0).any(axis=-1)
+    if policy.kind == "direct" and not neg_rows.any():
+        none = 0 if q.ndim == 2 else np.zeros(q.shape[:-2], dtype=np.int64)
+        return q, none, none
+    p = q.copy()
+    fallback_rows = np.zeros_like(neg_rows)
+    for i in np.ndindex(neg_rows.shape):
+        pos = np.clip(q[i], 0.0, None)
+        ptot = pos.sum()
+        if policy.kind == "censored":
+            p[i] = _reference_row(policy, q[i], delta_k)
+            fallback_rows[i] = policy.renormalize and ptot <= 0.0
+        elif neg_rows[i]:
+            if ptot > 0.0:
+                p[i] = pos / ptot if ptot > 1.0 else pos
+            else:
+                p[i] = 1.0 / q.shape[-1]
+                fallback_rows[i] = True
+    counts = [rows.sum(axis=-1) for rows in (fallback_rows, neg_rows)]
+    if q.ndim == 2:
+        counts = [int(c) for c in counts]
+    return (p, *counts)
+
+
 def per_trial_reference(config):
     """One trial stepped alone, with scalar diagnostics: the reference loop.
 
     This is the per-trial step loop the batched kernel replaced, kept as the
     reference that the kernel must reproduce bit for bit.  It draws the same
     streams as the kernel (a full uniform panel per agent, one weight stream
-    per trial) and uses the library only for the sampling map and the weight
-    draws.
+    per trial), maps estimates with :func:`reference_policy_matrix` and uses
+    the library only for the weight draws.
     """
     from socsamp.dynamics import (
         TrialAborted, TrialDiagnostics, TrialTrace, noise_norm_bound,
         resolve_checkpoints,
     )
     from socsamp.network import FIXED, IID, SWITCHING, mean_matrix, sample_weight_matrix
-    from socsamp.sampling import AGENT_DOMAIN, policy_matrix, substream, weight_stream
+    from socsamp.sampling import AGENT_DOMAIN, substream, weight_stream
     from socsamp.state import StackedState, initial_state
 
     n, m = config.n_agents, config.n_opinions
@@ -129,7 +180,7 @@ def per_trial_reference(config):
         if config.policy.kind == "direct" and qmin >= 0.0:
             p = q
         else:
-            p, fallbacks, clamped = policy_matrix(config.policy, q, delta)
+            p, fallbacks, clamped = reference_policy_matrix(config.policy, q, delta)
             diag.uniform_fallbacks += fallbacks
             diag.clamped_agents += clamped
 

@@ -115,7 +115,7 @@ def test_reduced_drift_shift_uses_delta():
 def test_s0_zero_for_vertex_limit():
     n, m = 3, 2
     basis = ss.build_projection(n)
-    sigma = ss.message_covariance_limit(np.array([1.0, 0.0]), n)
+    sigma = ss.categorical_covariance(np.array([1.0, 0.0]), n)
     s0 = ss.s0_matrix(ss.fixed_model(ss.metropolis_complete(n)), basis, sigma, m)
     np.testing.assert_allclose(s0, 0.0, atol=1e-14)
 

@@ -163,6 +163,8 @@ def test_replay_matches_original_checkpoints(tmp_path):
     lookup = dict(zip(rerun.checkpoints, rerun.snapshots))
     for k, snap in zip(original.checkpoints, original.snapshots):
         np.testing.assert_array_equal(lookup[k], snap)
+    # no harness output reads the mean-increment series, so neither records it
+    assert original.mean_increments is None and rerun.mean_increments is None
 
 
 def test_replay_rejects_out_of_range(tmp_path):

@@ -9,7 +9,7 @@ stepped in.
 import hashlib
 import pickle
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +90,7 @@ def assert_same_trace(a, b):
             assert x.step_index == y.step_index
             x, y = x.q, y.q
         if f.name == "diagnostics":
-            assert x.as_dict() == y.as_dict()
+            assert asdict(x) == asdict(y)
         elif f.name == "snapshots":
             assert len(x) == len(y)
             for sx, sy in zip(x, y):

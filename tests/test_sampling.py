@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 import socsamp as ss
 from socsamp.sampling import censor_threshold, policy_matrix
 
+from oracles import reference_policy_matrix
+
 DIRECT = ss.SamplingPolicy("direct")
 
 
@@ -13,48 +15,59 @@ def censored(c=1.0, exponent=1.0, renormalize=True):
     return ss.SamplingPolicy("censored", c, exponent, renormalize)
 
 
+def one_row(policy, q, delta_k):
+    """Sampling distribution of a single estimate: a one-agent state."""
+    p, _, _ = policy_matrix(policy, np.asarray(q, dtype=float)[None], delta_k)
+    return p[0]
+
+
 def test_direct_is_bitwise_identity():
-    q = np.array([0.2, 0.8])
-    p = ss.sampling_distribution(DIRECT, q, 0.5)
+    q = np.array([[0.2, 0.8]])
+    p, fallbacks, clamped = policy_matrix(DIRECT, q, 0.5)
     assert p is q
+    assert fallbacks == 0 and clamped == 0
 
 
 def test_censored_single_survivor_renormalizes():
-    p = ss.sampling_distribution(censored(), np.array([0.004, 0.996]), 0.01)
+    p = one_row(censored(), [0.004, 0.996], 0.01)
     np.testing.assert_array_equal(p, [0.0, 1.0])
 
 
 def test_censored_nothing_below_threshold():
     q = np.array([0.3, 0.3, 0.4])
-    np.testing.assert_allclose(ss.sampling_distribution(censored(), q, 0.01), q)
+    np.testing.assert_allclose(one_row(censored(), q, 0.01), q)
 
 
 def test_censored_all_below_falls_back_to_q():
     q = np.array([0.5, 0.5])
-    p = ss.sampling_distribution(censored(c=10.0), q, 1.0)  # floor above every entry
+    p = one_row(censored(c=10.0), q, 1.0)  # floor above every entry
     np.testing.assert_allclose(p, q)
 
 
 def test_censored_silent_without_renormalization():
     q = np.array([0.5, 0.5])
-    p = ss.sampling_distribution(censored(c=10.0, renormalize=False), q, 1.0)
+    p = one_row(censored(c=10.0, renormalize=False), q, 1.0)
     np.testing.assert_array_equal(p, [0.0, 0.0])
 
 
 def test_censored_sub_stochastic_without_renormalization():
     q = np.array([0.05, 0.45, 0.5])
-    p = ss.sampling_distribution(censored(c=0.1, renormalize=False), q, 1.0)
+    p = one_row(censored(c=0.1, renormalize=False), q, 1.0)
     np.testing.assert_allclose(p, [0.0, 0.45, 0.5])
 
 
 def test_degenerate_estimate_falls_back_to_uniform():
-    # no positive mass anywhere: defensive path, flagged by policy_matrix
-    q = np.array([[-0.5, 0.0, 0.5], [-1.0, 0.5, 0.5]])
-    bad = np.array([[0.0, -0.2, 0.2], [0.1, 0.5, 0.4]])
-    p, fallbacks, clamped = policy_matrix(censored(c=5.0), bad, 1.0)
-    assert fallbacks >= 0 and clamped == 1
-    rows = p.sum(axis=1)
-    assert np.all((np.abs(rows - 1.0) < 1e-12) | (rows == 0.0))
+    # the first row has no positive mass at all: only the uniform is left
+    q = np.array([[-0.5, 0.0, 0.0], [0.1, 0.5, 0.4]])
+    for policy in (censored(c=5.0), DIRECT):
+        p, fallbacks, clamped = policy_matrix(policy, q, 1.0)
+        assert fallbacks == 1 and clamped == 1
+        np.testing.assert_array_equal(p[0], [1 / 3, 1 / 3, 1 / 3])
+        np.testing.assert_allclose(p[1], q[1])
+    # without renormalization the all-censored agents stay silent instead
+    p, fallbacks, clamped = policy_matrix(censored(c=5.0, renormalize=False), q, 1.0)
+    assert fallbacks == 0 and clamped == 1
+    np.testing.assert_array_equal(p, np.zeros((2, 3)))
 
 
 def test_policy_matrix_direct_clamps_negative_rows():
@@ -71,6 +84,72 @@ def test_policy_matrix_direct_clamps_negative_rows():
     np.testing.assert_array_equal(pb[1], batch[1])
     np.testing.assert_array_equal(clamped, [1, 0])
     np.testing.assert_array_equal(fallbacks, [0, 0])
+
+
+def random_estimate_row(rng, m):
+    """An estimate row of one of the kinds the sampling map tells apart."""
+    v = rng.dirichlet(np.ones(m))
+    a = rng.integers(m)
+    kind = rng.integers(6)
+    if kind == 1:  # in flight: sums to 1, maybe with a negative component
+        e = rng.uniform(0.0, 0.3)
+        v[a] -= e
+        v[(a + 1) % m] += e
+    elif kind == 2:  # all mass below a small floor
+        v *= rng.uniform(0.0, 1e-3)
+    elif kind == 3:  # no positive mass: negative entries and zeros of either sign
+        v = -rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.5)
+    elif kind == 4:  # a negative component; positive part above or below 1
+        v *= 1.2
+        v[a] = -0.2
+    elif kind == 5:  # positive, sums to more than 1
+        v *= rng.uniform(1.0, 2.0)
+    return v
+
+
+def test_policy_matrix_matches_row_by_row_reference():
+    # bits, counts and count types against the one-row-at-a-time oracle on
+    # direct and censored policies, 2-D and batched states
+    rng = np.random.default_rng(20261018)
+    seen = set()
+    for _ in range(1000):
+        m = int(rng.integers(1, 6))
+        shape = (*rng.integers(1, 4, size=rng.integers(0, 3)), int(rng.integers(1, 7)), m)
+        rows = [random_estimate_row(rng, m) for _ in range(int(np.prod(shape[:-1])))]
+        q = np.array(rows).reshape(shape)
+        if rng.random() < 0.3:
+            policy = DIRECT
+        else:
+            c = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 5.0))
+            policy = censored(c, float(rng.choice([1.0, 2.0])), bool(rng.random() < 0.5))
+        delta = float(rng.uniform(0.01, 1.0))
+
+        p, fallbacks, clamped = policy_matrix(policy, q, delta)
+        want_p, want_fallbacks, want_clamped = reference_policy_matrix(policy, q, delta)
+        assert (p is q) == (want_p is q)
+        assert p.dtype == want_p.dtype and p.shape == want_p.shape
+        assert p.tobytes() == want_p.tobytes()
+        for got, want in ((fallbacks, want_fallbacks), (clamped, want_clamped)):
+            assert type(got) is type(want)
+            if q.ndim > 2:
+                assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+        kept = np.where(q >= censor_threshold(policy, delta), q, 0.0).sum(axis=-1)
+        positive = np.clip(q, 0.0, None).sum(axis=-1)
+        seen.add((policy.kind, policy.renormalize, "pass through", p is q))
+        seen.add((policy.kind, policy.renormalize, "fallback", bool(np.sum(fallbacks))))
+        seen.add((policy.kind, policy.renormalize, "all censored",
+                  bool(((kept <= 0.0) & (positive > 0.0)).any())))
+        seen.add((policy.kind, "positive part above 1",
+                  bool(((q < 0.0).any(axis=-1) & (positive > 1.0)).any())))
+    # every branch of the map was reached
+    for renormalize in (True, False):
+        assert ("censored", renormalize, "all censored", True) in seen
+    assert ("censored", True, "fallback", True) in seen
+    assert ("direct", True, "fallback", True) in seen
+    assert ("direct", True, "pass through", True) in seen
+    assert ("direct", "positive part above 1", True) in seen
 
 
 def test_threshold_shape():
@@ -90,7 +169,7 @@ def test_censoring_distortion_bound(m, seed, delta_k):
     q = rng.dirichlet(np.ones(m))
     pol = censored(c=0.4, exponent=1.0)
     alpha = censor_threshold(pol, delta_k)
-    p = ss.sampling_distribution(pol, q, delta_k)
+    p = one_row(pol, q, delta_k)
     assert np.abs(p - q).max() <= m * alpha + 1e-12
 
 
@@ -204,30 +283,31 @@ def test_reproducibility_per_agent_step(monkeypatch):
         )
 
 
+# the one-hot covariance at the limit has the per-component variances
+# q(1-q) on its diagonal
+
+
 def test_message_covariance_limit_vertex():
     np.testing.assert_array_equal(
-        ss.message_covariance_limit(np.array([1.0, 0.0]), 1), np.zeros((2, 2))
+        ss.categorical_covariance(np.array([1.0, 0.0]), 1), np.zeros((2, 2))
     )
 
 
 def test_message_covariance_limit_bernoulli():
     np.testing.assert_allclose(
-        ss.message_covariance_limit(np.array([0.5, 0.5]), 1),
-        np.diag([0.25, 0.25]),
+        np.diag(ss.categorical_covariance(np.array([0.5, 0.5]), 1)), [0.25, 0.25]
     )
 
 
 def test_message_covariance_limit_blocks():
     q = np.array([0.2, 0.3, 0.4, 0.1])
-    sigma = ss.message_covariance_limit(q, 2)
-    block = np.diag([0.16, 0.21, 0.24, 0.09])
-    np.testing.assert_allclose(sigma[:4, :4], block)
-    np.testing.assert_allclose(sigma[4:, 4:], block)
+    sigma = ss.categorical_covariance(q, 2)
+    variances = [0.16, 0.21, 0.24, 0.09]
+    np.testing.assert_allclose(np.diag(sigma), variances * 2)
     np.testing.assert_array_equal(sigma[:4, 4:], np.zeros((4, 4)))
 
 
 def test_per_component_variances_match_empirical():
-    # the diagonal of the one-hot covariance is p(1-p) per component
     q = np.array([0.2, 0.3, 0.4, 0.1])
     rng = ss.substream(2718, 0)
     n_draws = 100_000
@@ -235,7 +315,7 @@ def test_per_component_variances_match_empirical():
     dev = y - q
     var = (dev**2).mean(axis=0)
     se = np.sqrt(2.0 / n_draws) * q * (1 - q) * 4  # generous scale bound
-    predicted = np.diag(ss.message_covariance_limit(q, 1))
+    predicted = np.diag(ss.categorical_covariance(q, 1))
     assert (np.abs(var - predicted) <= se + 4 / n_draws).all()
 
 

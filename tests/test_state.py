@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import socsamp as ss
 
@@ -39,7 +37,7 @@ def test_initial_state_one_hot():
 
 def test_initial_state_stacking_order():
     st0 = ss.initial_state([1, 3], 3)
-    np.testing.assert_array_equal(st0.flatten(), [1, 0, 0, 0, 0, 1])
+    np.testing.assert_array_equal(st0.q.reshape(-1), [1, 0, 0, 0, 0, 1])
 
 
 def test_initial_state_duplicate_samples():
@@ -98,21 +96,6 @@ def test_consensus_error_dimension_mismatch():
         ss.consensus_error(st0, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="does not match"):
         ss.consensus_error(st0, np.array([[0.5, 0.5]]))  # one target per state
-
-
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=50, deadline=None)
-def test_flatten_round_trip(n, m, seed):
-    rng = np.random.default_rng(seed)
-    q = rng.normal(size=(n, m))
-    state = ss.StackedState(q, step_index=3)
-    back = ss.StackedState.from_flat(state.flatten(), n, m, step_index=3)
-    np.testing.assert_array_equal(back.q, state.q)
-    assert back.step_index == state.step_index
 
 
 def test_state_is_read_only():
