@@ -6,8 +6,10 @@ rows of ``T1``.  Consensus means the reduced coordinate
 ``xi = (T1 kron I_M) Q`` vanishes; scaled by the square root of the step size
 it converges in distribution to a zero-mean normal whose covariance ``S``
 solves a continuous Lyapunov equation driven by the network and message
-noise.  This module builds those objects and compares them against Monte
-Carlo trials.
+noise.  The network acts on agents and the message noise on opinions, so
+``S = kron(x, c)`` with an (n-1)-square agent factor ``x`` and the M-square
+message covariance ``c``; only the factors are built.  This module builds
+those objects and compares them against Monte Carlo trials.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import scipy.stats
 
 from .network import WeightMatrixModel, mean_matrix, spectral_gap
 from .sampling import categorical_covariance
-from .state import StackedState, network_average
+from .state import StackedState, as_opinion_vector, network_average
 
 DEGENERATE_VARIANCE = 1e-12
 
@@ -104,10 +106,18 @@ def q_star_running(mean_increments, state0):
     return out
 
 
+def disagreement_rows(wbar, basis):
+    """``L = T1 (wbar - I)``: the mean drift seen from the disagreement rows."""
+    wbar = np.asarray(wbar, dtype=float)
+    return basis.t1 @ (wbar - np.eye(basis.n_agents))
+
+
 @dataclass(frozen=True)
 class ReducedDrift:
     """Mean drift restricted to the disagreement subspace, plus its shift.
 
+    Both are (n-1)-by-(n-1) agent-space cores: the drift of the reduced
+    coordinate is ``kron(fbar, I_M)``, the same for every opinion.
     ``fbar + fbar.T`` is negative semidefinite for any doubly stochastic
     mean; the shifted matrix must be strictly stable for the asymptotic
     covariance to exist.
@@ -119,8 +129,8 @@ class ReducedDrift:
     delta: float
 
 
-def reduced_drift(wbar, basis, n_opinions, delta):
-    """Build the reduced drift and verify the stability condition.
+def reduced_drift(wbar, basis, delta):
+    """Build the reduced drift core ``L T1.T`` and verify the stability condition.
 
     Raises :class:`StabilityError` when ``lambda2 >= 1 - delta/2``.
     """
@@ -128,27 +138,23 @@ def reduced_drift(wbar, basis, n_opinions, delta):
     lam2 = 1.0 - spectral_gap(wbar)
     if not lam2 < 1.0 - delta / 2.0:
         raise StabilityError(lam2, delta)
-    core = basis.t1 @ (wbar - np.eye(basis.n_agents)) @ basis.t1.T
-    fbar = np.kron(core, np.eye(n_opinions))
+    fbar = disagreement_rows(wbar, basis) @ basis.t1.T
     shifted = fbar + (delta / 2.0) * np.eye(fbar.shape[0])
     return ReducedDrift(fbar=fbar, shifted=shifted, lambda2=lam2, delta=delta)
 
 
-def s0_matrix(model, basis, sigma, n_opinions):
-    """Driving noise covariance of the reduced iteration.
+def s0_matrix(model, basis):
+    """Agent-space factor ``g = L L.T`` of the reduced driving noise.
 
-    ``model`` may be a weight model or an explicit mean matrix; ``sigma`` is
-    the limit message covariance in agent-major layout.
+    Every agent's message has the same limit covariance ``c``, so the
+    driving noise is ``kron(L, I) kron(I_N, c) kron(L, I).T = kron(g, c)``.
+    ``model`` may be a weight model or an explicit mean matrix.
     """
     if isinstance(model, WeightMatrixModel):
-        wbar = mean_matrix(model)
-    else:
-        wbar = np.asarray(model, dtype=float)
-    left = np.kron(
-        basis.t1 @ (wbar - np.eye(basis.n_agents)), np.eye(n_opinions)
-    )
-    s0 = left @ np.asarray(sigma, dtype=float) @ left.T
-    return (s0 + s0.T) / 2.0
+        model = mean_matrix(model)
+    left = disagreement_rows(model, basis)
+    g = left @ left.T
+    return (g + g.T) / 2.0
 
 
 def lyapunov_solve(a, s0, residual_tol=1e-10):
@@ -177,23 +183,29 @@ def lyapunov_solve(a, s0, residual_tol=1e-10):
     return s
 
 
-def lyapunov_residual(a, s, s0):
-    """Frobenius norm of ``a s + s a.T + s0`` relative to ``max(1, |s0|)``."""
+def lyapunov_residual(a, s, s0, c=None):
+    """Frobenius norm of ``a s + s a.T + s0`` relative to ``max(1, |s0|)``.
+
+    With a factor ``c``, the same for the Kronecker-factored equation with
+    drift ``kron(a, I)``, source ``kron(s0, c)`` and solution ``kron(s, c)``:
+    its residual is ``kron(a s + s a.T + s0, c)``, whose norm is the product
+    of the factors' norms.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     s = np.atleast_2d(np.asarray(s, dtype=float))
     s0 = np.atleast_2d(np.asarray(s0, dtype=float))
-    residual = np.linalg.norm(a @ s + s @ a.T + s0)
-    return float(residual / max(1.0, np.linalg.norm(s0)))
+    c_norm = 1.0 if c is None else float(np.linalg.norm(c))
+    residual = np.linalg.norm(a @ s + s @ a.T + s0) * c_norm
+    return float(residual / max(1.0, np.linalg.norm(s0) * c_norm))
 
 
-def s_tilde(s, basis, n_opinions):
-    """Embed the reduced covariance into the full agent-major state space.
+def s_tilde(x, basis):
+    """Embed the agent-space factor into the full agent space: ``T1.T x T1``.
 
-    The embedding has no variance along the consensus direction: the
-    quadratic form against ``ones kron v`` vanishes for every v.
+    The full-space covariance is ``kron(s_tilde(x), c)``.  The embedding has
+    no variance along the consensus direction: ``ones @ s_tilde(x) == 0``.
     """
-    e = np.kron(basis.t1, np.eye(n_opinions))
-    out = e.T @ np.atleast_2d(np.asarray(s, dtype=float)) @ e
+    out = basis.t1.T @ np.atleast_2d(np.asarray(x, dtype=float)) @ basis.t1
     return (out + out.T) / 2.0
 
 
@@ -279,23 +291,28 @@ def joint_stability_margin(model, basis):
     n = basis.n_agents
     acc = np.zeros((n - 1, n - 1))
     for w in mats:
-        f = basis.t1 @ (np.asarray(w, dtype=float) - np.eye(n)) @ basis.t1.T
+        f = disagreement_rows(w, basis) @ basis.t1.T
         acc += f + f.T
     return float(np.linalg.eigvalsh(-acc)[0])
 
 
 @dataclass
 class AsymptoticReport:
-    """Theory-side objects plus optional Monte Carlo comparisons."""
+    """Theory-side objects plus optional Monte Carlo comparisons.
+
+    The covariances are kept as Kronecker factors: the message covariance
+    is ``kron(I_N, c)``, the driving noise ``kron(g, c)``, the reduced
+    covariance ``S = kron(x, c)`` and its embedding ``kron(x_tilde, c)``.
+    """
 
     q_star: np.ndarray
     lambda2: float
     delta: float
     stability_margin: float
-    sigma: np.ndarray
-    s0: np.ndarray
-    s: np.ndarray
-    s_tilde: np.ndarray
+    c: np.ndarray
+    g: np.ndarray
+    x: np.ndarray
+    x_tilde: np.ndarray
     lyapunov_residual: float
     empirical_cov: np.ndarray | None = None
     cov_rel_error: float = math.nan
@@ -315,28 +332,31 @@ def asymptotic_report(
 ):
     """Assemble the asymptotic covariance report for one configuration.
 
-    Uses the exact one-hot message covariance at the consensus limit.  When
-    ``final_states`` from repeated trials are supplied (together with the
-    step size of their last update), the empirical scaled covariance and
-    per-component normality tests are attached.
+    Uses the exact one-hot message covariance at the consensus limit.  The
+    drift ``kron(fbar, I_M)`` and the noise ``kron(g, c)`` share their
+    Kronecker structure, so ``S = kron(x, c)`` where ``x`` solves the
+    (n-1)-dimensional equation ``F x + x F.T = -g``.  When ``final_states``
+    from repeated trials are supplied (together with the step size of their
+    last update), the empirical scaled covariance and per-component
+    normality tests are attached.
     """
-    q_star = np.asarray(q_star, dtype=float)
+    q_star = as_opinion_vector(q_star, n_opinions)
     basis = build_projection(model.n)
     wbar = mean_matrix(model)
-    drift = reduced_drift(wbar, basis, n_opinions, delta)
-    sigma = categorical_covariance(q_star, model.n)
-    s0 = s0_matrix(wbar, basis, sigma, n_opinions)
-    s = lyapunov_solve(drift.shifted, s0)
+    drift = reduced_drift(wbar, basis, delta)
+    c = categorical_covariance(q_star, 1)
+    g = s0_matrix(wbar, basis)
+    x = lyapunov_solve(drift.shifted, g)
     report = AsymptoticReport(
         q_star=q_star,
         lambda2=drift.lambda2,
         delta=delta,
         stability_margin=joint_stability_margin(model, basis),
-        sigma=sigma,
-        s0=s0,
-        s=s,
-        s_tilde=s_tilde(s, basis, n_opinions),
-        lyapunov_residual=lyapunov_residual(drift.shifted, s, s0),
+        c=c,
+        g=g,
+        x=x,
+        x_tilde=s_tilde(x, basis),
+        lyapunov_residual=lyapunov_residual(drift.shifted, x, g, c),
     )
     if final_states is not None:
         if final_step_size is None:
@@ -344,11 +364,14 @@ def asymptotic_report(
         cov, samples = empirical_scaled_covariance(
             final_states, q_star, basis, final_step_size
         )
+        s = np.kron(x, c)  # the size of the sample covariance it is compared with
         report.empirical_cov = cov
         report.cov_rel_error = float(
             np.linalg.norm(cov - s) / np.linalg.norm(s)
         )
-        result = normality_test(samples, np.diag(s), significance)
+        result = normality_test(
+            samples, np.kron(np.diag(x), np.diag(c)), significance
+        )
         report.p_values = result.p_values
         report.normality_pass_fraction = result.pass_fraction
         report.normality_anomalies = result.anomalies

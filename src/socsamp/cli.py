@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import StabilityError, asymptotic_report, q_star_prediction
+from .analysis import asymptotic_report, q_star_prediction
 from .harness import (
     ConfigError,
     audit_assumptions,
@@ -101,8 +101,8 @@ def main(argv=None):
                 q_star,
                 cfg.n_opinions,
             )
-        except StabilityError as e:
-            print(str(e), file=sys.stderr)
+        except ValueError as e:  # StabilityError among them
+            print(f"analysis failed: {e}", file=sys.stderr)
             return 2
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

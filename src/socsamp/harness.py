@@ -493,6 +493,7 @@ def _matrix_lines(name, mat):
 
 
 def report_text(report):
+    """``report.txt``: seven scalar lines, then the covariance factors."""
     lines = [
         f"q_star = {fmt_vector(report.q_star)}",
         f"lambda2 = {fmt(report.lambda2)}",
@@ -501,11 +502,12 @@ def report_text(report):
         f"lyapunov_residual = {fmt(report.lyapunov_residual)}",
         f"cov_rel_error = {fmt(report.cov_rel_error)}",
         f"normality_pass_fraction = {fmt(report.normality_pass_fraction)}",
+        # how the factors rebuild the dense, agent-major covariances
+        "kronecker_factors = sigma = kron(I_N, c); s0 = kron(g, c); "
+        "s = kron(x, c); s_tilde = kron(x_tilde, c)",
     ]
-    lines += _matrix_lines("sigma", report.sigma)
-    lines += _matrix_lines("s0", report.s0)
-    lines += _matrix_lines("s", report.s)
-    lines += _matrix_lines("s_tilde", report.s_tilde)
+    for name in ("c", "g", "x", "x_tilde"):
+        lines += _matrix_lines(name, getattr(report, name))
     if report.empirical_cov is not None:
         lines += _matrix_lines("empirical_cov", report.empirical_cov)
     if report.p_values is not None:

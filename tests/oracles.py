@@ -3,8 +3,9 @@
 These deliberately take different computational routes than the library:
 brute-force transitive closure for reachability, direct numerical
 quadrature of the matrix-exponential integral for the stationary covariance,
-a row-at-a-time sampling map, and a one-trial-at-a-time step loop for the
-trial-batched kernel.
+a row-at-a-time sampling map, a one-trial-at-a-time step loop for the
+trial-batched kernel, and the dense (N-1)M-dimensional Lyapunov solve for the
+Kronecker-factored asymptotic covariance.
 """
 
 import math
@@ -64,6 +65,39 @@ def random_doubly_stochastic(rng, n, n_perms=3, min_coef=0.05):
         perm = rng.permutation(n)
         w[np.arange(n), perm] += c
     return w
+
+
+def dense_asymptotic_covariance(wbar, q_star, delta):
+    """The asymptotic covariance built densely in the full product space.
+
+    Kronecker-expands the reduced drift ``kron(T1 (wbar - I) T1.T, I_M)``
+    and the message covariance ``kron(I_N, diag(q*) - q* q*.T)``, forms the
+    driving noise ``s0`` from them, solves the (N-1)M-dimensional Lyapunov
+    equation and embeds the solution with ``kron(T1, I_M)``.  Returns a dict
+    with ``sigma``, ``s0``, ``s`` and ``s_tilde``.
+    """
+    from socsamp.analysis import build_projection, lyapunov_solve
+
+    wbar = np.asarray(wbar, dtype=float)
+    q = np.asarray(q_star, dtype=float)
+    n, m = wbar.shape[0], q.size
+    t1 = build_projection(n).t1
+    eye_m = np.eye(m)
+    shifted = np.kron(t1 @ (wbar - np.eye(n)) @ t1.T, eye_m)
+    shifted += (delta / 2.0) * np.eye(shifted.shape[0])
+    sigma = np.kron(np.eye(n), np.diag(q) - np.outer(q, q))
+    left = np.kron(t1 @ (wbar - np.eye(n)), eye_m)
+    s0 = left @ sigma @ left.T
+    s0 = (s0 + s0.T) / 2.0
+    s = lyapunov_solve(shifted, s0)
+    embed = np.kron(t1, eye_m)
+    s_tilde = embed.T @ s @ embed
+    return {
+        "sigma": sigma,
+        "s0": s0,
+        "s": s,
+        "s_tilde": (s_tilde + s_tilde.T) / 2.0,
+    }
 
 
 def _reference_row(policy, q, delta_k):

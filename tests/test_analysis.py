@@ -6,7 +6,11 @@ import pytest
 import socsamp as ss
 from socsamp.analysis import StabilityError, lyapunov_residual, normality_test
 
-from oracles import lyapunov_quadrature, random_doubly_stochastic
+from oracles import (
+    dense_asymptotic_covariance,
+    lyapunov_quadrature,
+    random_doubly_stochastic,
+)
 
 
 # ------------------------------------------------------------- projection
@@ -66,24 +70,24 @@ def test_q_star_prediction_single_agent():
 
 
 def test_reduced_drift_uniform_mean_is_minus_identity():
-    n, m = 6, 3
+    n = 6
     basis = ss.build_projection(n)
-    rd = ss.reduced_drift(ss.metropolis_complete(n), basis, m, 0.0)
-    np.testing.assert_allclose(rd.fbar, -np.eye((n - 1) * m), atol=1e-12)
+    rd = ss.reduced_drift(ss.metropolis_complete(n), basis, 0.0)
+    np.testing.assert_allclose(rd.fbar, -np.eye(n - 1), atol=1e-12)
     assert rd.lambda2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reduced_drift_identity_mean_fails_stability():
     basis = ss.build_projection(3)
     with pytest.raises(StabilityError) as err:
-        ss.reduced_drift(np.eye(3), basis, 2, 0.0)
+        ss.reduced_drift(np.eye(3), basis, 0.0)
     assert err.value.lambda2 == pytest.approx(1.0)
     assert "lambda2" in str(err.value)
 
 
 def test_reduced_drift_two_agent_scalar():
     basis = ss.build_projection(2)
-    rd = ss.reduced_drift(np.array([[0.75, 0.25], [0.25, 0.75]]), basis, 1, 0.0)
+    rd = ss.reduced_drift(np.array([[0.75, 0.25], [0.25, 0.75]]), basis, 0.0)
     np.testing.assert_allclose(rd.fbar, [[-0.5]], atol=1e-14)
 
 
@@ -93,50 +97,51 @@ def test_reduced_drift_negative_semidefinite(rng):
         wbar = random_doubly_stochastic(rng, n)
         basis = ss.build_projection(n)
         try:
-            rd = ss.reduced_drift(wbar, basis, 2, 0.0)
+            rd = ss.reduced_drift(wbar, basis, 0.0)
         except StabilityError:
             continue
+        assert rd.fbar.shape == (n - 1, n - 1)
         eigs = np.linalg.eigvalsh(rd.fbar + rd.fbar.T)
         assert eigs.max() <= 1e-10
 
 
 def test_reduced_drift_shift_uses_delta():
     basis = ss.build_projection(4)
-    rd = ss.reduced_drift(ss.metropolis_complete(4), basis, 2, 0.5)
-    np.testing.assert_allclose(rd.shifted, rd.fbar + 0.25 * np.eye(6), atol=1e-14)
+    rd = ss.reduced_drift(ss.metropolis_complete(4), basis, 0.5)
+    np.testing.assert_allclose(rd.shifted, rd.fbar + 0.25 * np.eye(3), atol=1e-14)
     # strict inequality in the stability check
     with pytest.raises(StabilityError):
-        ss.reduced_drift(np.eye(4), basis, 2, 0.0)
+        ss.reduced_drift(np.eye(4), basis, 0.0)
 
 
 # ------------------------------------------------------------- driving noise
 
 
 def test_s0_zero_for_vertex_limit():
-    n, m = 3, 2
+    n = 3
     basis = ss.build_projection(n)
-    sigma = ss.categorical_covariance(np.array([1.0, 0.0]), n)
-    s0 = ss.s0_matrix(ss.fixed_model(ss.metropolis_complete(n)), basis, sigma, m)
-    np.testing.assert_allclose(s0, 0.0, atol=1e-14)
+    c = ss.categorical_covariance(np.array([1.0, 0.0]), 1)
+    g = ss.s0_matrix(ss.fixed_model(ss.metropolis_complete(n)), basis)
+    np.testing.assert_allclose(c, 0.0, atol=1e-14)
+    np.testing.assert_allclose(np.kron(g, c), 0.0, atol=1e-14)
 
 
 def test_s0_zero_for_identity_mean():
-    n, m = 3, 2
-    basis = ss.build_projection(n)
-    sigma = np.eye(n * m)
-    s0 = ss.s0_matrix(np.eye(n), basis, sigma, m)
-    np.testing.assert_allclose(s0, 0.0, atol=1e-14)
+    basis = ss.build_projection(3)
+    g = ss.s0_matrix(np.eye(3), basis)
+    np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
 def test_s0_two_agent_scalar_formula():
-    n, m = 2, 1
-    basis = ss.build_projection(n)
+    basis = ss.build_projection(2)
     wbar = np.array([[0.75, 0.25], [0.25, 0.75]])
     sigma2 = 0.37
-    s0 = ss.s0_matrix(wbar, basis, sigma2 * np.eye(2), m)
+    g = ss.s0_matrix(wbar, basis)
     row = (basis.t1 @ (wbar - np.eye(2))).reshape(-1)
+    np.testing.assert_allclose(g, [[float(row @ row)]], atol=1e-14)
+    # one opinion with message variance sigma2: s0 = kron(g, [[sigma2]])
     expected = sigma2 * float(row @ row)
-    np.testing.assert_allclose(s0, [[expected]], atol=1e-14)
+    np.testing.assert_allclose(np.kron(g, [[sigma2]]), [[expected]], atol=1e-14)
 
 
 def test_s0_symmetric_psd(rng):
@@ -145,11 +150,14 @@ def test_s0_symmetric_psd(rng):
         m = int(rng.integers(1, 4))
         basis = ss.build_projection(n)
         wbar = random_doubly_stochastic(rng, n)
-        q = rng.dirichlet(np.ones(m))
-        sigma = ss.categorical_covariance(q, n)
-        s0 = ss.s0_matrix(wbar, basis, sigma, m)
-        np.testing.assert_allclose(s0, s0.T, atol=1e-14)
-        assert np.linalg.eigvalsh(s0).min() >= -1e-12
+        g = ss.s0_matrix(wbar, basis)
+        c = ss.categorical_covariance(rng.dirichlet(np.ones(m)), 1)
+        assert g.shape == (n - 1, n - 1)
+        np.testing.assert_array_equal(g, g.T)
+        np.testing.assert_allclose(c, c.T, atol=1e-14)
+        assert np.linalg.eigvalsh(g).min() >= -1e-12
+        assert np.linalg.eigvalsh(c).min() >= -1e-12
+        assert np.linalg.eigvalsh(np.kron(g, c)).min() >= -1e-12
 
 
 # ------------------------------------------------------------- lyapunov
@@ -190,33 +198,98 @@ def test_lyapunov_residual_invariant(rng):
         assert lyapunov_residual(a, s, s0) <= 1e-10
 
 
+def test_lyapunov_residual_kronecker_factor(rng):
+    # the factored residual is the dense residual of kron(s, c), also far
+    # from a solution
+    for _ in range(10):
+        d, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        a, s, s0 = (rng.normal(size=(d, d)) for _ in range(3))
+        c = ss.categorical_covariance(rng.dirichlet(np.ones(m)), 1)
+        dense = lyapunov_residual(
+            np.kron(a, np.eye(m)), np.kron(s, c), np.kron(s0, c)
+        )
+        assert lyapunov_residual(a, s, s0, c) == pytest.approx(dense, rel=1e-12)
+
+
 # ------------------------------------------------------------- embedding
 
 
 def test_s_tilde_zero_map():
     basis = ss.build_projection(3)
-    np.testing.assert_array_equal(
-        ss.s_tilde(np.zeros((4, 4)), basis, 2), np.zeros((6, 6))
-    )
+    np.testing.assert_array_equal(ss.s_tilde(np.zeros((2, 2)), basis), np.zeros((3, 3)))
 
 
 def test_s_tilde_two_agent_hand_kronecker():
     basis = ss.build_projection(2)
-    s = np.array([[0.8]])
-    out = ss.s_tilde(s, basis, 1)
+    out = ss.s_tilde(np.array([[0.8]]), basis)
     np.testing.assert_allclose(out, 0.4 * np.array([[1, -1], [-1, 1]]), atol=1e-14)
 
 
 def test_s_tilde_consensus_direction_null(rng):
     for _ in range(10):
         n = int(rng.integers(2, 7))
-        m = int(rng.integers(1, 4))
         basis = ss.build_projection(n)
-        g = rng.normal(size=((n - 1) * m, (n - 1) * m))
-        out = ss.s_tilde(g @ g.T, basis, m)
-        ones = np.kron(np.ones(n), np.eye(m))
-        np.testing.assert_allclose(ones @ out @ ones.T, 0.0, atol=1e-10)
+        g = rng.normal(size=(n - 1, n - 1))
+        out = ss.s_tilde(g @ g.T, basis)
+        np.testing.assert_allclose(np.ones(n) @ out, 0.0, atol=1e-10)
         assert np.linalg.eigvalsh(out).min() >= -1e-10
+
+
+# ------------------------------------------------------------- factored vs dense
+
+
+def rel_error(factored, dense):
+    # exact zeros on both sides (a vertex q*) count as agreement
+    return float(np.linalg.norm(factored - dense) / max(np.linalg.norm(dense), 1e-300))
+
+
+def assert_matches_dense(rep, dense, n, tol=1e-12):
+    np.testing.assert_array_equal(np.kron(np.eye(n), rep.c), dense["sigma"])
+    assert rel_error(np.kron(rep.g, rep.c), dense["s0"]) <= tol
+    assert rel_error(np.kron(rep.x, rep.c), dense["s"]) <= tol
+    assert rel_error(np.kron(rep.x_tilde, rep.c), dense["s_tilde"]) <= tol
+
+
+def test_factored_covariance_matches_dense_oracle():
+    rng = np.random.default_rng(2024)
+    solved = dict.fromkeys((0.0, 1.0), 0)
+    vertices = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        m = int(rng.integers(1, 6))
+        delta = float(rng.choice([0.0, 1.0]))
+        wbar = random_doubly_stochastic(rng, n)
+        if delta:
+            # mixing toward the uniform mean keeps lambda2 below 1/2 more often
+            wbar = 0.5 * wbar + 0.5 / n
+        vertex = rng.random() < 0.5
+        if vertex:
+            q_star = np.eye(m)[rng.integers(m)]  # c = 0
+        else:
+            q_star = rng.dirichlet(np.ones(m))
+        model = ss.fixed_model(wbar, tau=1e-9)
+        try:
+            rep = ss.asymptotic_report(model, delta, q_star, m)
+        except StabilityError:
+            continue
+        solved[delta] += 1
+        vertices += vertex
+        assert rep.x.shape == rep.g.shape == (n - 1, n - 1)
+        assert rep.x_tilde.shape == (n, n) and rep.c.shape == (m, m)
+        assert rep.lyapunov_residual <= 1e-10
+        assert_matches_dense(rep, dense_asymptotic_covariance(wbar, q_star, delta), n)
+    assert min(solved.values()) >= 10, solved
+    assert 10 <= vertices <= sum(solved.values()) - 10
+
+
+def test_factored_covariance_matches_dense_oracle_at_n150():
+    # the size of the analyze benchmark: 150 agents, 4 opinions
+    n, m = 150, 4
+    wbar = ss.metropolis_complete(n)
+    q_star = np.array([0.3, 0.3, 0.25, 0.15])
+    rep = ss.asymptotic_report(ss.fixed_model(wbar), 1.0, q_star, m)
+    assert rep.x.shape == (n - 1, n - 1)
+    assert_matches_dense(rep, dense_asymptotic_covariance(wbar, q_star, 1.0), n)
 
 
 # ------------------------------------------------------------- monte carlo
@@ -297,5 +370,5 @@ def test_asymptotic_report_theory_only():
     assert rep.lambda2 == pytest.approx(0.0, abs=1e-12)
     assert rep.lyapunov_residual <= 1e-10
     assert rep.empirical_cov is None
-    # uniform mean graph: s = s0 / 2 exactly
-    np.testing.assert_allclose(rep.s, rep.s0 / 2, atol=1e-12)
+    # uniform mean graph: x = g / 2 exactly, so s = s0 / 2
+    np.testing.assert_allclose(rep.x, rep.g / 2, atol=1e-12)

@@ -8,6 +8,8 @@ import socsamp as ss
 from socsamp.cli import main as cli_main
 from socsamp.harness import ConfigError, fmt, trial_config, write_trace
 
+from oracles import dense_asymptotic_covariance
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -219,7 +221,60 @@ def test_cli_analyze(tmp_path, capsys):
     assert "lambda2" in out
     report = (tmp_path / "an" / "report.txt").read_text()
     assert report.startswith("q_star = ")
-    assert "s_tilde" in report
+    assert "\nx_tilde = " in report
+
+
+def read_report(path):
+    """``report.txt`` as scalars and matrices, rebuilt from its shape lines."""
+    values = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        key, _, value = line.partition(" = ")
+        values[key] = value
+    mats = {}
+    for key in values:
+        if key.endswith("_shape"):
+            name = key[: -len("_shape")]
+            shape = tuple(int(v) for v in values[key].split(","))
+            mats[name] = np.array(values[name].split(","), dtype=float).reshape(shape)
+    return values, mats
+
+
+def test_cli_analyze_report_rebuilds_dense_covariance(tmp_path, capsys):
+    path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "an"))
+    assert cli_main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    values, mats = read_report(tmp_path / "an" / "report.txt")
+    assert list(values)[:8] == [
+        "q_star", "lambda2", "delta", "stability_margin", "lyapunov_residual",
+        "cov_rel_error", "normality_pass_fraction", "kronecker_factors",
+    ]
+    assert values["kronecker_factors"] == (
+        "sigma = kron(I_N, c); s0 = kron(g, c); s = kron(x, c); "
+        "s_tilde = kron(x_tilde, c)"
+    )
+    assert list(mats) == ["c", "g", "x", "x_tilde"]
+    cfg = ss.load_config(path)
+    q_star = np.array(values["q_star"].split(","), dtype=float)
+    dense = dense_asymptotic_covariance(
+        ss.mean_matrix(cfg.weight_model), q_star, float(values["delta"])
+    )
+    c = mats["c"]
+    for name, factor in (("s0", "g"), ("s", "x"), ("s_tilde", "x_tilde")):
+        rebuilt = np.kron(mats[factor], c)
+        err = np.linalg.norm(rebuilt - dense[name]) / np.linalg.norm(dense[name])
+        assert err <= 1e-12, name
+    np.testing.assert_array_equal(np.kron(np.eye(cfg.n_agents), c), dense["sigma"])
+
+
+def test_cli_analyze_single_agent_reports_failure(tmp_path, capsys):
+    text = SMALL_CFG.format(out=tmp_path / "an").replace(
+        "agents = 4", "agents = 1"
+    ).replace("samples:1,2,3,3", "samples:2")
+    path = write_cfg(tmp_path, text)
+    assert cli_main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("analysis failed: ") and "two agents" in err
+    assert not (tmp_path / "an" / "report.txt").exists()
 
 
 def test_cli_analyze_identity_weights_fails_stability(tmp_path, capsys):
