@@ -16,7 +16,6 @@ from .analysis import (
     lyapunov_residual,
     lyapunov_solve,
     q_star_prediction,
-    q_star_running,
     reconstruct_state,
     reduce_state,
     reduced_drift,

@@ -92,20 +92,6 @@ def q_star_prediction(state0):
     return network_average(state0)
 
 
-def q_star_running(mean_increments, state0):
-    """Consensus-limit estimate accumulated along a realized trajectory.
-
-    ``mean_increments`` is the per-step series of network-average shifts
-    recorded by a trial; its partial sums telescope to the current network
-    average, so the returned value matches ``network_average`` of the final
-    state up to roundoff.  With b_ii = 1 every term is zero.
-    """
-    out = np.array(network_average(state0), dtype=float)
-    if mean_increments is not None and len(mean_increments):
-        out = out + np.asarray(mean_increments, dtype=float).sum(axis=0)
-    return out
-
-
 def disagreement_rows(wbar, basis):
     """``L = T1 (wbar - I)``: the mean drift seen from the disagreement rows."""
     wbar = np.asarray(wbar, dtype=float)

@@ -10,6 +10,7 @@ from pathlib import Path
 from .analysis import asymptotic_report, q_star_prediction
 from .harness import (
     ConfigError,
+    _parse_stride,
     audit_assumptions,
     fmt,
     load_config,
@@ -43,8 +44,6 @@ def _apply_overrides(cfg, args):
     if getattr(args, "threads", None) is not None:
         updates["threads"] = args.threads
     if args.stride is not None:
-        from .harness import _parse_stride
-
         updates["stride"] = _parse_stride(args.stride)
     return replace(cfg, **updates) if updates else cfg
 
@@ -117,11 +116,7 @@ def main(argv=None):
         return 0
 
     if args.command == "replay":
-        stride = "all"
-        if args.stride is not None:
-            from .harness import _parse_stride
-
-            stride = _parse_stride(args.stride)
+        stride = cfg.stride if args.stride is not None else "all"
         trace = replay_trial(cfg, args.trial, stride=stride)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -147,7 +147,6 @@ class TrialConfig:
     checkpoints: object = "log"
     trial_index: int = 0
     record_noise: bool = True
-    record_mean_increments: bool = True
 
     def __post_init__(self):
         if self.n_agents < 1 or self.n_opinions < 1:
@@ -172,12 +171,8 @@ class TrialTrace:
     checkpoints: list
     snapshots: list
     consensus_errors: list
-    disagreements: list
     final_state: StackedState
-    final_step_size: float
     diagnostics: TrialDiagnostics
-    mean_increments: np.ndarray | None = None
-    initial_average: np.ndarray | None = None
 
 
 class TrialAborted(RuntimeError):
@@ -299,9 +294,9 @@ def decompose_step(state, w, wbar, mix, p, messages, delta_k):
     return StepDecomposition(drift, censor, mart)
 
 
-def noise_norm_bound(n_agents, n_opinions, scale=1.0):
+def noise_norm_bound(n_agents, n_opinions):
     """Static bound on the projected martingale-noise norm per step."""
-    return scale * n_agents**2 * n_opinions**2
+    return float(n_agents**2 * n_opinions**2)
 
 
 def run_trial(config):
@@ -341,7 +336,6 @@ def run_chunk(config, trials):
     initial_avg = q0.mean(axis=0)
     q = np.repeat(q0[None], chunk, axis=0)
     ab_col, b_col = _mixing_columns(config.mixing)
-    b = config.mixing.b_diag
 
     if model.kind == IID:
         probs = np.asarray(model.probabilities)
@@ -384,21 +378,12 @@ def run_chunk(config, trials):
         )
 
     record_noise = config.record_noise and n >= 2
-    mean_increments = (
-        np.zeros((chunk, horizon, m)) if config.record_mean_increments else None
-    )
-    # column sums of W less b, as a row: the mean increment is d/n times
-    # this row times Y - Q
-    if model.kind == FIXED:
-        excess = (model.support[0].sum(axis=0) - b)[None, :]
     snapshots = np.empty((chunk, len(checkpoints), n, m))
     errs = np.empty((chunk, len(checkpoints)))
-    spreads = np.empty((chunk, len(checkpoints)))
 
     def snapshot(c):
         snapshots[:, c] = q
         errs[:, c] = consensus_error(q, initial_avg)
-        spreads[:, c] = consensus_error(q, q.mean(axis=1))
 
     if 0 in column:
         snapshot(column[0])
@@ -409,7 +394,6 @@ def run_chunk(config, trials):
     # non-finite trial is reset before the next step)
     direct = config.policy.kind == "direct"
     pass_through = direct  # the one-hot initial estimates are nonnegative
-    delta = math.nan
     uniforms = chain.from_iterable(
         np.moveaxis(block, -1, 0)
         for block in message_uniform_blocks(seeds, n, horizon)
@@ -450,12 +434,6 @@ def run_chunk(config, trials):
             col_mean = np.add.reduce(mart, axis=1) / n
             cc = (col_mean[:, None, :] @ col_mean[:, :, None])[:, 0, 0]
             np.subtract(mart_sq, n * cc, out=noise_sq)
-
-        if mean_increments is not None:
-            if model.kind != FIXED:
-                excess = (w.sum(axis=-2) - b)[..., None, :]
-            shift = excess @ ym_q
-            mean_increments[:, k - 1] = (delta / n) * shift[..., 0, :]
 
         q = q + delta * _increment(w, q, y, ym_q, ab_col, b_col)
 
@@ -499,12 +477,8 @@ def run_chunk(config, trials):
             checkpoints=list(checkpoints),
             snapshots=list(snapshots[r]),
             consensus_errors=errs[r].tolist(),
-            disagreements=spreads[r].tolist(),
             final_state=StackedState(q[r], step_index=horizon),
-            final_step_size=delta,
             diagnostics=diagnostics(r),
-            mean_increments=None if mean_increments is None else mean_increments[r],
-            initial_average=initial_avg.copy(),
         )
         for r in range(chunk)
     ]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import StabilityError, asymptotic_report, q_star_prediction
+from .analysis import asymptotic_report, q_star_prediction
 from .dynamics import (
     MixingMatrices,
     StepSchedule,
@@ -330,11 +330,7 @@ def config_digest(cfg):
 
 
 def trial_config(cfg, trial_index):
-    """Trial ``trial_index`` of the experiment, seeded from the master seed.
-
-    Nothing the harness writes reads the mean-increment series, so it is not
-    recorded.
-    """
+    """Trial ``trial_index`` of the experiment, seeded from the master seed."""
     return TrialConfig(
         n_agents=cfg.n_agents,
         n_opinions=cfg.n_opinions,
@@ -348,7 +344,6 @@ def trial_config(cfg, trial_index):
         checkpoints=cfg.stride,
         trial_index=trial_index,
         record_noise=cfg.record_noise,
-        record_mean_increments=False,
     )
 
 
@@ -552,9 +547,9 @@ def run_experiment(cfg, out_dir=None):
                 q_star,
                 cfg.n_opinions,
                 final_states=[tr.final_state for tr in traces],
-                final_step_size=traces[0].final_step_size,
+                final_step_size=cfg.schedule.step_size(cfg.horizon),
             )
-        except (StabilityError, ValueError) as e:
+        except ValueError as e:  # StabilityError among them
             failures.append(f"analysis failed: {e}")
         if report is not None:
             if cfg.covariance and not report.cov_rel_error <= cfg.max_cov_rel_error:

@@ -94,10 +94,6 @@ class StackedState:
     def n_opinions(self):
         return self.q.shape[1]
 
-    def agent(self, i):
-        """Estimate vector of agent ``i`` (0-based)."""
-        return self.q[i]
-
 
 def _as_matrix(state):
     return state.q if isinstance(state, StackedState) else np.asarray(state, dtype=float)

@@ -150,14 +150,22 @@ def reference_policy_matrix(policy, q, delta_k):
     return (p, *counts)
 
 
-def per_trial_reference(config):
+def per_trial_reference(config, policy_map=reference_policy_matrix):
     """One trial stepped alone, with scalar diagnostics: the reference loop.
 
     This is the per-trial step loop the batched kernel replaced, kept as the
     reference that the kernel must reproduce bit for bit.  It draws the same
     streams as the kernel (a full uniform panel per agent, one weight stream
-    per trial), maps estimates with :func:`reference_policy_matrix` and uses
-    the library only for the weight draws.
+    per trial), maps estimates with ``policy_map`` and uses the library only
+    for the weight draws.  The default map is :func:`reference_policy_matrix`;
+    a check of something other than the map may pass the library's
+    ``policy_matrix``, which gives the same bits in half the time.
+
+    Returns ``(trace, mean_increments)``.  Row ``k - 1`` of the
+    ``(horizon, M)`` series is step ``k``'s shift of the network average,
+    ``(d_k / N) (1ᵀW - bᵀ)(Y - Q)``: the accumulated message noise whose sum,
+    added to the initial average, is the trial's limit.  With every
+    ``b_ii = 1`` each term is zero up to rounding.
     """
     from socsamp.dynamics import (
         TrialAborted, TrialDiagnostics, TrialTrace, noise_norm_bound,
@@ -189,18 +197,16 @@ def per_trial_reference(config):
     diag = TrialDiagnostics()
     diag.noise_norm_bound = noise_norm_bound(n, m)
     record_noise = config.record_noise and n >= 2
-    mean_increments = np.zeros((horizon, m)) if config.record_mean_increments else None
-    kept, snapshots, errs, spreads = [], [], [], []
+    mean_increments = np.zeros((horizon, m))
+    kept, snapshots, errs = [], [], []
 
     def snapshot(k):
         kept.append(k)
         snapshots.append(q.copy())
         errs.append(float(np.abs(q - initial_avg).max()))
-        spreads.append(float(np.abs(q - q.mean(axis=0)).max()))
 
     if 0 in checkpoints:
         snapshot(0)
-    delta = math.nan
     qmin = float(q.min())
     for k in range(1, horizon + 1):
         delta = schedule.step_size(k)
@@ -214,7 +220,7 @@ def per_trial_reference(config):
         if config.policy.kind == "direct" and qmin >= 0.0:
             p = q
         else:
-            p, fallbacks, clamped = reference_policy_matrix(config.policy, q, delta)
+            p, fallbacks, clamped = policy_map(config.policy, q, delta)
             diag.uniform_fallbacks += fallbacks
             diag.clamped_agents += clamped
 
@@ -237,8 +243,7 @@ def per_trial_reference(config):
             col_mean = mart.mean(axis=0)
             proj = math.sqrt(max(sq - n * float(col_mean @ col_mean), 0.0))
             diag.max_noise_norm = max(diag.max_noise_norm, proj)
-        if mean_increments is not None:
-            mean_increments[k - 1] = (delta / n) * ((w.sum(axis=0) - b) @ ym_q)
+        mean_increments[k - 1] = (delta / n) * ((w.sum(axis=0) - b) @ ym_q)
 
         if conserving:
             q = q + delta * (w @ y - y)
@@ -256,7 +261,8 @@ def per_trial_reference(config):
         if k in checkpoints:
             snapshot(k)
 
-    return TrialTrace(
-        config.trial_index, config.seed, kept, snapshots, errs, spreads,
-        StackedState(q, step_index=horizon), delta, diag, mean_increments, initial_avg,
+    trace = TrialTrace(
+        config.trial_index, config.seed, kept, snapshots, errs,
+        StackedState(q, step_index=horizon), diag,
     )
+    return trace, mean_increments

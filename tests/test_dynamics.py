@@ -7,6 +7,7 @@ import socsamp as ss
 from socsamp.dynamics import resolve_checkpoints
 
 from conftest import random_trial_config
+from oracles import per_trial_reference
 
 
 def make_config(n, m, samples, model, b, policy, schedule, horizon, seed, **kw):
@@ -209,8 +210,11 @@ def test_average_conservation_with_unit_b(rng):
         tr = ss.run_trial(tc)
         assert tr.diagnostics.max_sum_drift <= 1e-12 * 300
         if conserving:
+            initial_avg = ss.network_average(
+                ss.initial_state(tc.initial_samples, tc.n_opinions)
+            )
             for snap in tr.snapshots:
-                drift = np.abs(snap.mean(axis=0) - tr.initial_average).max()
+                drift = np.abs(snap.mean(axis=0) - initial_avg).max()
                 assert drift <= 1e-9
 
 
@@ -225,41 +229,29 @@ def test_trial_determinism():
         np.testing.assert_array_equal(sa, sb)
 
 
-def test_qstar_running_matches_network_average(rng):
-    for idx in range(8):
-        tc, _ = random_trial_config(rng, idx, horizon=400)
-        tr = ss.run_trial(tc)
-        state0 = ss.initial_state(tc.initial_samples, tc.n_opinions)
-        running = ss.q_star_running(tr.mean_increments, state0)
-        final_avg = ss.network_average(tr.final_state)
-        np.testing.assert_allclose(running, final_avg, atol=1e-9)
-
-
 def test_qstar_running_zero_series_with_unit_b():
+    # b = 1 conserves the average: every step's shift of it is zero
     model = ss.fixed_model(ss.metropolis_complete(3))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(3, 2, (1, 2, 2), model, 1.0, ss.SamplingPolicy("direct"),
                      sched, 200, seed=3)
-    tr = ss.run_trial(tc)
-    assert np.abs(tr.mean_increments).max() <= 1e-14
-    state0 = ss.initial_state(tc.initial_samples, tc.n_opinions)
-    np.testing.assert_allclose(
-        ss.q_star_running(tr.mean_increments, state0),
-        ss.network_average(state0),
-        atol=1e-14,
-    )
+    _, inc = per_trial_reference(tc)
+    assert np.abs(inc).max() <= 1e-14
+    initial_avg = ss.network_average(ss.initial_state((1, 2, 2), 2))
+    np.testing.assert_allclose(initial_avg + inc.sum(axis=0), initial_avg, atol=1e-14)
 
 
 def test_qstar_series_partial_sums_shrink():
-    # half-retention mixing: the limit exists, so late partial sums are small
+    # half-retention mixing: the limit exists, so late partial sums of the
+    # average shifts, avg(q_j) - avg(q_i), are small
     model = ss.fixed_model(ss.metropolis_complete(4))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(4, 3, (1, 2, 3, 3), model, 0.5, ss.SamplingPolicy("direct"),
                      sched, 10_000, seed=11)
     tr = ss.run_trial(tc)
-    inc = tr.mean_increments
-    prev = np.linalg.norm(inc[100:1000].sum(axis=0))
-    last = np.linalg.norm(inc[1000:10_000].sum(axis=0))
+    avg = {k: snap.mean(axis=0) for k, snap in zip(tr.checkpoints, tr.snapshots)}
+    prev = np.linalg.norm(avg[1000] - avg[100])
+    last = np.linalg.norm(avg[10_000] - avg[1000])
     assert last < prev
 
 
@@ -316,8 +308,7 @@ def test_component_sums_hold_over_long_horizon():
     model = ss.fixed_model(ss.metropolis_complete(5))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(5, 3, (1, 2, 3, 1, 2), model, 0.7, ss.SamplingPolicy("direct"),
-                     sched, 100_000, seed=13,
-                     record_noise=False, record_mean_increments=False)
+                     sched, 100_000, seed=13, record_noise=False)
     tr = ss.run_trial(tc)
     assert tr.diagnostics.max_sum_drift <= 1e-9
 

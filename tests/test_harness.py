@@ -165,8 +165,6 @@ def test_replay_matches_original_checkpoints(tmp_path):
     lookup = dict(zip(rerun.checkpoints, rerun.snapshots))
     for k, snap in zip(original.checkpoints, original.snapshots):
         np.testing.assert_array_equal(lookup[k], snap)
-    # no harness output reads the mean-increment series, so neither records it
-    assert original.mean_increments is None and rerun.mean_increments is None
 
 
 def test_replay_rejects_out_of_range(tmp_path):
@@ -301,6 +299,19 @@ def test_cli_simulate_and_replay(tmp_path, capsys):
     for row in original:
         k, agent, comp, value = row.split(",")
         assert replay_map[(k, agent, comp)] == value
+
+
+def test_cli_replay_stride(tmp_path, capsys):
+    # replay is dense unless --stride names the checkpoints
+    path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "rep"))
+    written = {}
+    for flags in ([], ["--stride", "50,100"]):
+        assert cli_main(["replay", str(path), "--trial", "0", *flags]) == 0
+        rows = (tmp_path / "rep" / "replay_trial_0.csv").read_text().splitlines()[1:]
+        written[bool(flags)] = {int(row.split(",")[0]) for row in rows}
+    capsys.readouterr()
+    assert written[False] == set(range(301))
+    assert written[True] == {50, 100, 300}
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -136,7 +136,7 @@ def test_chunk_size_does_not_change_traces(renormalize):
         for j, (index, seed) in enumerate(trials):
             alone = replace(tc, trial_index=index, seed=seed)
             single = ss.run_trial(alone)
-            assert_same_trace(per_trial_reference(alone), whole[j])
+            assert_same_trace(per_trial_reference(alone)[0], whole[j])
             assert_same_trace(single, whole[j])
             assert_same_trace(single, sevens[j])
             for key in totals:
