@@ -26,13 +26,11 @@ from .dynamics import (
     MixingMatrices,
     StepSchedule,
     TrialAborted,
-    TrialConfig,
     TrialTrace,
     decompose_step,
     default_checkpoints,
     noise_norm_bound,
     run_chunk,
-    run_trial,
     update_step,
 )
 from .harness import (

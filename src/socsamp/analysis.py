@@ -15,7 +15,7 @@ those objects and compares them against Monte Carlo trials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -304,7 +304,6 @@ class AsymptoticReport:
     cov_rel_error: float = math.nan
     p_values: np.ndarray | None = None
     normality_pass_fraction: float = math.nan
-    normality_anomalies: list = field(default_factory=list)
 
 
 def asymptotic_report(
@@ -360,5 +359,4 @@ def asymptotic_report(
         )
         report.p_values = result.p_values
         report.normality_pass_fraction = result.pass_fraction
-        report.normality_anomalies = result.anomalies
     return report

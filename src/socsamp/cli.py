@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import asymptotic_report, q_star_prediction
+from .dynamics import TrialAborted
 from .harness import (
     ConfigError,
     _parse_stride,
@@ -65,22 +66,35 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand.
+
+    Exit status: 0 on success, 1 when ``simulate`` finishes but a check
+    misses its threshold (or ``check`` finds a failed assumption), 2 when
+    the input is refused with one ``config error:``, ``analysis failed:``
+    or ``simulation failed:`` line on stderr.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.command != "check":
+            cfg = _apply_overrides(cfg, args)
+        return _run(args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except TrialAborted as e:
+        print(f"simulation failed: {e}", file=sys.stderr)
+        return 2
 
+
+def _run(args, cfg):
     if args.command == "check":
         all_ok = True
         for name, ok, detail in audit_assumptions(cfg):
             print(f"{name}: {'pass' if ok else 'FAIL'} ({detail})")
             all_ok = all_ok and ok
         return 0 if all_ok else 1
-
-    cfg = _apply_overrides(cfg, args)
 
     if args.command == "simulate":
         summary = run_experiment(cfg)
@@ -115,18 +129,15 @@ def main(argv=None):
         print(f"report written to {out / 'report.txt'}")
         return 0
 
-    if args.command == "replay":
-        stride = cfg.stride if args.stride is not None else "all"
-        trace = replay_trial(cfg, args.trial, stride=stride)
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"replay_trial_{args.trial}.csv"
-        write_trace(trace, path)
-        print(f"trace written to {path}")
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # replay, the last of the parser's subcommands
+    stride = cfg.stride if args.stride is not None else "all"
+    trace = replay_trial(cfg, args.trial, stride=stride)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"replay_trial_{args.trial}.csv"
+    write_trace(trace, path)
+    print(f"trace written to {path}")
+    return 0
 
 
 if __name__ == "__main__":

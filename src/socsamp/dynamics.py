@@ -21,7 +21,6 @@ import numpy as np
 
 from .network import BIRKHOFF, FIXED, IID, SWITCHING, mean_matrix, sample_weight_matrix
 from .sampling import (
-    SamplingPolicy,
     inverse_cdf_draw,
     message_uniform_blocks,
     policy_matrix,
@@ -133,37 +132,6 @@ class TrialDiagnostics:
     noise_norm_bound: float = math.nan
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    n_agents: int
-    n_opinions: int
-    initial_samples: tuple
-    weight_model: object
-    mixing: MixingMatrices
-    policy: SamplingPolicy
-    schedule: StepSchedule
-    horizon: int
-    seed: int
-    checkpoints: object = "log"
-    trial_index: int = 0
-    record_noise: bool = True
-
-    def __post_init__(self):
-        if self.n_agents < 1 or self.n_opinions < 1:
-            raise ValueError("need at least one agent and one opinion state")
-        if len(self.initial_samples) != self.n_agents:
-            raise ValueError(
-                f"got {len(self.initial_samples)} initial samples for "
-                f"{self.n_agents} agents"
-            )
-        if self.weight_model.n != self.n_agents:
-            raise ValueError("weight model size does not match agent count")
-        if self.mixing.n_agents != self.n_agents:
-            raise ValueError("mixing diagonal length does not match agent count")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-
-
 @dataclass
 class TrialTrace:
     trial_index: int
@@ -178,8 +146,9 @@ class TrialTrace:
 class TrialAborted(RuntimeError):
     """A trial hit a non-finite value; names the trial, its seed and the step."""
 
-    def __init__(self, step_index, diagnostics, trial_index=None, seed=None):
+    def __init__(self, step_index, diagnostics, trial_index, seed):
         super().__init__(
+            f"trial {trial_index} (seed {seed}) aborted: "
             f"non-finite value encountered at step {step_index}; "
             f"diagnostics: {asdict(diagnostics)}"
         )
@@ -299,16 +268,18 @@ def noise_norm_bound(n_agents, n_opinions):
     return float(n_agents**2 * n_opinions**2)
 
 
-def run_trial(config):
-    """Execute one trial: :func:`run_chunk` on a chunk of one."""
-    return run_chunk(config, [(config.trial_index, config.seed)])[0]
-
-
-def run_chunk(config, trials):
+# the kernel finds non-finite values itself and raises TrialAborted; numpy's
+# overflow warnings would only repeat that on stderr
+@np.errstate(over="ignore", invalid="ignore")
+def run_chunk(cfg, trials):
     """Step a chunk of trials together on one ``(R, N, M)`` state.
 
-    ``trials`` holds ``(trial_index, seed)`` pairs; trial ``r`` of the chunk
-    is ``config`` with that index and seed (``config``'s own are not used).
+    ``cfg`` is an experiment config; the kernel reads its protocol fields
+    ``n_agents``, ``n_opinions``, ``initial_samples``, ``weight_model``,
+    ``mixing``, ``policy``, ``schedule``, ``horizon``, ``stride`` (the
+    checkpoints) and ``record_noise``.  ``trials`` holds
+    ``(trial_index, seed)`` pairs, one per trial of the chunk.
+
     Step ``k`` (1-based) samples each trial's weight matrix, forms the
     sampling distributions from the current states, draws the messages
     using the pre-assigned uniform of each (trial, agent, step), and applies
@@ -322,20 +293,20 @@ def run_chunk(config, trials):
     raises :class:`TrialAborted` for the first such trial in chunk order,
     with its index, seed, step and the diagnostics it had at that step.
     """
-    n, m = config.n_agents, config.n_opinions
-    model = config.weight_model
-    schedule = config.schedule
-    horizon = config.horizon
-    checkpoints = resolve_checkpoints(config.checkpoints, horizon)
+    n, m = cfg.n_agents, cfg.n_opinions
+    model = cfg.weight_model
+    schedule = cfg.schedule
+    horizon = cfg.horizon
+    checkpoints = resolve_checkpoints(cfg.stride, horizon)
     column = {k: c for c, k in enumerate(checkpoints)}
     indices = [int(i) for i, _ in trials]
     seeds = [int(s) for _, s in trials]
     chunk = len(seeds)
 
-    q0 = initial_state(config.initial_samples, m).q
+    q0 = initial_state(cfg.initial_samples, m).q
     initial_avg = q0.mean(axis=0)
     q = np.repeat(q0[None], chunk, axis=0)
-    ab_col, b_col = _mixing_columns(config.mixing)
+    ab_col, b_col = _mixing_columns(cfg.mixing)
 
     if model.kind == IID:
         probs = np.asarray(model.probabilities)
@@ -377,7 +348,7 @@ def run_chunk(config, trials):
             noise_norm_bound=bound,
         )
 
-    record_noise = config.record_noise and n >= 2
+    record_noise = cfg.record_noise and n >= 2
     snapshots = np.empty((chunk, len(checkpoints), n, m))
     errs = np.empty((chunk, len(checkpoints)))
 
@@ -392,7 +363,7 @@ def run_chunk(config, trials):
     # the direct policy passes nonnegative estimates through unchanged, so
     # policy_matrix runs only once a negative component has been seen (a
     # non-finite trial is reset before the next step)
-    direct = config.policy.kind == "direct"
+    direct = cfg.policy.kind == "direct"
     pass_through = direct  # the one-hot initial estimates are nonnegative
     uniforms = chain.from_iterable(
         np.moveaxis(block, -1, 0)
@@ -413,7 +384,7 @@ def run_chunk(config, trials):
         if pass_through:
             p = q
         else:
-            p, fell_back, clamps = policy_matrix(config.policy, q, delta)
+            p, fell_back, clamps = policy_matrix(cfg.policy, q, delta)
             if p is not q:
                 fallbacks += fell_back
                 clamped += clamps
@@ -468,7 +439,7 @@ def run_chunk(config, trials):
     if aborted:
         r = min(aborted)
         step, diag = aborted[r]
-        raise TrialAborted(step, diag, trial_index=indices[r], seed=seeds[r])
+        raise TrialAborted(step, diag, indices[r], seeds[r])
 
     return [
         TrialTrace(

@@ -16,7 +16,7 @@ import hashlib
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,9 @@ from .analysis import asymptotic_report, q_star_prediction
 from .dynamics import (
     MixingMatrices,
     StepSchedule,
-    TrialAborted,
-    TrialConfig,
+    TrialDiagnostics,
+    resolve_checkpoints,
     run_chunk,
-    run_trial,
 )
 from .network import (
     WeightMatrixModel,
@@ -48,6 +47,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_counts(n_agents, n_opinions):
+    if n_agents < 1 or n_opinions < 1:
+        raise ConfigError("experiment: agents and opinions must be positive")
+
+
 def fmt(x):
     return f"{float(x) + 0.0:.17g}"  # +0.0 folds negative zero
 
@@ -58,6 +62,13 @@ def fmt_vector(v):
 
 @dataclass(eq=False)
 class ExperimentConfig:
+    """One experiment: the protocol, its Monte Carlo run and its checks.
+
+    Construction validates the fields, so a config made by
+    :func:`load_config`, by hand or by ``dataclasses.replace`` either runs
+    or raises :class:`ConfigError`.
+    """
+
     n_agents: int
     n_opinions: int
     horizon: int
@@ -77,6 +88,34 @@ class ExperimentConfig:
     max_cov_rel_error: float = 0.20
     min_normality_pass: float = 0.90
     record_noise: bool = True
+
+    def __post_init__(self):
+        n, m = self.n_agents, self.n_opinions
+        _check_counts(n, m)
+        if self.replications < 1:
+            raise ConfigError("experiment.replications: must be at least 1")
+        if self.horizon < 1:
+            raise ConfigError("experiment.horizon: must be at least 1")
+        if len(self.initial_samples) != n:
+            raise ConfigError(
+                f"experiment.initial: got {len(self.initial_samples)} samples "
+                f"for {n} agents"
+            )
+        for i, x in enumerate(self.initial_samples):
+            if not 1 <= x <= m:
+                raise ConfigError(f"experiment.initial: sample {i} out of range 1..{m}")
+        if self.weight_model.n != n:
+            raise ConfigError(
+                f"network: weight model has {self.weight_model.n} agents, expected {n}"
+            )
+        if self.mixing.n_agents != n:
+            raise ConfigError(
+                f"mixing.b: expected 1 or {n} values, got {self.mixing.n_agents}"
+            )
+        try:
+            resolve_checkpoints(self.stride, self.horizon)
+        except ValueError as e:
+            raise ConfigError(f"experiment.stride: {e}") from e
 
     def __eq__(self, other):
         if not isinstance(other, ExperimentConfig):
@@ -115,12 +154,9 @@ def _parse_floats(text):
 def _resolve_initial(spec, n_agents, n_opinions, master_seed):
     spec = spec.strip()
     if spec.startswith("samples:"):
-        xs = [int(tok) for tok in spec[len("samples:"):].split(",") if tok.strip()]
-        if len(xs) != n_agents:
-            raise ConfigError(
-                f"experiment.initial: got {len(xs)} samples for {n_agents} agents"
-            )
-        return tuple(xs)
+        return tuple(
+            int(tok) for tok in spec[len("samples:"):].split(",") if tok.strip()
+        )
     if spec.startswith("random:"):
         probs = _parse_floats(spec[len("random:"):])
         if len(probs) != n_opinions:
@@ -198,10 +234,9 @@ def load_config(path):
         master_seed = cp.getint("experiment", "master_seed", fallback=0)
     except (configparser.Error, ValueError) as e:
         raise ConfigError(f"experiment: {e}") from e
-    if n < 1 or m < 1:
-        raise ConfigError("experiment: agents and opinions must be positive")
-    if replications < 1:
-        raise ConfigError("experiment.replications: must be at least 1")
+    # the network, the mixing and the default initial opinions are built
+    # from the counts
+    _check_counts(n, m)
 
     model = _build_model(cp, n, base_dir)
     try:
@@ -224,8 +259,6 @@ def load_config(path):
     b_text = cp.get("mixing", "b", fallback="1.0")
     b_vals = _parse_floats(b_text)
     b = np.full(n, b_vals[0]) if len(b_vals) == 1 else np.asarray(b_vals)
-    if b.size != n:
-        raise ConfigError(f"mixing.b: expected 1 or {n} values, got {b.size}")
     try:
         mixing = MixingMatrices.from_b(b, n)
     except ValueError as e:
@@ -235,9 +268,6 @@ def load_config(path):
         cp.get("experiment", "initial", fallback=f"random:{','.join(['%g' % (1.0 / m)] * m)}"),
         n, m, master_seed,
     )
-    for i, x in enumerate(initial):
-        if not 1 <= x <= m:
-            raise ConfigError(f"experiment.initial: sample {i} out of range 1..{m}")
 
     return ExperimentConfig(
         n_agents=n,
@@ -329,24 +359,6 @@ def config_digest(cfg):
     return hashlib.sha256(serialize_config(canonical).encode()).hexdigest()
 
 
-def trial_config(cfg, trial_index):
-    """Trial ``trial_index`` of the experiment, seeded from the master seed."""
-    return TrialConfig(
-        n_agents=cfg.n_agents,
-        n_opinions=cfg.n_opinions,
-        initial_samples=cfg.initial_samples,
-        weight_model=cfg.weight_model,
-        mixing=cfg.mixing,
-        policy=cfg.policy,
-        schedule=cfg.schedule,
-        horizon=cfg.horizon,
-        seed=derive_trial_seed(cfg.master_seed, trial_index),
-        checkpoints=cfg.stride,
-        trial_index=trial_index,
-        record_noise=cfg.record_noise,
-    )
-
-
 # (trial, agent) rows stepped together in one chunk.  The kernel's cost per
 # agent-step stops falling at about 4000 rows (normality_n5 and
 # consensus_n50 alike), and a chunk's uniform block then holds
@@ -367,21 +379,11 @@ def trial_chunks(replications, n_agents, workers):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _chunk_worker(tc, trials):
-    try:
-        return run_chunk(tc, trials)
-    except TrialAborted as e:
-        raise RuntimeError(
-            f"trial {e.trial_index} (seed {e.seed}) aborted: {e}"
-        ) from e
-
-
 def run_trials(cfg):
     """All replications, stepped in chunks of trials.
 
     Trial results do not depend on the worker count or the chunk sizes.
     """
-    tc = trial_config(cfg, 0)
     chunks = [
         [(i, derive_trial_seed(cfg.master_seed, i)) for i in range(start, stop)]
         for start, stop in trial_chunks(
@@ -389,10 +391,10 @@ def run_trials(cfg):
         )
     ]
     if cfg.threads <= 1 or len(chunks) == 1:
-        results = [_chunk_worker(tc, trials) for trials in chunks]
+        results = [run_chunk(cfg, trials) for trials in chunks]
     else:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_chunk_worker, [tc] * len(chunks), chunks))
+            results = list(pool.map(run_chunk, [cfg] * len(chunks), chunks))
     return [trace for traces in results for trace in traces]
 
 
@@ -431,42 +433,24 @@ def audit_assumptions(cfg):
 
 @dataclass
 class RunSummary:
-    config_digest: str
     checkpoints: tuple
-    consensus_error_min: np.ndarray
     consensus_error_median: np.ndarray
-    consensus_error_max: np.ndarray
-    diagnostics: dict
-    report: object
     passed: bool
     failures: list
     out_dir: str
     summary_text: str
-    wall_clock: float
 
 
 def _aggregate_diagnostics(traces):
-    totals = {
-        "simplex_violation_agent_steps": 0,
-        "silent_messages": 0,
-        "uniform_fallbacks": 0,
-        "clamped_agents": 0,
-    }
-    maxima = {
-        "max_sum_drift": 0.0,
-        "max_noise_norm": 0.0,
-        "max_martingale_norm": 0.0,
-        "max_negative_component": 0.0,
-    }
-    for tr in traces:
-        d = tr.diagnostics
-        for key in totals:
-            totals[key] += getattr(d, key)
-        for key in maxima:
-            maxima[key] = max(maxima[key], getattr(d, key))
-    out = dict(totals)
-    out.update(maxima)
-    out["noise_norm_bound"] = traces[0].diagnostics.noise_norm_bound
+    """Integer counters summed over the trials, float fields maximized."""
+    out = asdict(traces[0].diagnostics)
+    for tr in traces[1:]:
+        for f in fields(TrialDiagnostics):
+            value = getattr(tr.diagnostics, f.name)
+            if isinstance(f.default, int):
+                out[f.name] += value
+            else:
+                out[f.name] = max(out[f.name], value)
     return out
 
 
@@ -565,9 +549,8 @@ def run_experiment(cfg, out_dir=None):
                     f"< {fmt(cfg.min_normality_pass)}"
                 )
 
-    digest = config_digest(cfg)
     lines = [
-        f"config_digest = {digest}",
+        f"config_digest = {config_digest(cfg)}",
         f"agents = {cfg.n_agents}",
         f"opinions = {cfg.n_opinions}",
         f"horizon = {cfg.horizon}",
@@ -602,18 +585,12 @@ def run_experiment(cfg, out_dir=None):
     (out / "timing.txt").write_text(f"wall_clock_seconds = {wall:.3f}\n", encoding="utf-8")
 
     return RunSummary(
-        config_digest=digest,
         checkpoints=checkpoints,
-        consensus_error_min=err_min,
         consensus_error_median=err_med,
-        consensus_error_max=err_max,
-        diagnostics=diagnostics,
-        report=report,
         passed=passed,
         failures=failures,
         out_dir=str(out),
         summary_text=summary_text,
-        wall_clock=wall,
     )
 
 
@@ -623,5 +600,5 @@ def replay_trial(cfg, trial_index, stride="all"):
         raise ConfigError(
             f"trial index {trial_index} out of range 0..{cfg.replications - 1}"
         )
-    tc = replace(trial_config(cfg, trial_index), checkpoints=stride)
-    return run_trial(tc)
+    seed = derive_trial_seed(cfg.master_seed, trial_index)
+    return run_chunk(replace(cfg, stride=stride), [(trial_index, seed)])[0]

@@ -10,7 +10,8 @@ def random_trial_config(rng, idx, horizon=1000, renormalize=True):
     """Random small protocol configuration for fuzz corpora.
 
     Even indices use the conserving mixing b = 1; odd indices draw b freely.
-    Returns (config, conserving flag).
+    Returns (config, trial, conserving flag), where ``trial`` is the
+    ``(idx, seed)`` pair that :func:`socsamp.run_chunk` steps.
     """
     n = int(rng.integers(2, 11))
     m = int(rng.integers(2, 6))
@@ -50,19 +51,20 @@ def random_trial_config(rng, idx, horizon=1000, renormalize=True):
         offset=int(rng.integers(0, 6)),
     )
     samples = tuple(int(x) for x in rng.integers(1, m + 1, size=n))
-    config = ss.TrialConfig(
+    seed = int(rng.integers(0, 2**63))
+    config = ss.ExperimentConfig(
         n_agents=n,
         n_opinions=m,
+        horizon=horizon,
+        replications=1,
+        master_seed=0,
         initial_samples=samples,
         weight_model=model,
         mixing=mixing,
         policy=policy,
         schedule=schedule,
-        horizon=horizon,
-        seed=int(rng.integers(0, 2**63)),
-        trial_index=idx,
     )
-    return config, conserving
+    return config, (idx, seed), conserving
 
 
 @pytest.fixture

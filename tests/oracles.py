@@ -150,11 +150,12 @@ def reference_policy_matrix(policy, q, delta_k):
     return (p, *counts)
 
 
-def per_trial_reference(config, policy_map=reference_policy_matrix):
+def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_matrix):
     """One trial stepped alone, with scalar diagnostics: the reference loop.
 
     This is the per-trial step loop the batched kernel replaced, kept as the
-    reference that the kernel must reproduce bit for bit.  It draws the same
+    reference that the kernel must reproduce bit for bit.  It steps trial
+    ``(trial_index, seed)`` of the experiment ``config`` and draws the same
     streams as the kernel (a full uniform panel per agent, one weight stream
     per trial), maps estimates with ``policy_map`` and uses the library only
     for the weight draws.  The default map is :func:`reference_policy_matrix`;
@@ -177,7 +178,7 @@ def per_trial_reference(config, policy_map=reference_policy_matrix):
 
     n, m = config.n_agents, config.n_opinions
     model, schedule, horizon = config.weight_model, config.schedule, config.horizon
-    checkpoints = set(resolve_checkpoints(config.checkpoints, horizon))
+    checkpoints = set(resolve_checkpoints(config.stride, horizon))
     q = initial_state(config.initial_samples, m).q.copy()
     initial_avg = q.mean(axis=0)
     a, b = config.mixing.a_diag, config.mixing.b_diag
@@ -185,9 +186,9 @@ def per_trial_reference(config, policy_map=reference_policy_matrix):
     conserving = bool(np.all(b == 1.0))
 
     uniforms = np.stack(
-        [substream(config.seed, AGENT_DOMAIN, i).random(horizon) for i in range(n)]
+        [substream(seed, AGENT_DOMAIN, i).random(horizon) for i in range(n)]
     )
-    wrng = weight_stream(config.seed)
+    wrng = weight_stream(seed)
     if model.kind == IID:
         support_idx = wrng.choice(
             len(model.support), size=horizon, p=np.asarray(model.probabilities)
@@ -256,13 +257,13 @@ def per_trial_reference(config, policy_map=reference_policy_matrix):
             diag.max_negative_component = max(diag.max_negative_component, -qmin)
         drift = float(np.abs(q.sum(axis=1) - 1.0).max())
         if not drift < math.inf:
-            raise TrialAborted(k, diag, config.trial_index, config.seed)
+            raise TrialAborted(k, diag, trial_index, seed)
         diag.max_sum_drift = max(diag.max_sum_drift, drift)
         if k in checkpoints:
             snapshot(k)
 
     trace = TrialTrace(
-        config.trial_index, config.seed, kept, snapshots, errs,
+        trial_index, seed, kept, snapshots, errs,
         StackedState(q, step_index=horizon), diag,
     )
     return trace, mean_increments

@@ -44,8 +44,8 @@ def test_criterion_1_conservation_laws():
     max_running_gap = 0.0
     n_configs = 200
     for idx in range(n_configs):
-        tc, conserving = random_trial_config(rng, idx, horizon=1000)
-        tr = ss.run_trial(tc)
+        tc, trial, conserving = random_trial_config(rng, idx, horizon=1000)
+        tr = ss.run_chunk(tc, [trial])[0]
         initial_avg = ss.network_average(
             ss.initial_state(tc.initial_samples, tc.n_opinions)
         )
@@ -63,7 +63,7 @@ def test_criterion_1_conservation_laws():
             # noise: the reference loop's series of average shifts must sum
             # to the kernel's final average
             _, increments = per_trial_reference(
-                replace(tc, record_noise=False), policy_matrix
+                replace(tc, record_noise=False), *trial, policy_matrix
             )
             running = initial_avg + increments.sum(axis=0)
             max_running_gap = max(
@@ -236,8 +236,8 @@ def test_criterion_4_lyapunov_integral_equivalence():
 # ---------------------------------------------------------------- criterion 5
 
 
-def _replay_martingale(tc, freeze_k, n_replays, replay_seed):
-    tr = ss.run_trial(tc)
+def _replay_martingale(tc, seed, freeze_k, n_replays, replay_seed):
+    tr = ss.run_chunk(tc, [(0, seed)])[0]
     frozen = dict(zip(tr.checkpoints, tr.snapshots))[freeze_k]
     state = ss.StackedState(frozen, step_index=freeze_k)
     delta = tc.schedule.step_size(freeze_k + 1)
@@ -273,21 +273,24 @@ def test_criterion_5_martingale_property():
         else:
             model = ss.birkhoff_model(n, (0.4, 0.3, 0.3))
         b = np.ones(n) if pair % 3 else np.full(n, 0.6)
-        tc = ss.TrialConfig(
+        initial = tuple(int(x) for x in rng.integers(1, m + 1, size=n))
+        seed = int(rng.integers(0, 2**63))
+        tc = ss.ExperimentConfig(
             n_agents=n,
             n_opinions=m,
-            initial_samples=tuple(int(x) for x in rng.integers(1, m + 1, size=n)),
+            horizon=50,
+            replications=1,
+            master_seed=0,
+            initial_samples=initial,
             weight_model=model,
             mixing=ss.MixingMatrices.from_b(b, n),
             policy=ss.SamplingPolicy("direct"),
             schedule=ss.StepSchedule(1.0, 0.75, 0),
-            horizon=50,
-            seed=int(rng.integers(0, 2**63)),
-            checkpoints=(5, 20, 50),
+            stride=(5, 20, 50),
         )
         freeze_k = int(rng.choice([5, 20, 50]))
         samples, max_eps = _replay_martingale(
-            tc, freeze_k, n_replays, replay_seed=int(rng.integers(0, 2**63))
+            tc, seed, freeze_k, n_replays, replay_seed=int(rng.integers(0, 2**63))
         )
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / np.sqrt(n_replays)

@@ -10,19 +10,25 @@ from conftest import random_trial_config
 from oracles import per_trial_reference
 
 
-def make_config(n, m, samples, model, b, policy, schedule, horizon, seed, **kw):
-    return ss.TrialConfig(
+def make_config(n, m, samples, model, b, policy, schedule, horizon, **kw):
+    return ss.ExperimentConfig(
         n_agents=n,
         n_opinions=m,
+        horizon=horizon,
+        replications=1,
+        master_seed=0,
         initial_samples=samples,
         weight_model=model,
         mixing=ss.MixingMatrices.from_b(b, n),
         policy=policy,
         schedule=schedule,
-        horizon=horizon,
-        seed=seed,
         **kw,
     )
+
+
+def run_seeded(cfg, seed):
+    """Trial 0 of ``cfg`` stepped from ``seed``."""
+    return ss.run_chunk(cfg, [(0, seed)])[0]
 
 
 # ---------------------------------------------------------------- schedules
@@ -197,8 +203,8 @@ def test_null_dynamics_constant_states():
     model = ss.fixed_model(np.eye(3))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(3, 2, (1, 2, 2), model, 1.0, ss.SamplingPolicy("direct"),
-                     sched, 200, seed=5)
-    tr = ss.run_trial(tc)
+                     sched, 200)
+    tr = run_seeded(tc, 5)
     q0 = ss.initial_state((1, 2, 2), 2).q
     for snap in tr.snapshots:
         np.testing.assert_array_equal(snap, q0)
@@ -206,8 +212,8 @@ def test_null_dynamics_constant_states():
 
 def test_average_conservation_with_unit_b(rng):
     for idx in range(10):
-        tc, conserving = random_trial_config(rng, idx * 2, horizon=300)
-        tr = ss.run_trial(tc)
+        tc, trial, conserving = random_trial_config(rng, idx * 2, horizon=300)
+        tr = ss.run_chunk(tc, [trial])[0]
         assert tr.diagnostics.max_sum_drift <= 1e-12 * 300
         if conserving:
             initial_avg = ss.network_average(
@@ -222,8 +228,8 @@ def test_trial_determinism():
     model = ss.fixed_model(ss.metropolis_complete(4))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(4, 3, (1, 2, 3, 1), model, 1.0, ss.SamplingPolicy("direct"),
-                     sched, 500, seed=77)
-    a, b = ss.run_trial(tc), ss.run_trial(tc)
+                     sched, 500)
+    a, b = run_seeded(tc, 77), run_seeded(tc, 77)
     np.testing.assert_array_equal(a.final_state.q, b.final_state.q)
     for sa, sb in zip(a.snapshots, b.snapshots):
         np.testing.assert_array_equal(sa, sb)
@@ -234,8 +240,8 @@ def test_qstar_running_zero_series_with_unit_b():
     model = ss.fixed_model(ss.metropolis_complete(3))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(3, 2, (1, 2, 2), model, 1.0, ss.SamplingPolicy("direct"),
-                     sched, 200, seed=3)
-    _, inc = per_trial_reference(tc)
+                     sched, 200)
+    _, inc = per_trial_reference(tc, 0, 3)
     assert np.abs(inc).max() <= 1e-14
     initial_avg = ss.network_average(ss.initial_state((1, 2, 2), 2))
     np.testing.assert_allclose(initial_avg + inc.sum(axis=0), initial_avg, atol=1e-14)
@@ -247,8 +253,8 @@ def test_qstar_series_partial_sums_shrink():
     model = ss.fixed_model(ss.metropolis_complete(4))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(4, 3, (1, 2, 3, 3), model, 0.5, ss.SamplingPolicy("direct"),
-                     sched, 10_000, seed=11)
-    tr = ss.run_trial(tc)
+                     sched, 10_000)
+    tr = run_seeded(tc, 11)
     avg = {k: snap.mean(axis=0) for k, snap in zip(tr.checkpoints, tr.snapshots)}
     prev = np.linalg.norm(avg[1000] - avg[100])
     last = np.linalg.norm(avg[10_000] - avg[1000])
@@ -260,15 +266,15 @@ def test_silent_dynamics_do_not_conserve_component_sums():
     model = ss.fixed_model(ss.metropolis_complete(4))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     policy = ss.SamplingPolicy("censored", 0.5, 1.0, renormalize=False)
-    tc = make_config(4, 3, (1, 2, 3, 3), model, 1.0, policy, sched, 200, seed=2)
-    tr = ss.run_trial(tc)
+    tc = make_config(4, 3, (1, 2, 3, 3), model, 1.0, policy, sched, 200)
+    tr = run_seeded(tc, 2)
     assert tr.diagnostics.silent_messages > 0
 
 
 def test_noise_norm_stays_below_static_bound(rng):
     for idx in range(8):
-        tc, _ = random_trial_config(rng, idx, horizon=300)
-        tr = ss.run_trial(tc)
+        tc, trial, _ = random_trial_config(rng, idx, horizon=300)
+        tr = ss.run_chunk(tc, [trial])[0]
         assert tr.diagnostics.max_noise_norm <= tr.diagnostics.noise_norm_bound
 
 
@@ -278,8 +284,8 @@ def test_consensus_error_envelope_decreases():
     sched = ss.StepSchedule(1.0, 0.75, 0)
     for seed in (1, 2, 3):
         tc = make_config(6, 3, (1, 1, 2, 2, 3, 3), model, 1.0,
-                         ss.SamplingPolicy("direct"), sched, 10_000, seed=seed)
-        tr = ss.run_trial(tc)
+                         ss.SamplingPolicy("direct"), sched, 10_000)
+        tr = run_seeded(tc, seed)
         err = dict(zip(tr.checkpoints, tr.consensus_errors))
         assert err[10_000] < err[1000] < err[100]
 
@@ -288,8 +294,8 @@ def test_trace_checkpoints_strictly_increasing():
     model = ss.fixed_model(ss.metropolis_complete(3))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(3, 2, (1, 2, 2), model, 1.0, ss.SamplingPolicy("direct"),
-                     sched, 1234, seed=8)
-    tr = ss.run_trial(tc)
+                     sched, 1234)
+    tr = run_seeded(tc, 8)
     ks = np.array(tr.checkpoints)
     assert (np.diff(ks) > 0).all()
     assert ks[-1] == 1234
@@ -308,8 +314,8 @@ def test_component_sums_hold_over_long_horizon():
     model = ss.fixed_model(ss.metropolis_complete(5))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(5, 3, (1, 2, 3, 1, 2), model, 0.7, ss.SamplingPolicy("direct"),
-                     sched, 100_000, seed=13, record_noise=False)
-    tr = ss.run_trial(tc)
+                     sched, 100_000, record_noise=False)
+    tr = run_seeded(tc, 13)
     assert tr.diagnostics.max_sum_drift <= 1e-9
 
 
@@ -318,8 +324,8 @@ def test_early_steps_go_negative_and_are_counted():
     model = ss.fixed_model(ss.metropolis_complete(6))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(6, 4, (1, 2, 3, 4, 1, 2), model, 1.0,
-                     ss.SamplingPolicy("direct"), sched, 50, seed=21)
-    tr = ss.run_trial(tc)
+                     ss.SamplingPolicy("direct"), sched, 50)
+    tr = run_seeded(tc, 21)
     assert tr.diagnostics.simplex_violation_agent_steps > 0
     assert tr.diagnostics.max_negative_component > 0
     assert tr.diagnostics.max_sum_drift <= 1e-12  # sums still conserved

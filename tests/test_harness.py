@@ -1,3 +1,5 @@
+import dataclasses
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import pytest
 
 import socsamp as ss
 from socsamp.cli import main as cli_main
-from socsamp.harness import ConfigError, fmt, trial_config, write_trace
+from socsamp.harness import ConfigError, fmt, write_trace
 
 from oracles import dense_asymptotic_covariance
 
@@ -93,6 +95,44 @@ def test_reject_mixing_violation(tmp_path):
         ss.load_config(write_cfg(tmp_path, text))
 
 
+# one case per check of ExperimentConfig.__post_init__: (field updates,
+# expected message)
+STRIDE_MESSAGE = r"experiment.stride: checkpoints must lie in 0\.\.horizon"
+INVALID_FIELDS = {
+    "no agents": ({"n_agents": 0}, "agents and opinions must be positive"),
+    "no opinions": ({"n_opinions": 0}, "agents and opinions must be positive"),
+    "no replications": ({"replications": 0}, "replications: must be at least 1"),
+    "no steps": ({"horizon": 0}, "horizon: must be at least 1"),
+    "short samples": ({"initial_samples": (1, 2, 3)}, "got 3 samples for 4 agents"),
+    "sample too high": ({"initial_samples": (1, 2, 3, 4)}, r"sample 3 out of range 1\.\.3"),
+    "sample zero": ({"initial_samples": (0, 2, 3, 3)}, r"sample 0 out of range 1\.\.3"),
+    "weight model size": (
+        {"weight_model": ss.fixed_model(ss.metropolis_complete(5))},
+        "weight model has 5 agents, expected 4",
+    ),
+    "mixing size": (
+        {"mixing": ss.MixingMatrices.from_b(1.0, 3)},
+        "mixing.b: expected 1 or 4 values, got 3",
+    ),
+    "stride past horizon": ({"stride": (0, 50, 9999)}, STRIDE_MESSAGE),
+    "negative stride": ({"stride": (-1,)}, STRIDE_MESSAGE),
+    # the stride is checked again when only the horizon changes
+    "horizon below stride": ({"stride": (50, 100), "horizon": 80}, STRIDE_MESSAGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_FIELDS))
+def test_experiment_config_refuses_invalid_fields(tmp_path, case):
+    # direct construction and replace() run the same checks
+    cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path)))
+    updates, message = INVALID_FIELDS[case]
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    with pytest.raises(ConfigError, match=message):
+        ss.ExperimentConfig(**{**fields, **updates})
+    with pytest.raises(ConfigError, match=message):
+        replace(cfg, **updates)
+
+
 def test_reject_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         ss.load_config(tmp_path / "nope.cfg")
@@ -177,7 +217,7 @@ def test_trial_permutation_only_reorders_outputs(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path)))
     traces = {tc_i: ss.run_trials(replace(cfg, replications=3))[tc_i] for tc_i in range(3)}
     # running trial 2 alone reproduces the batch's trial 2
-    solo = ss.run_trial(trial_config(cfg, 2))
+    solo = ss.run_chunk(cfg, [(2, ss.derive_trial_seed(cfg.master_seed, 2))])[0]
     np.testing.assert_array_equal(solo.final_state.q, traces[2].final_state.q)
 
 
@@ -339,9 +379,53 @@ def test_cli_missing_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# N=3, a=1e200, gamma=0.51, b=0.5: the estimates overflow at step 2
+DIVERGING = {
+    "agents = 4": "agents = 3", "samples:1,2,3,3": "samples:1,2,2",
+    "a = 1.0": "a = 1e200", "gamma = 0.75": "gamma = 0.51", "b = 1.0": "b = 0.5",
+}
+
+
+@pytest.mark.parametrize(
+    "command,edits,flags,prefix",
+    [
+        ("simulate", None, ["--replications", "0"],
+         "config error: experiment.replications: must be at least 1"),
+        ("simulate", None, ["--stride", "0,50,9999"],
+         "config error: experiment.stride: checkpoints must lie in 0..horizon"),
+        ("simulate", {"horizon = 300": "horizon = 0"}, [],
+         "config error: experiment.horizon: must be at least 1"),
+        ("replay", None, ["--trial", "5000"],
+         "config error: trial index 5000 out of range 0..2"),
+        ("simulate", DIVERGING, [],
+         "simulation failed: trial 0 (seed "),
+        ("replay", DIVERGING, ["--trial", "0"],
+         "simulation failed: trial 0 (seed "),
+    ],
+    ids=["replications-0", "stride-past-horizon", "horizon-0", "replay-out-of-range",
+         "simulate-diverges", "replay-diverges"],
+)
+def test_cli_refusals_exit_2_with_one_line(
+    tmp_path, capsys, command, edits, flags, prefix
+):
+    text = SMALL_CFG.format(out=tmp_path / "out")
+    for old, new in (edits or {}).items():
+        text = text.replace(old, new)
+    path = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        # a warning would be a second stderr line
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli_main([command, str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
 def test_write_trace_layout(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path)))
-    trace = ss.run_trial(trial_config(cfg, 0))
+    trace = ss.run_chunk(cfg, [(0, ss.derive_trial_seed(cfg.master_seed, 0))])[0]
     path = tmp_path / "t.csv"
     write_trace(trace, path)
     rows = path.read_text().splitlines()

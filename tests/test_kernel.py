@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import socsamp as ss
-from socsamp.harness import CHUNK_ROWS, derive_trial_seed, trial_chunks, trial_config
+from socsamp.harness import CHUNK_ROWS, derive_trial_seed, trial_chunks
 
 from conftest import random_trial_config
 from oracles import per_trial_reference
@@ -128,15 +128,16 @@ def test_chunk_size_does_not_change_traces(renormalize):
     totals = dict.fromkeys(("silent_messages", "clamped_agents"), 0)
     censored = 0
     for idx in range(12):
-        tc, _ = random_trial_config(rng, idx, horizon=150, renormalize=renormalize)
+        tc, (_, base_seed), _ = random_trial_config(
+            rng, idx, horizon=150, renormalize=renormalize
+        )
         censored += tc.policy.kind == "censored"
-        trials = [(j, derive_trial_seed(tc.seed, j)) for j in range(n_trials)]
+        trials = [(j, derive_trial_seed(base_seed, j)) for j in range(n_trials)]
         whole = ss.run_chunk(tc, trials)
         sevens = ss.run_chunk(tc, trials[:7]) + ss.run_chunk(tc, trials[7:])
         for j, (index, seed) in enumerate(trials):
-            alone = replace(tc, trial_index=index, seed=seed)
-            single = ss.run_trial(alone)
-            assert_same_trace(per_trial_reference(alone)[0], whole[j])
+            single = ss.run_chunk(tc, [(index, seed)])[0]
+            assert_same_trace(per_trial_reference(tc, index, seed)[0], whole[j])
             assert_same_trace(single, whole[j])
             assert_same_trace(single, sevens[j])
             for key in totals:
@@ -161,14 +162,15 @@ def test_trial_chunks_cover_trials_in_order():
     assert trial_chunks(3, CHUNK_ROWS + 1, 1) == [(0, 1), (1, 2), (2, 3)]
 
 
-def blowup_config(horizon=40, seed=1):
+def blowup_config(horizon=40):
     # b < 1 retains a multiple of the estimate each step; amplitude 1e200
     # makes that multiple overflow at step 2
     model = ss.fixed_model(ss.metropolis_complete(3))
-    return ss.TrialConfig(
-        n_agents=3, n_opinions=2, initial_samples=(1, 2, 2), weight_model=model,
+    return ss.ExperimentConfig(
+        n_agents=3, n_opinions=2, horizon=horizon, replications=1, master_seed=0,
+        initial_samples=(1, 2, 2), weight_model=model,
         mixing=ss.MixingMatrices.from_b(0.5, 3), policy=ss.SamplingPolicy("direct"),
-        schedule=ss.StepSchedule(1e200, 0.51, 0), horizon=horizon, seed=seed,
+        schedule=ss.StepSchedule(1e200, 0.51, 0),
     )
 
 
@@ -177,7 +179,7 @@ def test_trial_abort_names_trial_seed_and_step():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ss.TrialAborted, match="at step 2;") as alone:
-            ss.run_trial(replace(tc, trial_index=4, seed=99))
+            ss.run_chunk(tc, [(4, 99)])
         assert (alone.value.trial_index, alone.value.seed) == (4, 99)
         assert alone.value.step_index == 2
         # in a chunk, the first trial in chunk order is the one reported,
@@ -196,27 +198,24 @@ def test_trial_abort_diagnostics_match_reference_loop():
     # random weights give the failing step a martingale noise larger than
     # step 1's, which the diagnostics must hold, as the reference loop's do
     model = ss.birkhoff_model(3, (0.5, 0.3, 0.2))
-    tc = replace(blowup_config(seed=3), weight_model=model)
+    tc = replace(blowup_config(), weight_model=model)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ss.TrialAborted) as kernel:
-            ss.run_trial(tc)
+            ss.run_chunk(tc, [(0, 3)])
         with pytest.raises(ss.TrialAborted) as reference:
-            per_trial_reference(tc)
+            per_trial_reference(tc, 0, 3)
     assert kernel.value.step_index == reference.value.step_index == 2
     assert str(kernel.value) == str(reference.value)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_trials_reports_aborted_trial(tmp_path, threads):
-    tc = blowup_config()
-    cfg = ss.ExperimentConfig(
-        n_agents=tc.n_agents, n_opinions=tc.n_opinions, horizon=tc.horizon,
-        replications=4, master_seed=3, initial_samples=tc.initial_samples,
-        weight_model=tc.weight_model, mixing=tc.mixing, policy=tc.policy,
-        schedule=tc.schedule, out_dir=str(tmp_path), threads=threads,
+    cfg = replace(
+        blowup_config(), replications=4, master_seed=3, out_dir=str(tmp_path),
+        threads=threads,
     )
-    seed = trial_config(cfg, 0).seed
+    seed = derive_trial_seed(cfg.master_seed, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(RuntimeError, match=rf"^trial 0 \(seed {seed}\) aborted: "
