@@ -12,10 +12,12 @@ deterministic.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -57,7 +59,9 @@ def fmt(x):
 
 
 def fmt_vector(v):
-    return ",".join(fmt(x) for x in np.asarray(v, dtype=float).reshape(-1))
+    """``fmt`` of every entry, comma-separated, in one ``%`` operation."""
+    values = (np.asarray(v, dtype=float) + 0.0).ravel().tolist()
+    return ",".join(["%.17g"] * len(values)) % tuple(values)
 
 
 @dataclass(eq=False)
@@ -131,6 +135,20 @@ def derive_trial_seed(master_seed, trial_index):
     return int.from_bytes(digest[:8], "big")
 
 
+@contextmanager
+def _malformed(key):
+    """Refuse a value that does not parse with a ConfigError naming ``key``.
+
+    A ConfigError raised inside names its own key and passes through.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, configparser.Error) as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
 def _parse_matrix(text, n, base_dir, key):
     text = text.strip()
     if text.startswith("file:"):
@@ -189,9 +207,9 @@ def _parse_stride(text):
 
 def _build_model(cp, n, base_dir):
     kind = cp.get("network", "kind", fallback="complete").strip()
-    tau = cp.getfloat("network", "tau", fallback=1e-6)
-    window = cp.getint("network", "window", fallback=0)
-    try:
+    with _malformed("network"):
+        tau = cp.getfloat("network", "tau", fallback=1e-6)
+        window = cp.getint("network", "window", fallback=0)
         if kind == "complete":
             return fixed_model(metropolis_complete(n), tau=tau, window=window)
         if kind == "fixed":
@@ -213,8 +231,6 @@ def _build_model(cp, n, base_dir):
         if kind == "birkhoff-random":
             mixing = _parse_floats(cp.get("network", "mixing"))
             return birkhoff_model(n, mixing, tau=tau, window=window)
-    except (ValueError, configparser.NoOptionError) as e:
-        raise ConfigError(f"network: {e}") from e
     raise ConfigError(f"network.kind: unknown kind {kind!r}")
 
 
@@ -226,72 +242,65 @@ def load_config(path):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.read(path, encoding="utf-8")
     base_dir = path.parent
-    try:
+    with _malformed("experiment"):
         n = cp.getint("experiment", "agents")
         m = cp.getint("experiment", "opinions")
         horizon = cp.getint("experiment", "horizon")
         replications = cp.getint("experiment", "replications", fallback=1)
         master_seed = cp.getint("experiment", "master_seed", fallback=0)
-    except (configparser.Error, ValueError) as e:
-        raise ConfigError(f"experiment: {e}") from e
     # the network, the mixing and the default initial opinions are built
     # from the counts
     _check_counts(n, m)
 
     model = _build_model(cp, n, base_dir)
-    try:
+    with _malformed("schedule"):
         schedule = StepSchedule(
             amplitude=cp.getfloat("schedule", "a", fallback=1.0),
             exponent=cp.getfloat("schedule", "gamma", fallback=0.75),
             offset=cp.getint("schedule", "k0", fallback=0),
         )
-    except ValueError as e:
-        raise ConfigError(f"schedule: {e}") from e
-    try:
+    with _malformed("sampling"):
         policy = SamplingPolicy(
             kind=cp.get("sampling", "kind", fallback="direct").strip(),
             censor_floor_scale=cp.getfloat("sampling", "c", fallback=0.0),
             censor_exponent=cp.getfloat("sampling", "exponent", fallback=2.0),
             renormalize=cp.getboolean("sampling", "renormalize", fallback=True),
         )
-    except ValueError as e:
-        raise ConfigError(f"sampling: {e}") from e
-    b_text = cp.get("mixing", "b", fallback="1.0")
-    b_vals = _parse_floats(b_text)
-    b = np.full(n, b_vals[0]) if len(b_vals) == 1 else np.asarray(b_vals)
-    try:
+    with _malformed("mixing"):
+        b_vals = _parse_floats(cp.get("mixing", "b", fallback="1.0"))
+        b = np.full(n, b_vals[0]) if len(b_vals) == 1 else np.asarray(b_vals)
         mixing = MixingMatrices.from_b(b, n)
-    except ValueError as e:
-        raise ConfigError(f"mixing: {e}") from e
 
-    initial = _resolve_initial(
-        cp.get("experiment", "initial", fallback=f"random:{','.join(['%g' % (1.0 / m)] * m)}"),
-        n, m, master_seed,
-    )
+    with _malformed("experiment.initial"):
+        initial = _resolve_initial(
+            cp.get("experiment", "initial", fallback=f"random:{','.join(['%g' % (1.0 / m)] * m)}"),
+            n, m, master_seed,
+        )
 
-    return ExperimentConfig(
-        n_agents=n,
-        n_opinions=m,
-        horizon=horizon,
-        replications=replications,
-        master_seed=master_seed,
-        initial_samples=initial,
-        weight_model=model,
-        mixing=mixing,
-        policy=policy,
-        schedule=schedule,
-        out_dir=cp.get("experiment", "out_dir", fallback="runs/out").strip(),
-        stride=_parse_stride(cp.get("experiment", "stride", fallback="log")),
-        covariance=cp.getboolean("experiment", "covariance", fallback=False),
-        normality=cp.getboolean("experiment", "normality", fallback=False),
-        connectivity_report=cp.getboolean(
-            "experiment", "connectivity_report", fallback=True
-        ),
-        threads=cp.getint("experiment", "threads", fallback=1),
-        max_cov_rel_error=cp.getfloat("experiment", "max_cov_rel_error", fallback=0.20),
-        min_normality_pass=cp.getfloat("experiment", "min_normality_pass", fallback=0.90),
-        record_noise=cp.getboolean("experiment", "record_noise", fallback=True),
-    )
+    with _malformed("experiment"):
+        return ExperimentConfig(
+            n_agents=n,
+            n_opinions=m,
+            horizon=horizon,
+            replications=replications,
+            master_seed=master_seed,
+            initial_samples=initial,
+            weight_model=model,
+            mixing=mixing,
+            policy=policy,
+            schedule=schedule,
+            out_dir=cp.get("experiment", "out_dir", fallback="runs/out").strip(),
+            stride=_parse_stride(cp.get("experiment", "stride", fallback="log")),
+            covariance=cp.getboolean("experiment", "covariance", fallback=False),
+            normality=cp.getboolean("experiment", "normality", fallback=False),
+            connectivity_report=cp.getboolean(
+                "experiment", "connectivity_report", fallback=True
+            ),
+            threads=cp.getint("experiment", "threads", fallback=1),
+            max_cov_rel_error=cp.getfloat("experiment", "max_cov_rel_error", fallback=0.20),
+            min_normality_pass=cp.getfloat("experiment", "min_normality_pass", fallback=0.90),
+            record_noise=cp.getboolean("experiment", "record_noise", fallback=True),
+        )
 
 
 def serialize_config(cfg):
@@ -379,10 +388,32 @@ def trial_chunks(replications, n_agents, workers):
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _trace_path(out_dir, trial_index):
+    return Path(out_dir) / f"trace_{trial_index}.csv"
+
+
+def _write_chunk(cfg, trials):
+    """Step one chunk and write its traces into ``cfg.out_dir``.
+
+    Returns the traces without their snapshots, so only the consensus
+    errors, diagnostics and final states go back to the parent.
+    """
+    traces = run_chunk(cfg, trials)
+    for tr in traces:
+        write_trace(tr, _trace_path(cfg.out_dir, tr.trial_index))
+    return [replace(tr, snapshots=None) for tr in traces]
+
+
 def run_trials(cfg):
     """All replications, stepped in chunks of trials.
 
-    Trial results do not depend on the worker count or the chunk sizes.
+    Each chunk, in a worker process when ``cfg.threads`` > 1, writes the
+    ``trace_<trial>.csv`` of its trials into ``cfg.out_dir``; the traces
+    returned hold the checkpoints, consensus errors, diagnostics and final
+    states, and ``snapshots`` is None.  When a chunk fails, every chunk is
+    waited for, the traces already written are deleted, and the first
+    failure in chunk order is raised.  Trial results and trace bytes do not
+    depend on the worker count or the chunk sizes.
     """
     chunks = [
         [(i, derive_trial_seed(cfg.master_seed, i)) for i in range(start, stop)]
@@ -390,11 +421,31 @@ def run_trials(cfg):
             cfg.replications, cfg.n_agents, cfg.threads
         )
     ]
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    results = []  # the traces of every chunk that finished
+    failure = None
     if cfg.threads <= 1 or len(chunks) == 1:
-        results = [run_chunk(cfg, trials) for trials in chunks]
+        for trials in chunks:
+            try:
+                results.append(_write_chunk(cfg, trials))
+            except Exception as e:
+                failure = e
+                break
     else:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run_chunk, [cfg] * len(chunks), chunks))
+            futures = [pool.submit(_write_chunk, cfg, trials) for trials in chunks]
+        # leaving the pool waited for every chunk
+        for future in futures:
+            error = future.exception()
+            if error is None:
+                results.append(future.result())
+            elif failure is None:
+                failure = error
+    if failure is not None:
+        for traces in results:
+            for tr in traces:
+                _trace_path(cfg.out_dir, tr.trial_index).unlink()
+        raise failure
     return [trace for traces in results for trace in traces]
 
 
@@ -454,13 +505,31 @@ def _aggregate_diagnostics(traces):
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _trace_template(checkpoints, n_agents, n_opinions):
+    """A trace file as one ``%`` template: the header, then a line per value
+    with its checkpoint, agent and component filled in.
+
+    Every trial of a run shares it, so it is built once per process.
+    """
+    rows = "".join(
+        f"{k},{i},{c},%.17g\n"
+        for k in checkpoints
+        for i in range(1, n_agents + 1)
+        for c in range(1, n_opinions + 1)
+    )
+    return "k,agent,component,value\n" + rows
+
+
 def write_trace(trace, path):
-    lines = ["k,agent,component,value"]
-    for k, snap in zip(trace.checkpoints, trace.snapshots):
-        for i in range(snap.shape[0]):
-            for mcomp in range(snap.shape[1]):
-                lines.append(f"{k},{i + 1},{mcomp + 1},{fmt(snap[i, mcomp])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """``k,agent,component,value`` lines, checkpoint-, agent-, then
+    component-major; values as :func:`fmt` writes them."""
+    snapshots = np.asarray(trace.snapshots, dtype=float)
+    _, n, m = snapshots.shape
+    template = _trace_template(tuple(trace.checkpoints), n, m)
+    # + 0.0 folds negative zero, as fmt does
+    text = template % tuple((snapshots + 0.0).ravel().tolist())
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _matrix_lines(name, mat):
@@ -503,10 +572,8 @@ def run_experiment(cfg, out_dir=None):
     """
     t0 = time.perf_counter()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    traces = run_trials(cfg)
-    for tr in traces:
-        write_trace(tr, out / f"trace_{tr.trial_index}.csv")
+    # run_trials makes the directory and writes the traces into it
+    traces = run_trials(replace(cfg, out_dir=str(out)))
 
     checkpoints = tuple(traces[0].checkpoints)
     errs = np.asarray([tr.consensus_errors for tr in traces])

@@ -4,8 +4,9 @@ These deliberately take different computational routes than the library:
 brute-force transitive closure for reachability, direct numerical
 quadrature of the matrix-exponential integral for the stationary covariance,
 a row-at-a-time sampling map, a one-trial-at-a-time step loop for the
-trial-batched kernel, and the dense (N-1)M-dimensional Lyapunov solve for the
-Kronecker-factored asymptotic covariance.
+trial-batched kernel, the dense (N-1)M-dimensional Lyapunov solve for the
+Kronecker-factored asymptotic covariance, and a one-value-at-a-time writer
+for the whole-file trace and vector formatters.
 """
 
 import math
@@ -267,3 +268,22 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
         StackedState(q, step_index=horizon), diag,
     )
     return trace, mean_increments
+
+
+def reference_fmt(x):
+    """One value with 17 significant digits; + 0.0 folds negative zero."""
+    return f"{float(x) + 0.0:.17g}"
+
+
+def reference_fmt_vector(v):
+    return ",".join(reference_fmt(x) for x in np.asarray(v, dtype=float).reshape(-1))
+
+
+def reference_trace_text(checkpoints, snapshots):
+    """A trace file's text built one line and one value at a time."""
+    lines = ["k,agent,component,value"]
+    for k, snap in zip(checkpoints, snapshots):
+        for i in range(snap.shape[0]):
+            for mcomp in range(snap.shape[1]):
+                lines.append(f"{k},{i + 1},{mcomp + 1},{reference_fmt(snap[i, mcomp])}")
+    return "\n".join(lines) + "\n"

@@ -144,9 +144,11 @@ def test_criterion_2_consensus_reproduction(fullscale_run):
 
 
 @pytest.fixture(scope="module")
-def normality_run():
+def normality_run(tmp_path_factory):
     t0 = time.perf_counter()
     cfg = ss.load_config(CONFIG_DIR / "normality_n5.cfg")
+    # run_trials writes the 1000 traces, so keep them out of the checkout
+    cfg = replace(cfg, out_dir=str(tmp_path_factory.mktemp("normality")))
     traces = ss.run_trials(cfg)
     elapsed = time.perf_counter() - t0
     return cfg, traces, elapsed

@@ -1,16 +1,23 @@
 import dataclasses
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import socsamp as ss
+import socsamp.harness as harness
 from socsamp.cli import main as cli_main
-from socsamp.harness import ConfigError, fmt, write_trace
+from socsamp.dynamics import TrialDiagnostics
+from socsamp.harness import ConfigError, fmt, fmt_vector, write_trace
 
-from oracles import dense_asymptotic_covariance
+from oracles import (
+    dense_asymptotic_covariance,
+    reference_fmt_vector,
+    reference_trace_text,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -201,10 +208,59 @@ def test_replay_matches_original_checkpoints(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "r")))
     traces = ss.run_trials(cfg)
     rerun = ss.replay_trial(cfg, 1, stride="all")
-    original = traces[1]
     lookup = dict(zip(rerun.checkpoints, rerun.snapshots))
-    for k, snap in zip(original.checkpoints, original.snapshots):
-        np.testing.assert_array_equal(lookup[k], snap)
+    # the run keeps no snapshots, so compare with the trace it wrote; %.17g
+    # round-trips, so the comparison stays exact
+    rows = (tmp_path / "r" / "trace_1.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(traces[1].checkpoints) * cfg.n_agents * cfg.n_opinions
+    assert {int(row.split(",")[0]) for row in rows} == set(traces[1].checkpoints)
+    for row in rows:
+        k, agent, comp, value = row.split(",")
+        assert float(value) == lookup[int(k)][int(agent) - 1, int(comp) - 1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_trials_writes_traces_and_keeps_no_snapshots(tmp_path, threads):
+    # the chunks write the traces; the parent gets the consensus errors,
+    # diagnostics and final states, and no snapshot arrays
+    cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "r")))
+    cfg = replace(cfg, threads=threads)
+    traces = ss.run_trials(cfg)
+    trials = [(i, ss.derive_trial_seed(cfg.master_seed, i)) for i in range(3)]
+    full = ss.run_chunk(cfg, trials)
+    assert [tr.trial_index for tr in traces] == [0, 1, 2]
+    for tr, ref in zip(traces, full):
+        assert tr.snapshots is None
+        assert not any(isinstance(v, np.ndarray) for v in vars(tr).values())
+        assert (tr.seed, tr.checkpoints) == (ref.seed, ref.checkpoints)
+        assert tr.consensus_errors == ref.consensus_errors
+        assert asdict(tr.diagnostics) == asdict(ref.diagnostics)
+        np.testing.assert_array_equal(tr.final_state.q, ref.final_state.q)
+        written = (tmp_path / "r" / f"trace_{tr.trial_index}.csv").read_text()
+        assert written == reference_trace_text(ref.checkpoints, ref.snapshots)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_aborted_run_leaves_no_output_files(tmp_path, monkeypatch, threads):
+    # one trial per chunk, and only the last chunk aborts: the chunks before
+    # it have written their traces, which the run must delete
+    cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")))
+    cfg = replace(cfg, threads=threads)
+    last = cfg.replications - 1
+    stepped = harness.run_chunk
+
+    def run_chunk(cfg, trials):
+        index, seed = trials[-1]
+        if index == last:
+            raise ss.TrialAborted(2, TrialDiagnostics(), index, seed)
+        return stepped(cfg, trials)
+
+    monkeypatch.setattr(harness, "CHUNK_ROWS", cfg.n_agents)
+    monkeypatch.setattr(harness, "run_chunk", run_chunk)
+    with pytest.raises(ss.TrialAborted, match=rf"^trial {last} \(seed "):
+        ss.run_experiment(cfg)
+    assert list((tmp_path / "out").glob("trace_*.csv")) == []
+    assert not (tmp_path / "out" / "summary.txt").exists()
 
 
 def test_replay_rejects_out_of_range(tmp_path):
@@ -401,9 +457,18 @@ DIVERGING = {
          "simulation failed: trial 0 (seed "),
         ("replay", DIVERGING, ["--trial", "0"],
          "simulation failed: trial 0 (seed "),
+        ("check", {"samples:1,2,3,3": "samples:1,x,3,3"}, [],
+         "config error: experiment.initial: invalid literal for int() with base 10: 'x'"),
+        ("check", {"b = 1.0": "b = x"}, [],
+         "config error: mixing: could not convert string to float: 'x'"),
+        ("check", {"threads = 1": "threads = two"}, [],
+         "config error: experiment: invalid literal for int() with base 10: 'two'"),
+        ("check", {"covariance = false": "covariance = maybe"}, [],
+         "config error: experiment: Not a boolean: maybe"),
     ],
     ids=["replications-0", "stride-past-horizon", "horizon-0", "replay-out-of-range",
-         "simulate-diverges", "replay-diverges"],
+         "simulate-diverges", "replay-diverges", "initial-not-int", "b-not-float",
+         "threads-not-int", "covariance-not-bool"],
 )
 def test_cli_refusals_exit_2_with_one_line(
     tmp_path, capsys, command, edits, flags, prefix
@@ -433,3 +498,31 @@ def test_write_trace_layout(tmp_path):
     assert len(rows) == n_rows + 1
     first = rows[1].split(",")
     assert first[0] == "0" and first[1] == "1" and first[2] == "1"
+
+
+def test_formatters_match_per_value_reference(tmp_path):
+    # the whole-file trace writer and fmt_vector against fmt applied one
+    # value at a time, bit for bit, on the edge values and log-uniform ones
+    rng = np.random.default_rng(17)
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+             -1.7976931348623157e308, 0.1, 1 / 3, 2.0**53]
+    spread = rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-323.5, 308.2, 10_000)
+    values = np.concatenate([edges, spread])
+    assert np.isfinite(values).all() and np.signbit(values[0])
+    for v in (values, values[:12].reshape(3, 4), [], [np.nan, np.inf, -np.inf]):
+        assert fmt_vector(v) == reference_fmt_vector(v)
+    # traces of assorted shapes, so the cached template is rebuilt and reused
+    path, start = tmp_path / "t.csv", 0
+    while start < len(values):
+        c, n, m = (int(x) for x in rng.integers(1, 7, size=3))
+        block = np.resize(np.roll(values, -start), (c, n, m))
+        trace = SimpleNamespace(
+            checkpoints=sorted(int(k) for k in rng.choice(10_000, c, replace=False)),
+            snapshots=list(block),
+        )
+        for _ in range(2):
+            write_trace(trace, path)
+            assert path.read_bytes() == reference_trace_text(
+                trace.checkpoints, trace.snapshots
+            ).encode()
+        start += c * n * m
