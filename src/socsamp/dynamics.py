@@ -19,7 +19,15 @@ from itertools import chain
 
 import numpy as np
 
-from .network import BIRKHOFF, FIXED, IID, SWITCHING, mean_matrix, sample_weight_matrix
+from .network import (
+    BIRKHOFF,
+    FIXED,
+    IID,
+    SWITCHING,
+    birkhoff_permutation_blocks,
+    birkhoff_weights,
+    mean_matrix,
+)
 from .sampling import (
     inverse_cdf_draw,
     message_uniform_blocks,
@@ -74,8 +82,8 @@ class MixingMatrices:
     def __post_init__(self):
         a = np.asarray(self.a_diag, dtype=float)
         b = np.asarray(self.b_diag, dtype=float)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("mixing diagonals must be equal-length vectors")
+        if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+            raise ValueError("mixing diagonals must be equal-length nonempty vectors")
         if (a < 0).any() or (b < 0).any():
             i = int(np.argmin(np.minimum(a, b)))
             raise ValueError(
@@ -318,7 +326,13 @@ def run_chunk(cfg, trials):
             for s in seeds
         ], axis=1)
     elif model.kind == BIRKHOFF:
-        weight_rngs = [weight_stream(s) for s in seeds]
+        # each trial's permutations, one (chunk, count, n) array per step
+        permutations = chain.from_iterable(
+            np.moveaxis(block, 1, 0)
+            for block in birkhoff_permutation_blocks(
+                model, [weight_stream(s) for s in seeds], horizon
+            )
+        )
     wbar_static = mean_matrix(model) if model.kind in (IID, BIRKHOFF) else None
 
     violations = np.zeros(chunk, dtype=np.int64)
@@ -378,8 +392,7 @@ def run_chunk(cfg, trials):
         elif model.kind == IID:
             w, wbar = support[picks[k - 1]], wbar_static
         else:
-            w = np.stack([sample_weight_matrix(model, k, g) for g in weight_rngs])
-            wbar = wbar_static
+            w, wbar = birkhoff_weights(model, next(permutations)), wbar_static
 
         if pass_through:
             p = q

@@ -268,6 +268,8 @@ def load_config(path):
         )
     with _malformed("mixing"):
         b_vals = _parse_floats(cp.get("mixing", "b", fallback="1.0"))
+        if not b_vals:  # MixingMatrices cannot say how many values it wanted
+            raise ConfigError(f"mixing.b: expected 1 or {n} values, got 0")
         b = np.full(n, b_vals[0]) if len(b_vals) == 1 else np.asarray(b_vals)
         mixing = MixingMatrices.from_b(b, n)
 

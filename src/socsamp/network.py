@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sampling
+
 DS_TOL = 1e-12
 
 FIXED = "fixed"
@@ -175,10 +177,50 @@ def sample_weight_matrix(model, k, rng=None):
     if model.kind == IID:
         idx = int(rng.choice(len(model.support), p=np.asarray(model.probabilities)))
         return model.support[idx]
-    w = model.mixing[0] * np.eye(model.n)
-    for c in model.mixing[1:]:
-        perm = rng.permutation(model.n)
-        w[np.arange(model.n), perm] += c
+    perms = next(birkhoff_permutation_blocks(model, [rng], 1))[0, 0]
+    return birkhoff_weights(model, perms)
+
+
+def birkhoff_permutation_blocks(model, rngs, horizon):
+    """The birkhoff model's permutations for ``rngs``, streamed in blocks of steps.
+
+    Yields integer arrays of shape ``(streams, steps, permutation_count, n)``,
+    each holding the next ``sampling.BLOCK_STEPS`` steps (fewer in the last
+    block) of the first ``horizon``.  Each stream's block is one
+    ``rng.permuted`` call over rows of ``arange(n)``, which consumes the
+    generator exactly as that many successive ``rng.permutation(n)`` calls
+    do, so the draws and the stream position after them do not depend on the
+    block length.
+    """
+    count, n = model.permutation_count, model.n
+    template = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    for start in range(0, horizon, sampling.BLOCK_STEPS):
+        steps = min(sampling.BLOCK_STEPS, horizon - start)
+        block = np.empty((len(rngs), steps * count, n), dtype=template.dtype)
+        rows = np.broadcast_to(template, block.shape[1:])
+        for rng, out in zip(rngs, block):
+            rng.permuted(rows, axis=1, out=out)
+        yield block.reshape(len(rngs), steps, count, n)
+
+
+def birkhoff_weights(model, perms):
+    """Birkhoff weight matrices of a batch of permutation draws.
+
+    ``perms`` has shape ``(..., permutation_count, n)``; row ``j`` of a draw
+    is the permutation weighted by ``mixing[j + 1]``.  Returns the
+    ``(..., n, n)`` matrices ``mixing[0] * I + sum_j mixing[j + 1] * P_j``
+    with ``P_j[i, perms[j, i]] = 1``.  Every entry is summed in the order
+    ``mixing[0], mixing[1], ...``, so a batch holds the bits of its draws
+    built one at a time.
+    """
+    *lead, _, n = perms.shape
+    w = np.zeros((*lead, n, n))
+    flat = w.reshape(-1)
+    flat.reshape(-1, n * n)[:, :: n + 1] = model.mixing[0]
+    # flat offset of each matrix row, one row of offsets per draw
+    row_starts = np.arange(0, flat.size, n).reshape(-1, n)
+    for j, c in enumerate(model.mixing[1:]):
+        flat[row_starts + perms[..., j, :].reshape(-1, n)] += c
     return w
 
 

@@ -135,11 +135,13 @@ def policy_matrix(policy, q, delta_k):
         p, rebuilt, cap = q.copy(), neg_rows, 1.0
     else:
         p = np.where(q >= censor_threshold(policy, delta_k), q, 0.0)
-        totals = p.sum(axis=-1)
+        totals = p.sum(axis=-1, keepdims=True)
+        if not policy.renormalize:  # nothing is rebuilt
+            np.divide(p, totals, out=p, where=totals > 1.0)
+            return p, _count(fallbacks), _count(neg_rows)
         live = totals > 0.0
-        scaled = live if policy.renormalize else live & (totals > 1.0)
-        p[scaled] /= totals[scaled, None]
-        rebuilt, cap = ~live & policy.renormalize, 0.0
+        np.divide(p, totals, out=p, where=live)
+        rebuilt, cap = ~live[..., 0], 0.0
     if rebuilt.any():  # rare, so the common censored call skips the block
         pos = np.clip(q[rebuilt], 0.0, None)
         totals = pos.sum(axis=-1)

@@ -3,7 +3,8 @@
 These deliberately take different computational routes than the library:
 brute-force transitive closure for reachability, direct numerical
 quadrature of the matrix-exponential integral for the stationary covariance,
-a row-at-a-time sampling map, a one-trial-at-a-time step loop for the
+a row-at-a-time sampling map, a one-matrix-at-a-time birkhoff weight draw
+for the block-streamed batched one, a one-trial-at-a-time step loop for the
 trial-batched kernel, the dense (N-1)M-dimensional Lyapunov solve for the
 Kronecker-factored asymptotic covariance, and a one-value-at-a-time writer
 for the whole-file trace and vector formatters.
@@ -63,6 +64,20 @@ def random_doubly_stochastic(rng, n, n_perms=3, min_coef=0.05):
     coefs = coefs * (1.0 - (n_perms + 1) * min_coef) + min_coef
     w = coefs[0] * np.eye(n)
     for c in coefs[1:]:
+        perm = rng.permutation(n)
+        w[np.arange(n), perm] += c
+    return w
+
+
+def reference_weight_matrix(model, rng):
+    """One birkhoff weight matrix, one ``rng.permutation`` per coefficient.
+
+    ``mixing[0] * I`` plus each remaining coefficient added along its own
+    fresh permutation, drawn in coefficient order.
+    """
+    n = model.n
+    w = model.mixing[0] * np.eye(n)
+    for c in model.mixing[1:]:
         perm = rng.permutation(n)
         w[np.arange(n), perm] += c
     return w
@@ -158,10 +173,12 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
     reference that the kernel must reproduce bit for bit.  It steps trial
     ``(trial_index, seed)`` of the experiment ``config`` and draws the same
     streams as the kernel (a full uniform panel per agent, one weight stream
-    per trial), maps estimates with ``policy_map`` and uses the library only
-    for the weight draws.  The default map is :func:`reference_policy_matrix`;
-    a check of something other than the map may pass the library's
-    ``policy_matrix``, which gives the same bits in half the time.
+    per trial), draws birkhoff weights with :func:`reference_weight_matrix`,
+    maps estimates with ``policy_map`` and uses the library only for the
+    fixed and switching weight matrices.  The default map is
+    :func:`reference_policy_matrix`; a check of something other than the map
+    may pass the library's ``policy_matrix``, which gives the same bits in
+    half the time.
 
     Returns ``(trace, mean_increments)``.  Row ``k - 1`` of the
     ``(horizon, M)`` series is step ``k``'s shift of the network average,
@@ -217,7 +234,7 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
         elif model.kind == IID:
             w, wbar = model.support[support_idx[k - 1]], wbar_static
         else:
-            w, wbar = sample_weight_matrix(model, k, wrng), wbar_static
+            w, wbar = reference_weight_matrix(model, wrng), wbar_static
 
         if config.policy.kind == "direct" and qmin >= 0.0:
             p = q

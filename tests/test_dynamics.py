@@ -77,6 +77,8 @@ def test_mixing_requires_a4():
         ss.MixingMatrices(np.array([0.5, 0.5]), np.array([0.7, 0.5]))
     with pytest.raises(ValueError, match="nonnegative"):
         ss.MixingMatrices(np.array([1.5, 0.5]), np.array([-0.5, 0.5]))
+    with pytest.raises(ValueError, match="nonempty"):
+        ss.MixingMatrices.from_b([], 3)
     mix = ss.MixingMatrices.from_b(0.25, 3)
     np.testing.assert_allclose(mix.a_diag, 0.75)
 

@@ -461,6 +461,8 @@ DIVERGING = {
          "config error: experiment.initial: invalid literal for int() with base 10: 'x'"),
         ("check", {"b = 1.0": "b = x"}, [],
          "config error: mixing: could not convert string to float: 'x'"),
+        ("check", {"b = 1.0": "b = "}, [],
+         "config error: mixing.b: expected 1 or 4 values, got 0"),
         ("check", {"threads = 1": "threads = two"}, [],
          "config error: experiment: invalid literal for int() with base 10: 'two'"),
         ("check", {"covariance = false": "covariance = maybe"}, [],
@@ -468,7 +470,7 @@ DIVERGING = {
     ],
     ids=["replications-0", "stride-past-horizon", "horizon-0", "replay-out-of-range",
          "simulate-diverges", "replay-diverges", "initial-not-int", "b-not-float",
-         "threads-not-int", "covariance-not-bool"],
+         "b-empty", "threads-not-int", "covariance-not-bool"],
 )
 def test_cli_refusals_exit_2_with_one_line(
     tmp_path, capsys, command, edits, flags, prefix

@@ -127,11 +127,26 @@ def test_chunk_size_does_not_change_traces(renormalize):
     n_trials = 9
     totals = dict.fromkeys(("silent_messages", "clamped_agents"), 0)
     censored = 0
-    for idx in range(12):
+    kinds = set()
+    for idx in range(13):
         tc, (_, base_seed), _ = random_trial_config(
             rng, idx, horizon=150, renormalize=renormalize
         )
+        if idx == 12:
+            # the random corpus need not draw one: a birkhoff network with
+            # censored sampling and b != 1, as random_censored runs, whose
+            # permutations cross a block boundary at H=150
+            tc = replace(
+                tc,
+                weight_model=ss.birkhoff_model(tc.n_agents, (0.4, 0.3, 0.3)),
+                mixing=ss.MixingMatrices.from_b(0.6, tc.n_agents),
+                policy=ss.SamplingPolicy(
+                    "censored", censor_floor_scale=0.5, censor_exponent=1.0,
+                    renormalize=renormalize,
+                ),
+            )
         censored += tc.policy.kind == "censored"
+        kinds.add(tc.weight_model.kind)
         trials = [(j, derive_trial_seed(base_seed, j)) for j in range(n_trials)]
         whole = ss.run_chunk(tc, trials)
         sevens = ss.run_chunk(tc, trials[:7]) + ss.run_chunk(tc, trials[7:])
@@ -144,6 +159,7 @@ def test_chunk_size_does_not_change_traces(renormalize):
                 totals[key] += getattr(single.diagnostics, key)
     # the corpus reaches the per-row branches: censor, clamp, and silence
     assert censored and totals["clamped_agents"]
+    assert "birkhoff-random" in kinds
     if not renormalize:
         assert totals["silent_messages"]
 

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import socsamp as ss
-from socsamp.network import step_mean_matrix
+from socsamp.network import birkhoff_permutation_blocks, birkhoff_weights, step_mean_matrix
+from socsamp.sampling import WEIGHT_DOMAIN
 
-from oracles import random_doubly_stochastic, strongly_connected_bruteforce
+from oracles import (
+    random_doubly_stochastic,
+    reference_weight_matrix,
+    strongly_connected_bruteforce,
+)
 
 
 def test_validate_identity_and_uniform():
@@ -68,11 +73,20 @@ def test_iid_model_empirical_mean():
     assert np.abs(total / n_draws - IID_MEAN).max() <= 3 * se
 
 
+def kernel_weight_draws(model, rngs, horizon):
+    """``(streams, horizon, n, n)`` weights, built a step at a time as run_chunk does."""
+    return np.stack([
+        birkhoff_weights(model, block[:, s])
+        for block in birkhoff_permutation_blocks(model, rngs, horizon)
+        for s in range(block.shape[1])
+    ], axis=1)
+
+
 def test_birkhoff_always_doubly_stochastic():
     model = ss.birkhoff_model(3, (0.4, 0.3, 0.3))
-    rng = ss.substream(99, 1)
-    for k in range(10_000):
-        assert ss.validate_doubly_stochastic(ss.sample_weight_matrix(model, k, rng))
+    draws = kernel_weight_draws(model, [ss.substream(99, 1)], 10_000)[0]
+    for w in draws:
+        assert ss.validate_doubly_stochastic(w)
 
 
 def test_birkhoff_mean_matrix():
@@ -83,14 +97,55 @@ def test_birkhoff_mean_matrix():
 
 def test_birkhoff_empirical_mean_matches_analytic():
     model = ss.birkhoff_model(3, (0.2, 0.5, 0.3))
-    rng = ss.substream(4321, 8)
     n_draws = 100_000
-    total = np.zeros((3, 3))
-    for k in range(n_draws):
-        total += ss.sample_weight_matrix(model, k, rng)
+    perms = np.concatenate(
+        list(birkhoff_permutation_blocks(model, [ss.substream(4321, 8)], n_draws)),
+        axis=1,
+    )
+    total = birkhoff_weights(model, perms[0]).sum(axis=0)
     # each permutation entry is Bernoulli(1/3) scaled by its coefficient
     se = np.sqrt((0.5**2 + 0.3**2) * (1 / 3) * (2 / 3) / n_draws)
     assert np.abs(total / n_draws - ss.mean_matrix(model)).max() <= 4 * se
+
+
+@pytest.mark.parametrize("block_steps", [None, 7])
+def test_birkhoff_blocks_match_per_step_reference(monkeypatch, block_steps):
+    # the block-streamed permutations, built into matrices a step at a time
+    # as run_chunk builds them, and the one-matrix sample_weight_matrix both
+    # give the reference's bits, and leave each stream where the reference
+    # leaves it, whatever the block length and the streams alongside
+    if block_steps is not None:
+        monkeypatch.setattr(ss.sampling, "BLOCK_STEPS", block_steps)
+    rng = np.random.default_rng(31)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=3)]
+
+    def streams():
+        return [ss.substream(s, WEIGHT_DOMAIN) for s in seeds]
+
+    for n in range(1, 11):
+        count = 1 + (n - 1) % 4
+        mixing = rng.dirichlet(np.ones(count + 1))
+        if n % 3 == 0:
+            mixing[n % (count + 1)] = 0.0
+        model = ss.birkhoff_model(n, mixing / mixing.sum(), tau=1e-12)
+        for horizon in (1, 127, 128, 129, 300):
+            refs, batch, single = streams(), streams(), streams()
+            want = np.stack([
+                [reference_weight_matrix(model, g) for _ in range(horizon)]
+                for g in refs
+            ])
+            got = kernel_weight_draws(model, batch, horizon)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (n, horizon)
+            after = [g.random() for g in refs]
+            assert [g.random() for g in batch] == after
+            if block_steps is None:  # one step is one block of any length
+                alone = np.stack([
+                    [ss.sample_weight_matrix(model, k, g) for k in range(1, horizon + 1)]
+                    for g in single
+                ])
+                assert alone.tobytes() == want.tobytes(), (n, horizon)
+                assert [g.random() for g in single] == after
 
 
 def test_switching_model_mean_and_steps():
