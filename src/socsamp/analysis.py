@@ -346,6 +346,11 @@ def asymptotic_report(
     if final_states is not None:
         if final_step_size is None:
             raise ValueError("final_step_size is required with final_states")
+        if not c.any():
+            raise ValueError(
+                "q* is a vertex, so the predicted covariance is zero: there is "
+                "nothing to compare the trials with"
+            )
         cov, samples = empirical_scaled_covariance(
             final_states, q_star, basis, final_step_size
         )

@@ -14,8 +14,9 @@ mean weight matrix; :func:`decompose_step` reproduces that split exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .network import (
     mean_matrix,
 )
 from .sampling import (
+    BLOCK_STEPS,
     inverse_cdf_draw,
     message_uniform_blocks,
     policy_matrix,
@@ -220,12 +222,12 @@ def _increment(w, q, y, ym_q, ab_col, b_col):
     return w @ y - ab_col * q - b_col * ym_q
 
 
-def _martingale_noise(w, wbar, b_col, ym_p, p):
+def _martingale_noise(w, wbar, b_col, ym_p, p, out=None):
     """``(W - B)(Y - P) + (W - Wbar) P`` for one state or a batch.
 
     The second term is left out when ``w is wbar``, where it is zero.
     """
-    mart = w @ ym_p - b_col * ym_p
+    mart = np.subtract(w @ ym_p, b_col * ym_p, out=out)
     if wbar is not w:
         mart += (w - wbar) @ p
     return mart
@@ -276,6 +278,23 @@ def noise_norm_bound(n_agents, n_opinions):
     return float(n_agents**2 * n_opinions**2)
 
 
+# a window buffer of run_chunk holds at most this many doubles, 512 KiB.  A
+# window saves per-call overhead, which counts at a few hundred values per
+# step, where the longest windows step fastest.  At thousands of values per
+# step a call already spans enough of them, and a longer window would only
+# push the step's data out of cache and add to each worker's peak memory
+WINDOW_VALUES = 1 << 16
+
+
+def window_steps(values_per_step):
+    """Steps per window of :func:`run_chunk`, for states of that many values.
+
+    As many as fit in ``WINDOW_VALUES`` doubles, at least one and at most one
+    block of uniforms.
+    """
+    return max(1, min(BLOCK_STEPS, WINDOW_VALUES // values_per_step))
+
+
 # the kernel finds non-finite values itself and raises TrialAborted; numpy's
 # overflow warnings would only repeat that on stderr
 @np.errstate(over="ignore", invalid="ignore")
@@ -296,24 +315,33 @@ def run_chunk(cfg, trials):
     alone, so a trial's trace is the same bits in any chunk, a chunk of one
     included.
 
+    The steps run in windows of :func:`window_steps` steps.  Inside a window
+    a step does only what the next step reads: it writes its state, and its
+    martingale noise when noise is recorded, into a row of a window buffer.
+    The diagnostics (noise norms, sum drift, negativity, finiteness) and the
+    snapshots at checkpoints are then taken over the whole window in a few
+    calls.  Maxima, counts and snapshots do not depend on the order they
+    are taken in, so the window length never changes a bit.
+
     A trial that hits a non-finite value is put back to its initial state
     and stepped on, so that it cannot disturb the rest; the chunk then
     raises :class:`TrialAborted` for the first such trial in chunk order,
-    with its index, seed, step and the diagnostics it had at that step.
+    with its index, seed, step and the diagnostics it had at that step.  A
+    window that finds a non-finite value is stepped again from its start,
+    one step per window, with the draws it used, so each abort is handled
+    at its own step.
     """
     n, m = cfg.n_agents, cfg.n_opinions
     model = cfg.weight_model
     schedule = cfg.schedule
     horizon = cfg.horizon
     checkpoints = resolve_checkpoints(cfg.stride, horizon)
-    column = {k: c for c, k in enumerate(checkpoints)}
     indices = [int(i) for i, _ in trials]
     seeds = [int(s) for _, s in trials]
     chunk = len(seeds)
 
     q0 = initial_state(cfg.initial_samples, m).q
     initial_avg = q0.mean(axis=0)
-    q = np.repeat(q0[None], chunk, axis=0)
     ab_col, b_col = _mixing_columns(cfg.mixing)
 
     if model.kind == IID:
@@ -325,28 +353,36 @@ def run_chunk(cfg, trials):
             .astype(small)
             for s in seeds
         ], axis=1)
-    elif model.kind == BIRKHOFF:
-        # each trial's permutations, one (chunk, count, n) array per step
-        permutations = chain.from_iterable(
+    wbar_static = mean_matrix(model) if model.kind in (IID, BIRKHOFF) else None
+
+    # each block of steps' uniforms, (steps, chunk, n), and birkhoff
+    # permutations, (steps, chunk, count, n)
+    uniform_blocks = (
+        np.moveaxis(block, -1, 0)
+        for block in message_uniform_blocks(seeds, n, horizon)
+    )
+    if model.kind == BIRKHOFF:
+        permutation_blocks = (
             np.moveaxis(block, 1, 0)
             for block in birkhoff_permutation_blocks(
                 model, [weight_stream(s) for s in seeds], horizon
             )
         )
-    wbar_static = mean_matrix(model) if model.kind in (IID, BIRKHOFF) else None
+    else:
+        permutation_blocks = repeat(None)
 
-    violations = np.zeros(chunk, dtype=np.int64)
-    silent = np.zeros(chunk, dtype=np.int64)
-    fallbacks = np.zeros(chunk, dtype=np.int64)
-    clamped = np.zeros(chunk, dtype=np.int64)
+    # agent-steps with a negative component, silent messages, uniform
+    # fallbacks and clamped agents, per trial
+    counts = np.zeros((4, chunk), dtype=np.int64)
+    violations, silent, fallbacks, clamped = counts
     max_negative = np.zeros(chunk)
-    # a step writes its squared martingale norm, squared projected noise
-    # norm and sum drift into ``now``; one fmax folds them into ``maxima``.
-    # sqrt is monotone and correctly rounded, so the root of the largest
-    # square is the largest root, bit for bit
+    # a window writes each step's squared martingale norm, squared projected
+    # noise norm (both 0 without noise recording) and sum drift into
+    # ``now``; one fmax.reduce folds them into ``maxima``.  sqrt is monotone and correctly rounded, so the root of the
+    # largest square is the largest root, bit for bit
+    window = min(window_steps(chunk * n * m), horizon)
     maxima = np.zeros((3, chunk))
-    now = np.zeros((3, chunk))
-    mart_sq, noise_sq, drift = now
+    now = np.zeros((3, window, chunk))
     bound = noise_norm_bound(n, m)
 
     def diagnostics(r):
@@ -363,15 +399,17 @@ def run_chunk(cfg, trials):
         )
 
     record_noise = cfg.record_noise and n >= 2
+    # the states after each step of a window, and the martingale noise of
+    # each step
+    states = np.empty((window, chunk, n, m))
+    noises = np.empty_like(states) if record_noise else None
     snapshots = np.empty((chunk, len(checkpoints), n, m))
     errs = np.empty((chunk, len(checkpoints)))
 
-    def snapshot(c):
-        snapshots[:, c] = q
-        errs[:, c] = consensus_error(q, initial_avg)
-
-    if 0 in column:
-        snapshot(column[0])
+    q = np.repeat(q0[None], chunk, axis=0)
+    if checkpoints[0] == 0:
+        snapshots[:, 0] = q
+        errs[:, 0] = consensus_error(q, initial_avg)
 
     aborted = {}  # chunk position -> (step, diagnostics at that step)
     # the direct policy passes nonnegative estimates through unchanged, so
@@ -379,81 +417,115 @@ def run_chunk(cfg, trials):
     # non-finite trial is reset before the next step)
     direct = cfg.policy.kind == "direct"
     pass_through = direct  # the one-hot initial estimates are nonnegative
-    uniforms = chain.from_iterable(
-        np.moveaxis(block, -1, 0)
-        for block in message_uniform_blocks(seeds, n, horizon)
-    )
-    for k, u in enumerate(uniforms, start=1):
-        delta = schedule.step_size(k)
-        if model.kind == FIXED:
-            w = wbar = model.support[0]
-        elif model.kind == SWITCHING:
-            w = wbar = model.support[k % len(model.support)]
-        elif model.kind == IID:
-            w, wbar = support[picks[k - 1]], wbar_static
-        else:
-            w, wbar = birkhoff_weights(model, next(permutations)), wbar_static
 
-        if pass_through:
-            p = q
-        else:
-            p, fell_back, clamps = policy_matrix(cfg.policy, q, delta)
-            if p is not q:
-                fallbacks += fell_back
-                clamped += clamps
-        y, active = inverse_cdf_draw(p, u)
-        if not active.all():
-            silent += n - active.sum(axis=1)
+    def windows():
+        """Each window: the steps before its block, the block's uniforms and
+        permutations, and the window's (start, stop) positions in the block."""
+        first = 0
+        for us, perms in zip(uniform_blocks, permutation_blocks):
+            for start in range(0, len(us), window):
+                yield first, us, perms, (start, min(start + window, len(us)))
+            first += len(us)
 
-        ym_q = y - q
-        ym_p = ym_q if p is q else y - p
+    for first, us, perms, span in windows():
+        # the window's start, to step it again from
+        saved = q.copy(), counts.copy(), max_negative.copy(), pass_through
+        spans = [span]  # the windows left to step, last first
+        while spans:
+            a, b = spans.pop()
+            clean = direct  # every state of the window passed through
+            for j in range(a, b):
+                k = first + j + 1
+                delta = schedule.step_size(k)
+                if model.kind == FIXED:
+                    w = wbar = model.support[0]
+                elif model.kind == SWITCHING:
+                    w = wbar = model.support[k % len(model.support)]
+                elif model.kind == IID:
+                    w, wbar = support[picks[k - 1]], wbar_static
+                else:
+                    w, wbar = birkhoff_weights(model, perms[j]), wbar_static
 
-        if record_noise:
-            mart = _martingale_noise(w, wbar, b_col, ym_p, p)
-            np.add.reduce((mart * mart).reshape(chunk, -1), axis=1, out=mart_sq)
-            # mart.mean(axis=1) without its Python wrapper; the batched matmul
-            # gives each trial's col_mean @ col_mean bits, einsum rounds
-            # differently.  The starting maximum 0 stands in for the clamp
-            # of a negative difference at 0.
-            col_mean = np.add.reduce(mart, axis=1) / n
-            cc = (col_mean[:, None, :] @ col_mean[:, :, None])[:, 0, 0]
-            np.subtract(mart_sq, n * cc, out=noise_sq)
+                if pass_through:
+                    p = q
+                else:
+                    p, fell_back, clamps = policy_matrix(cfg.policy, q, delta)
+                    if p is not q:
+                        fallbacks += fell_back
+                        clamped += clamps
+                y, active = inverse_cdf_draw(p, us[j])
+                if not active.all():
+                    silent += n - active.sum(axis=1)
 
-        q = q + delta * _increment(w, q, y, ym_q, ab_col, b_col)
+                ym_q = y - q
+                ym_p = ym_q if p is q else y - p
+                if record_noise:
+                    _martingale_noise(w, wbar, b_col, ym_p, p, out=noises[j - a])
+                increment = _increment(w, q, y, ym_q, ab_col, b_col)
+                q = np.add(q, delta * increment, out=states[j - a])
+                # one reduction over the chunk; a NaN fails it too
+                pass_through = direct and q.min() >= 0.0
+                clean = clean and pass_through
 
-        # one reduction over the chunk in the common all-nonnegative case;
-        # a NaN fails the comparison too and takes the per-trial path
-        pass_through = direct and q.min() >= 0.0
-        if not pass_through:
-            qmin = q.min(axis=(1, 2))
-            neg = qmin < 0.0
-            if neg.any():
-                rows = (q < 0.0).any(axis=2).sum(axis=1)
-                violations += np.where(neg, rows, 0)
-                np.fmax(max_negative, -qmin, out=max_negative)
-        np.abs(q.sum(axis=2) - 1.0).max(axis=1, out=drift)
-        # max() passes a NaN on, so one comparison finds every bad trial
-        if not drift.max() < math.inf:
-            # an aborted trial's diagnostics hold the noise maxima of the
-            # failing step but not its drift
-            np.fmax(maxima[:2], now[:2], out=maxima[:2])
-            bad = ~np.isfinite(drift)
-            for r in np.flatnonzero(bad):
-                aborted.setdefault(int(r), (k, diagnostics(r)))
-            q[bad] = q0
-            if 0 in aborted:
-                break  # no earlier trial in the chunk can abort instead
-        # fmax keeps the old maximum over a NaN, as max() does
-        np.fmax(maxima, now, out=maxima)
+            steps = b - a
+            window_states = states[:steps]
+            mart_sq, noise_sq, drift = now[:, :steps]
+            if record_noise:
+                mart = noises[:steps]
+                # mart.mean(axis=2) without its Python wrapper; the batched
+                # matmul gives each step and trial the bits of
+                # col_mean @ col_mean, einsum rounds differently
+                col_mean = np.add.reduce(mart, axis=2) / n
+                cc = (col_mean[..., None, :] @ col_mean[..., :, None])[..., 0, 0]
+                mart *= mart  # the buffer is rewritten by the next window
+                np.add.reduce(mart.reshape(steps, chunk, -1), axis=2, out=mart_sq)
+                # the starting maximum 0 stands in for the clamp of a
+                # negative difference at 0
+                np.subtract(mart_sq, n * cc, out=noise_sq)
+            np.abs(window_states.sum(axis=3) - 1.0).max(axis=2, out=drift)
+            if not clean:
+                # a NaN fails the comparison, so it adds to no count
+                qmin = window_states.min(axis=(2, 3))
+                neg = qmin < 0.0
+                if neg.any():
+                    rows = (window_states < 0.0).any(axis=3).sum(axis=2)
+                    violations += np.where(neg, rows, 0).sum(axis=0)
+                    np.fmax(max_negative, np.fmax.reduce(-qmin), out=max_negative)
+            # max() passes a NaN on, so one comparison finds every bad trial
+            if not drift.max() < math.inf:
+                if steps > 1:
+                    q, saved_counts, saved_negative, pass_through = saved
+                    counts[:] = saved_counts
+                    max_negative[:] = saved_negative
+                    spans = [(j, j + 1) for j in reversed(range(a, b))]
+                    continue
+                # an aborted trial's diagnostics hold the noise maxima
+                # of the failing step but not its drift
+                np.fmax(maxima[:2], now[:2, 0], out=maxima[:2])
+                bad = ~np.isfinite(drift[0])
+                for r in np.flatnonzero(bad):
+                    aborted.setdefault(int(r), (k, diagnostics(r)))
+                q[bad] = q0
+                if 0 in aborted:
+                    break  # no earlier trial in the chunk can abort instead
+            # fmax keeps the old maximum over a NaN, as max() does
+            np.fmax(maxima, np.fmax.reduce(now[:, :steps], axis=1), out=maxima)
 
-        if k in column:
-            snapshot(column[k])
+            lo = bisect_right(checkpoints, first + a)
+            hi = bisect_right(checkpoints, first + b)
+            if lo < hi:
+                taken = window_states[np.subtract(checkpoints[lo:hi], first + a + 1)]
+                snapshots[:, lo:hi] = taken.swapaxes(0, 1)
+                errs[:, lo:hi] = consensus_error(taken, initial_avg).T
+        if 0 in aborted:
+            break
 
     if aborted:
         r = min(aborted)
         step, diag = aborted[r]
         raise TrialAborted(step, diag, indices[r], seeds[r])
 
+    final = q.copy()  # not a view that holds the window buffer
     return [
         TrialTrace(
             trial_index=indices[r],
@@ -461,7 +533,7 @@ def run_chunk(cfg, trials):
             checkpoints=list(checkpoints),
             snapshots=list(snapshots[r]),
             consensus_errors=errs[r].tolist(),
-            final_state=StackedState(q[r], step_index=horizon),
+            final_state=StackedState(final[r], step_index=horizon),
             diagnostics=diagnostics(r),
         )
         for r in range(chunk)

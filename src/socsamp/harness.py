@@ -108,6 +108,15 @@ class ExperimentConfig:
         for i, x in enumerate(self.initial_samples):
             if not 1 <= x <= m:
                 raise ConfigError(f"experiment.initial: sample {i} out of range 1..{m}")
+        if (self.covariance or self.normality) and len(set(self.initial_samples)) == 1:
+            key = "covariance" if self.covariance else "normality"
+            raise ConfigError(
+                f"experiment.{key}: every initial sample is "
+                f"{self.initial_samples[0]}, so the limit q* is a vertex and its "
+                f"predicted covariance is zero: there is nothing to check"
+            )
+        if self.threads < 1:
+            raise ConfigError("experiment.threads: must be at least 1")
         if self.weight_model.n != n:
             raise ConfigError(
                 f"network: weight model has {self.weight_model.n} agents, expected {n}"

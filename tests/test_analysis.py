@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,3 +373,17 @@ def test_asymptotic_report_theory_only():
     assert rep.empirical_cov is None
     # uniform mean graph: x = g / 2 exactly, so s = s0 / 2
     np.testing.assert_allclose(rep.x, rep.g / 2, atol=1e-12)
+
+
+def test_asymptotic_report_refuses_trials_at_a_vertex():
+    # the predicted covariance is zero at a vertex; the relative error of an
+    # empirical covariance against it would be 0/0
+    model = ss.fixed_model(ss.metropolis_complete(5))
+    q_star = np.array([0.0, 1.0, 0.0])
+    finals = [ss.StackedState(np.tile(q_star, (5, 1)), 50)] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="q\\* is a vertex"):
+            ss.asymptotic_report(
+                model, 0.0, q_star, 3, final_states=finals, final_step_size=0.1
+            )

@@ -125,6 +125,17 @@ INVALID_FIELDS = {
     "negative stride": ({"stride": (-1,)}, STRIDE_MESSAGE),
     # the stride is checked again when only the horizon changes
     "horizon below stride": ({"stride": (50, 100), "horizon": 80}, STRIDE_MESSAGE),
+    "no threads": ({"threads": 0}, "experiment.threads: must be at least 1"),
+    "negative threads": ({"threads": -2}, "experiment.threads: must be at least 1"),
+    "covariance at a vertex": (
+        {"initial_samples": (2, 2, 2, 2), "covariance": True},
+        r"experiment\.covariance: every initial sample is 2, so the limit q\* is "
+        "a vertex",
+    ),
+    "normality at a vertex": (
+        {"initial_samples": (3, 3, 3, 3), "normality": True},
+        r"experiment\.normality: every initial sample is 3,",
+    ),
 }
 
 
@@ -467,10 +478,25 @@ DIVERGING = {
          "config error: experiment: invalid literal for int() with base 10: 'two'"),
         ("check", {"covariance = false": "covariance = maybe"}, [],
          "config error: experiment: Not a boolean: maybe"),
+        ("simulate", {"threads = 1": "threads = 0"}, [],
+         "config error: experiment.threads: must be at least 1"),
+        ("simulate", None, ["--threads", "-2"],
+         "config error: experiment.threads: must be at least 1"),
+        # the predicted covariance is zero at a vertex: its relative error and
+        # the normality pass fraction would be nan
+        ("simulate", {"samples:1,2,3,3": "samples:2,2,2,2",
+                      "covariance = false": "covariance = true",
+                      "normality = false": "normality = true"}, [],
+         "config error: experiment.covariance: every initial sample is 2, "
+         "so the limit q* is a vertex"),
+        ("simulate", {"opinions = 3": "opinions = 1", "samples:1,2,3,3": "samples:1,1,1,1",
+                      "normality = false": "normality = true"}, [],
+         "config error: experiment.normality: every initial sample is 1,"),
     ],
     ids=["replications-0", "stride-past-horizon", "horizon-0", "replay-out-of-range",
          "simulate-diverges", "replay-diverges", "initial-not-int", "b-not-float",
-         "b-empty", "threads-not-int", "covariance-not-bool"],
+         "b-empty", "threads-not-int", "covariance-not-bool", "threads-0",
+         "threads-flag-negative", "covariance-at-vertex", "normality-one-opinion"],
 )
 def test_cli_refusals_exit_2_with_one_line(
     tmp_path, capsys, command, edits, flags, prefix

@@ -10,6 +10,7 @@ Within the kernel, a trial's trace must not depend on the chunk it is stepped
 in.
 """
 
+import functools
 import hashlib
 import pickle
 import warnings
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import socsamp as ss
+from socsamp import dynamics
 from socsamp.harness import CHUNK_ROWS, derive_trial_seed, trial_chunks
 
 from conftest import random_trial_config
@@ -119,23 +121,19 @@ def assert_same_trace(a, b):
             np.testing.assert_array_equal(x, y, err_msg=f.name)
 
 
-@pytest.mark.parametrize("renormalize", [True, False])
-def test_chunk_size_does_not_change_traces(renormalize):
-    # every trial of every chunk equals the same trial stepped alone by the
-    # per-trial reference loop, bit for bit
+def kernel_corpus(renormalize):
+    """13 random protocol configs, each with 9 trials, at H=150.
+
+    The random corpus need not draw one, so the last config is a birkhoff
+    network with censored sampling and b != 1, as random_censored runs,
+    whose permutations cross a block boundary at H=150.
+    """
     rng = np.random.default_rng(808)
-    n_trials = 9
-    totals = dict.fromkeys(("silent_messages", "clamped_agents"), 0)
-    censored = 0
-    kinds = set()
     for idx in range(13):
         tc, (_, base_seed), _ = random_trial_config(
             rng, idx, horizon=150, renormalize=renormalize
         )
         if idx == 12:
-            # the random corpus need not draw one: a birkhoff network with
-            # censored sampling and b != 1, as random_censored runs, whose
-            # permutations cross a block boundary at H=150
             tc = replace(
                 tc,
                 weight_model=ss.birkhoff_model(tc.n_agents, (0.4, 0.3, 0.3)),
@@ -145,14 +143,33 @@ def test_chunk_size_does_not_change_traces(renormalize):
                     renormalize=renormalize,
                 ),
             )
+        yield tc, [(j, derive_trial_seed(base_seed, j)) for j in range(9)]
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_references(renormalize):
+    """``(config, trials, reference traces)`` of :func:`kernel_corpus`."""
+    return [
+        (tc, trials, [per_trial_reference(tc, i, s)[0] for i, s in trials])
+        for tc, trials in kernel_corpus(renormalize)
+    ]
+
+
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_chunk_size_does_not_change_traces(renormalize):
+    # every trial of every chunk equals the same trial stepped alone by the
+    # per-trial reference loop, bit for bit
+    totals = dict.fromkeys(("silent_messages", "clamped_agents"), 0)
+    censored = 0
+    kinds = set()
+    for tc, trials, references in corpus_references(renormalize):
         censored += tc.policy.kind == "censored"
         kinds.add(tc.weight_model.kind)
-        trials = [(j, derive_trial_seed(base_seed, j)) for j in range(n_trials)]
         whole = ss.run_chunk(tc, trials)
         sevens = ss.run_chunk(tc, trials[:7]) + ss.run_chunk(tc, trials[7:])
         for j, (index, seed) in enumerate(trials):
             single = ss.run_chunk(tc, [(index, seed)])[0]
-            assert_same_trace(per_trial_reference(tc, index, seed)[0], whole[j])
+            assert_same_trace(references[j], whole[j])
             assert_same_trace(single, whole[j])
             assert_same_trace(single, sevens[j])
             for key in totals:
@@ -162,6 +179,29 @@ def test_chunk_size_does_not_change_traces(renormalize):
     assert "birkhoff-random" in kinds
     if not renormalize:
         assert totals["silent_messages"]
+
+
+WINDOWS = pytest.mark.parametrize(
+    "window", [1, 7, None], ids=["window-1", "window-7", "window-default"]
+)
+
+
+def set_window(monkeypatch, window):
+    if window is not None:
+        monkeypatch.setattr(dynamics, "window_steps", lambda values: window)
+
+
+@WINDOWS
+def test_window_length_does_not_change_traces(monkeypatch, window):
+    # a window's reductions give every step's diagnostics and snapshots the
+    # bits of the per-step reference loop; at H=150, 7-step windows end at
+    # the block boundary with a 2-step window and at the horizon with a
+    # 1-step one
+    set_window(monkeypatch, window)
+    for renormalize in (True, False):
+        for tc, trials, references in corpus_references(renormalize):
+            for reference, trace in zip(references, ss.run_chunk(tc, trials)):
+                assert_same_trace(reference, trace)
 
 
 def test_trial_chunks_cover_trials_in_order():
@@ -222,6 +262,44 @@ def test_trial_abort_diagnostics_match_reference_loop():
         with pytest.raises(ss.TrialAborted) as reference:
             per_trial_reference(tc, 0, 3)
     assert kernel.value.step_index == reference.value.step_index == 2
+    assert str(kernel.value) == str(reference.value)
+
+
+def late_blowup_config(amplitude):
+    # birkhoff weights make the overflow step depend on the draws: at
+    # a=1e30, gamma=1 seed 3 overflows at step 11 and seeds 8 and 17 at
+    # step 12; at a=1e40 seed 3 overflows at step 8
+    return replace(
+        blowup_config(), weight_model=ss.birkhoff_model(3, (0.5, 0.3, 0.2)),
+        schedule=ss.StepSchedule(amplitude, 1.0, 0),
+    )
+
+
+@WINDOWS
+@pytest.mark.parametrize(
+    "amplitude,trials,step",
+    [(1e30, [(0, 3)], 11), (1e40, [(0, 3)], 8),
+     (1e30, [(0, 8), (1, 17), (2, 3)], 12)],
+    # with 7-step windows: step 11 is mid-window, step 8 starts one
+    ids=["mid-window", "window-start", "trial-0-after-trial-2"],
+)
+def test_window_length_keeps_aborts(monkeypatch, window, amplitude, trials, step):
+    tc = late_blowup_config(amplitude)
+    set_window(monkeypatch, window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ss.TrialAborted) as kernel:
+            ss.run_chunk(tc, trials)
+        with pytest.raises(ss.TrialAborted) as reference:
+            per_trial_reference(tc, *trials[0])
+        if len(trials) == 3:
+            # trial 2 aborts first and is reset; the chunk steps on until
+            # trial 0 aborts a step later and ends it
+            with pytest.raises(ss.TrialAborted, match="at step 11;"):
+                per_trial_reference(tc, *trials[2])
+    assert kernel.value.step_index == reference.value.step_index == step
+    assert (kernel.value.trial_index, kernel.value.seed) == trials[0]
+    assert asdict(kernel.value.diagnostics) == asdict(reference.value.diagnostics)
     assert str(kernel.value) == str(reference.value)
 
 
