@@ -63,7 +63,6 @@ from .network import (
 from .sampling import (
     SamplingPolicy,
     categorical_covariance,
-    draw_messages,
     message_uniform_blocks,
     substream,
 )

@@ -36,8 +36,6 @@ def _add_common(sub):
 
 def _apply_overrides(cfg, args):
     updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
     if getattr(args, "replications", None) is not None:
         updates["replications"] = args.replications
     if args.out is not None:
@@ -76,7 +74,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        # the seed is read with the file: random initial opinions derive from it
+        cfg = load_config(args.config, master_seed=getattr(args, "seed", None))
         if args.command != "check":
             cfg = _apply_overrides(cfg, args)
         return _run(args, cfg)

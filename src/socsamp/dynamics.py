@@ -211,23 +211,31 @@ def _check_update_args(state, w, mix, messages):
     return w, y
 
 
-def _increment(w, q, y, ym_q, ab_col, b_col):
+def _increment(w, q, y, ym_q, ab_col, b_col, out=None):
     """``(Q_{k+1} - Q_k) / d`` of one round, for one state or a batch.
 
-    ``ab_col`` is None when every ``b_ii`` is 1: the retained and the
-    transmitted own estimate then cancel, leaving ``W Y - Y``.
+    ``ab_col`` and ``b_col`` are None when every ``b_ii`` is 1: the retained
+    and the transmitted own estimate then cancel, leaving ``W Y - Y``, and
+    ``ym_q`` is not read.  The increment is written into ``out`` when given.
     """
+    inc = np.matmul(w, y, out=out)
     if ab_col is None:
-        return w @ y - y
-    return w @ y - ab_col * q - b_col * ym_q
+        inc -= y
+    else:
+        inc -= ab_col * q
+        inc -= b_col * ym_q
+    return inc
 
 
 def _martingale_noise(w, wbar, b_col, ym_p, p, out=None):
     """``(W - B)(Y - P) + (W - Wbar) P`` for one state or a batch.
 
-    The second term is left out when ``w is wbar``, where it is zero.
+    ``b_col`` is None when every ``b_ii`` is 1, where ``B (Y - P)`` is
+    ``Y - P`` exactly.  The second term is left out when ``w is wbar``, where
+    it is zero.  The noise is written into ``out`` when given.
     """
-    mart = np.subtract(w @ ym_p, b_col * ym_p, out=out)
+    mart = np.matmul(w, ym_p, out=out)
+    mart -= ym_p if b_col is None else b_col * ym_p
     if wbar is not w:
         mart += (w - wbar) @ p
     return mart
@@ -236,8 +244,9 @@ def _martingale_noise(w, wbar, b_col, ym_p, p, out=None):
 def _mixing_columns(mix):
     """``(ab_col, b_col)`` as :func:`_increment` takes them."""
     b = mix.b_diag
-    ab_col = None if np.all(b == 1.0) else (mix.a_diag + b)[:, None]
-    return ab_col, b[:, None]
+    if np.all(b == 1.0):
+        return None, None
+    return (mix.a_diag + b)[:, None], b[:, None]
 
 
 def update_step(state, w, mix, messages, delta_k):
@@ -318,10 +327,16 @@ def run_chunk(cfg, trials):
     The steps run in windows of :func:`window_steps` steps.  Inside a window
     a step does only what the next step reads: it writes its state, and its
     martingale noise when noise is recorded, into a row of a window buffer.
-    The diagnostics (noise norms, sum drift, negativity, finiteness) and the
-    snapshots at checkpoints are then taken over the whole window in a few
-    calls.  Maxima, counts and snapshots do not depend on the order they
-    are taken in, so the window length never changes a bit.
+    It draws its messages with the three-pass :func:`inverse_cdf_draw` into
+    buffers allocated once per chunk, and computes the noise and the update
+    with ``out=`` and in place.  On the fixed and switching networks under
+    the direct policy with every ``b_ii = 1``, the one array a step
+    allocates is the copy of its uniforms out of their block.
+    The diagnostics (silent messages, noise norms, sum drift, negativity,
+    finiteness) and the snapshots at checkpoints are then taken over the
+    whole window in a few calls; the silent count reads the last row of each
+    step's draw buffer.  Maxima, counts and snapshots do not depend on the
+    order they are taken in, so the window length never changes a bit.
 
     A trial that hits a non-finite value is put back to its initial state
     and stepped on, so that it cannot disturb the rest; the chunk then
@@ -399,10 +414,15 @@ def run_chunk(cfg, trials):
         )
 
     record_noise = cfg.record_noise and n >= 2
-    # the states after each step of a window, and the martingale noise of
-    # each step
+    # the states after each step of a window, the martingale noise of each
+    # step, and each step's draw work of inverse_cdf_draw, whose last row
+    # marks the agents that sent a message
     states = np.empty((window, chunk, n, m))
     noises = np.empty_like(states) if record_noise else None
+    draws = np.zeros((window, m + 1, chunk * n))
+    # one step's messages, their differences from the state and from the
+    # sampling distributions, and its increment
+    y, ym_q, ym_p, inc = np.empty((4, chunk, n, m))
     snapshots = np.empty((chunk, len(checkpoints), n, m))
     errs = np.empty((chunk, len(checkpoints)))
 
@@ -453,18 +473,18 @@ def run_chunk(cfg, trials):
                     if p is not q:
                         fallbacks += fell_back
                         clamped += clamps
-                y, active = inverse_cdf_draw(p, us[j])
-                if not active.all():
-                    silent += n - active.sum(axis=1)
+                inverse_cdf_draw(p, us[j], out=y, work=draws[j - a])
 
-                ym_q = y - q
-                ym_p = ym_q if p is q else y - p
                 if record_noise:
+                    np.subtract(y, p, out=ym_p)
                     _martingale_noise(w, wbar, b_col, ym_p, p, out=noises[j - a])
-                increment = _increment(w, q, y, ym_q, ab_col, b_col)
-                q = np.add(q, delta * increment, out=states[j - a])
+                if ab_col is not None:  # the update reads y - q only when b != 1
+                    np.subtract(y, q, out=ym_q)
+                _increment(w, q, y, ym_q, ab_col, b_col, out=inc)
+                inc *= delta
+                q = np.add(q, inc, out=states[j - a])
                 # one reduction over the chunk; a NaN fails it too
-                pass_through = direct and q.min() >= 0.0
+                pass_through = direct and np.minimum.reduce(q, axis=None) >= 0.0
                 clean = clean and pass_through
 
             steps = b - a
@@ -483,6 +503,9 @@ def run_chunk(cfg, trials):
                 # negative difference at 0
                 np.subtract(mart_sq, n * cc, out=noise_sq)
             np.abs(window_states.sum(axis=3) - 1.0).max(axis=2, out=drift)
+            # each step's active row holds a 1.0 per agent that sent a message
+            sent = np.add.reduce(draws[:steps, m].reshape(steps, chunk, n), axis=(0, 2))
+            silent += steps * n - sent.astype(np.int64)
             if not clean:
                 # a NaN fails the comparison, so it adds to no count
                 qmin = window_states.min(axis=(2, 3))

@@ -243,8 +243,13 @@ def _build_model(cp, n, base_dir):
     raise ConfigError(f"network.kind: unknown kind {kind!r}")
 
 
-def load_config(path):
-    """Parse and fully validate an experiment config file."""
+def load_config(path, master_seed=None):
+    """Parse and fully validate an experiment config file.
+
+    ``master_seed``, when given, stands in for the file's ``master_seed``
+    everywhere the file's would go, ``random:`` initial opinions included,
+    so the config is the one a copy of the file with that seed would give.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -256,7 +261,8 @@ def load_config(path):
         m = cp.getint("experiment", "opinions")
         horizon = cp.getint("experiment", "horizon")
         replications = cp.getint("experiment", "replications", fallback=1)
-        master_seed = cp.getint("experiment", "master_seed", fallback=0)
+        if master_seed is None:
+            master_seed = cp.getint("experiment", "master_seed", fallback=0)
     # the network, the mixing and the default initial opinions are built
     # from the counts
     _check_counts(n, m)
@@ -521,15 +527,16 @@ def _trace_template(checkpoints, n_agents, n_opinions):
     """A trace file as one ``%`` template: the header, then a line per value
     with its checkpoint, agent and component filled in.
 
-    Every trial of a run shares it, so it is built once per process.
+    Every trial of a run shares it, so it is built once per process.  Each
+    checkpoint's lines are one ``join`` of the checkpoint over the line ends
+    that follow it, which every checkpoint shares.
     """
-    rows = "".join(
-        f"{k},{i},{c},%.17g\n"
-        for k in checkpoints
+    ends = [""] + [
+        f",{i},{c},%.17g\n"
         for i in range(1, n_agents + 1)
         for c in range(1, n_opinions + 1)
-    )
-    return "k,agent,component,value\n" + rows
+    ]
+    return "k,agent,component,value\n" + "".join(str(k).join(ends) for k in checkpoints)
 
 
 def write_trace(trace, path):

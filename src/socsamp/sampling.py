@@ -154,42 +154,37 @@ def policy_matrix(policy, q, delta_k):
     return p, _count(fallbacks), _count(neg_rows)
 
 
-def inverse_cdf_draw(p, uniforms):
+def inverse_cdf_draw(p, uniforms, out=None, work=None):
     """One-hot draws by inverse CDF, one uniform per row, without validation.
 
     ``p`` has shape ``(..., M)`` with finite nonnegative rows, and
     ``uniforms`` the shape ``p.shape[:-1]``.  Returns ``(messages, active)``:
-    a row whose uniform falls beyond its total mass gets the zero (silent)
-    message and ``active`` False.  Use :func:`draw_messages` for rows that
-    are not known to be valid.
+    ``messages`` has the shape of ``p``, and ``active`` the shape of
+    ``uniforms``, 1.0 where a message was sent and 0.0 where the uniform
+    falls beyond the row's total mass, which gets the zero (silent)
+    message.  Rows that are not known to be valid must be checked first.
+
+    The draw takes three passes over the ``(M, rows)`` transposed view, one
+    component at a time: the CDF, ``u < cdf`` and the difference of adjacent
+    components.  ``out``, a C-contiguous array of ``p``'s shape, receives the
+    messages, and ``work``, a C-contiguous ``(M + 1, rows)`` float array
+    whose row 0 is zero, the CDF and then the comparison; ``active`` is its
+    last row.  A caller that draws every step passes both, so the draw
+    allocates nothing when ``uniforms`` is contiguous.
     """
+    m = p.shape[-1]
+    rows = uniforms.size
+    if out is None:
+        out = np.empty(p.shape)
+    if work is None:
+        work = np.zeros((m + 1, rows))
+    below = work[1:]
+    np.add.accumulate(p.reshape(rows, m).T, axis=0, out=below)
     # a nonnegative row has a nondecreasing CDF, so ``u < cdf`` switches on
     # once, at the drawn component, and stays on
-    below = uniforms[..., None] < np.add.accumulate(p, axis=-1)
-    messages = below.astype(float)
-    messages[..., 1:] -= messages[..., :-1]
-    return messages, below[..., -1]
-
-
-def draw_messages(p, uniforms):
-    """Inverse-CDF one-hot draws, one uniform per row.
-
-    ``p`` is one distribution, a matrix of rows, or a batch ``(..., M)``.
-    Rows must be finite and nonnegative with sums at most 1 (tiny
-    tolerance); residual mass of a sub-stochastic row yields the zero
-    (silent) message.
-    """
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    if not np.isfinite(p).all():
-        raise ValueError("non-finite component in sampling distribution")
-    if (p < 0.0).any():
-        raise ValueError("negative component in sampling distribution")
-    if (np.cumsum(p, axis=-1)[..., -1] > 1.0 + 1e-12).any():
-        raise ValueError("sampling distribution components sum to more than 1")
-    u = np.asarray(uniforms, dtype=float)
-    if u.size != p.size // p.shape[-1]:
-        raise ValueError("need exactly one uniform per distribution row")
-    return inverse_cdf_draw(p, u.reshape(p.shape[:-1]))[0]
+    np.less(uniforms.reshape(rows), below, out=below)
+    np.subtract(below, work[:-1], out=out.reshape(rows, m).T)
+    return out, work[m].reshape(uniforms.shape)
 
 
 def categorical_covariance(q_star, n_agents):

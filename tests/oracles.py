@@ -3,11 +3,14 @@
 These deliberately take different computational routes than the library:
 brute-force transitive closure for reachability, direct numerical
 quadrature of the matrix-exponential integral for the stationary covariance,
-a row-at-a-time sampling map, a one-matrix-at-a-time birkhoff weight draw
-for the block-streamed batched one, a one-trial-at-a-time step loop for the
-trial-batched kernel, the dense (N-1)M-dimensional Lyapunov solve for the
-Kronecker-factored asymptotic covariance, and a one-value-at-a-time writer
-for the whole-file trace and vector formatters.
+a row-at-a-time sampling map, a whole-row five-pass inverse-CDF draw for
+the component-at-a-time three-pass one, a one-matrix-at-a-time birkhoff
+weight draw for the block-streamed batched one, a one-trial-at-a-time step
+loop for the trial-batched kernel, the dense (N-1)M-dimensional Lyapunov
+solve for the Kronecker-factored asymptotic covariance, and a
+one-value-at-a-time writer for the whole-file trace and vector formatters.
+It also holds :func:`draw_messages`, the validating draw the statistical
+tests use.
 """
 
 import math
@@ -67,6 +70,43 @@ def random_doubly_stochastic(rng, n, n_perms=3, min_coef=0.05):
         perm = rng.permutation(n)
         w[np.arange(n), perm] += c
     return w
+
+
+def reference_inverse_cdf_draw(p, uniforms):
+    """One-hot inverse-CDF draws over whole rows, in five passes.
+
+    The CDF along the last axis, ``u < cdf``, a cast to float, the shifted
+    difference and the last column.  Returns ``(messages, active)`` with
+    ``active`` boolean; ``inverse_cdf_draw`` must give the same messages and
+    an ``active`` of 1.0 exactly where this one is True.
+    """
+    below = uniforms[..., None] < np.add.accumulate(p, axis=-1)
+    messages = below.astype(float)
+    messages[..., 1:] -= messages[..., :-1]
+    return messages, below[..., -1]
+
+
+def draw_messages(p, uniforms):
+    """Inverse-CDF one-hot draws, one uniform per row, with validation.
+
+    ``p`` is one distribution, a matrix of rows, or a batch ``(..., M)``.
+    Rows must be finite and nonnegative with sums at most 1 (tiny
+    tolerance); residual mass of a sub-stochastic row yields the zero
+    (silent) message.
+    """
+    from socsamp.sampling import inverse_cdf_draw
+
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite component in sampling distribution")
+    if (p < 0.0).any():
+        raise ValueError("negative component in sampling distribution")
+    if (np.cumsum(p, axis=-1)[..., -1] > 1.0 + 1e-12).any():
+        raise ValueError("sampling distribution components sum to more than 1")
+    u = np.asarray(uniforms, dtype=float)
+    if u.size != p.size // p.shape[-1]:
+        raise ValueError("need exactly one uniform per distribution row")
+    return inverse_cdf_draw(p, u.reshape(p.shape[:-1]))[0]
 
 
 def reference_weight_matrix(model, rng):

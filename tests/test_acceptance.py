@@ -14,10 +14,11 @@ import pytest
 import socsamp as ss
 from socsamp.dynamics import decompose_step
 from socsamp.network import sample_weight_matrix, step_mean_matrix
-from socsamp.sampling import draw_messages, policy_matrix, substream
+from socsamp.sampling import policy_matrix, substream
 
 from conftest import random_trial_config
 from oracles import (
+    draw_messages,
     lyapunov_quadrature,
     per_trial_reference,
     random_doubly_stochastic,

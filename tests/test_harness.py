@@ -435,6 +435,31 @@ def test_cli_flag_overrides(tmp_path):
     assert not (out / "trace_2.csv").exists()
 
 
+def test_cli_seed_redraws_random_initial_opinions(tmp_path, capsys):
+    # --seed stands in for the file's master_seed, so random: initial
+    # opinions are drawn from it and the run is that of a copy of the file
+    # with that seed
+    text = (CONFIG_DIR / "consensus_n50.cfg").read_text(encoding="utf-8")
+    text = text.replace("horizon = 20000", "horizon = 200")
+    original = write_cfg(tmp_path, text)
+    reseeded = tmp_path / "reseeded.cfg"
+    reseeded.write_text(
+        text.replace("master_seed = 20230917", "master_seed = 5"), encoding="utf-8"
+    )
+    assert ss.load_config(reseeded).initial_samples != ss.load_config(original).initial_samples
+    common = ["--replications", "2", "--stride", "100"]
+    assert cli_main(
+        ["simulate", str(original), "--seed", "5", "--out", str(tmp_path / "flag"), *common]
+    ) == 0
+    assert cli_main(
+        ["simulate", str(reseeded), "--out", str(tmp_path / "copy"), *common]
+    ) == 0
+    capsys.readouterr()
+    assert (tmp_path / "flag" / "summary.txt").read_bytes() == (
+        tmp_path / "copy" / "summary.txt"
+    ).read_bytes()
+
+
 def test_cli_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli_main(["frobnicate", "x.cfg"])
@@ -554,3 +579,11 @@ def test_formatters_match_per_value_reference(tmp_path):
                 trace.checkpoints, trace.snapshots
             ).encode()
         start += c * n * m
+    # a dense stride, as replay writes it: every step from 0 to the horizon
+    trace = SimpleNamespace(
+        checkpoints=list(range(201)), snapshots=list(np.resize(values, (201, 3, 4)))
+    )
+    write_trace(trace, path)
+    assert path.read_bytes() == reference_trace_text(
+        trace.checkpoints, trace.snapshots
+    ).encode()

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socsamp as ss
-from socsamp.sampling import censor_threshold, policy_matrix
+from socsamp.sampling import censor_threshold, inverse_cdf_draw, policy_matrix
 
-from oracles import reference_policy_matrix
+from oracles import draw_messages, reference_inverse_cdf_draw, reference_policy_matrix
 
 DIRECT = ss.SamplingPolicy("direct")
 
@@ -192,7 +192,7 @@ def test_stacked_censoring_bound_with_quadratic_floor(n, m, seed):
 def test_draw_message_deterministic():
     rng = ss.substream(0, 0)
     for _ in range(20):
-        y = ss.draw_messages(np.array([1.0, 0.0, 0.0]), rng.random(1))[0]
+        y = draw_messages(np.array([1.0, 0.0, 0.0]), rng.random(1))[0]
         np.testing.assert_array_equal(y, [1.0, 0.0, 0.0])
 
 
@@ -203,7 +203,7 @@ def test_draw_message_frequencies():
     n_draws = 100_000
     u = rng.random(n_draws)
     count = sum(
-        ss.draw_messages(p, u[j : j + 1])[0, 0] for j in range(n_draws)
+        draw_messages(p, u[j : j + 1])[0, 0] for j in range(n_draws)
     )
     assert abs(count / n_draws - 0.5) <= 0.006
 
@@ -212,7 +212,7 @@ def test_draw_message_residual_mass_is_silent():
     rng = ss.substream(4242, 0)
     p = np.array([0.4, 0.4])
     n_draws = 100_000
-    y = ss.draw_messages(np.tile(p, (n_draws, 1)), rng.random(n_draws))
+    y = draw_messages(np.tile(p, (n_draws, 1)), rng.random(n_draws))
     silent = (y.sum(axis=1) == 0).mean()
     assert abs(silent - 0.2) <= 0.006
 
@@ -221,28 +221,28 @@ def test_draw_message_unbiased():
     rng = ss.substream(7, 0)
     p = np.array([0.1, 0.2, 0.3, 0.4])
     n_draws = 100_000
-    y = ss.draw_messages(np.tile(p, (n_draws, 1)), rng.random(n_draws))
+    y = draw_messages(np.tile(p, (n_draws, 1)), rng.random(n_draws))
     se = np.sqrt(p * (1 - p) / n_draws)
     assert (np.abs(y.mean(axis=0) - p) <= 4 * se).all()
     # a batch of matrices draws row by row with the same uniforms
     u = ss.substream(7, 1).random(12)
     rows = np.tile(p, (12, 1))
     np.testing.assert_array_equal(
-        ss.draw_messages(rows.reshape(3, 4, 4), u.reshape(3, 4)).reshape(12, 4),
-        ss.draw_messages(rows, u),
+        draw_messages(rows.reshape(3, 4, 4), u.reshape(3, 4)).reshape(12, 4),
+        draw_messages(rows, u),
     )
 
 
 def test_draw_message_rejects_negative():
     rng = ss.substream(1, 0)
     with pytest.raises(ValueError, match="negative"):
-        ss.draw_messages(np.array([-0.1, 1.1]), rng.random(1))
+        draw_messages(np.array([-0.1, 1.1]), rng.random(1))
 
 
 def test_draw_message_rejects_super_stochastic():
     rng = ss.substream(1, 0)
     with pytest.raises(ValueError, match="more than 1"):
-        ss.draw_messages(np.array([0.7, 0.7]), rng.random(1))
+        draw_messages(np.array([0.7, 0.7]), rng.random(1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -250,7 +250,39 @@ def test_draw_messages_rejects_non_finite(bad):
     # a NaN passes both the sign and the sum check; the inverse-CDF draw
     # would turn it into a message that is not one-hot
     with pytest.raises(ValueError, match="non-finite"):
-        ss.draw_messages(np.array([[0.5, bad], [0.5, 0.5]]), np.array([0.2, 0.2]))
+        draw_messages(np.array([[0.5, bad], [0.5, 0.5]]), np.array([0.2, 0.2]))
+
+
+@given(
+    m=st.integers(1, 6),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_inverse_cdf_draw_matches_five_pass_reference(m, shape, seed):
+    # the component-at-a-time draw against the whole-row one, bit for bit,
+    # on (R, N, M) batches with zero leading and trailing components,
+    # sub-stochastic and all-zero (silent) rows, and uniforms equal to a
+    # partial sum of their row or to 0
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(m), size=shape)
+    p[..., : rng.integers(0, m)] = 0.0
+    p[..., m - rng.integers(0, m) :] = 0.0
+    p *= rng.choice([1.0, 1.0, 0.5, 0.0], size=(*shape, 1))
+    u = rng.random(shape)
+    on_sum = rng.random(shape) < 0.4
+    cdf = np.add.accumulate(p, axis=-1)
+    u[on_sum] = np.take_along_axis(cdf, rng.integers(0, m, (*shape, 1)), -1)[on_sum, 0]
+    u[rng.random(shape) < 0.1] = 0.0
+    expected, expected_active = reference_inverse_cdf_draw(p, u)
+    out, work = np.empty_like(p), np.zeros((m + 1, u.size))
+    # fresh buffers, then the same buffers again, as the kernel reuses them
+    for kwargs in ({}, {"out": out, "work": work}, {"out": out, "work": work}):
+        messages, active = inverse_cdf_draw(p, u, **kwargs)
+        assert messages.shape == p.shape and active.shape == u.shape
+        np.testing.assert_array_equal(messages, expected)
+        assert not np.signbit(messages).any()
+        np.testing.assert_array_equal(active, expected_active.astype(float))
 
 
 def uniform_panel(seeds, n_agents, horizon):
@@ -311,7 +343,7 @@ def test_per_component_variances_match_empirical():
     q = np.array([0.2, 0.3, 0.4, 0.1])
     rng = ss.substream(2718, 0)
     n_draws = 100_000
-    y = ss.draw_messages(np.tile(q, (n_draws, 1)), rng.random(n_draws))
+    y = draw_messages(np.tile(q, (n_draws, 1)), rng.random(n_draws))
     dev = y - q
     var = (dev**2).mean(axis=0)
     se = np.sqrt(2.0 / n_draws) * q * (1 - q) * 4  # generous scale bound
@@ -323,7 +355,7 @@ def test_categorical_covariance_matches_empirical_including_cross_terms():
     q = np.array([0.2, 0.3, 0.4, 0.1])
     rng = ss.substream(999, 0)
     n_draws = 100_000
-    y = ss.draw_messages(np.tile(q, (n_draws, 1)), rng.random(n_draws))
+    y = draw_messages(np.tile(q, (n_draws, 1)), rng.random(n_draws))
     dev = y - q
     emp = dev.T @ dev / n_draws
     exact = ss.categorical_covariance(q, 1)
