@@ -16,8 +16,6 @@ from .analysis import (
     lyapunov_residual,
     lyapunov_solve,
     q_star_prediction,
-    reconstruct_state,
-    reduce_state,
     reduced_drift,
     s0_matrix,
     s_tilde,
@@ -27,11 +25,9 @@ from .dynamics import (
     StepSchedule,
     TrialAborted,
     TrialTrace,
-    decompose_step,
     default_checkpoints,
     noise_norm_bound,
     run_chunk,
-    update_step,
 )
 from .harness import (
     ExperimentConfig,
@@ -42,7 +38,6 @@ from .harness import (
     replay_trial,
     run_experiment,
     run_trials,
-    save_config,
 )
 from .network import (
     WeightMatrixModel,
@@ -52,7 +47,6 @@ from .network import (
     jointly_connected,
     mean_matrix,
     metropolis_complete,
-    sample_weight_matrix,
     spectral_gap,
     strongly_connected,
     switching_model,
@@ -70,9 +64,7 @@ from .state import (
     StackedState,
     as_opinion_vector,
     consensus_error,
-    empirical_distribution,
     initial_state,
-    is_simplex,
     network_average,
 )
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.stats
 
-from .network import WeightMatrixModel, mean_matrix, spectral_gap
+from .network import mean_matrix, spectral_gap
 from .sampling import categorical_covariance
 from .state import StackedState, as_opinion_vector, network_average
 
@@ -73,20 +73,6 @@ def build_projection(n):
     return ProjectionBasis(t1=t1, t=t)
 
 
-def reduce_state(state, basis):
-    """Disagreement coordinate ``xi``: the state projected off the consensus line."""
-    q = state.q if isinstance(state, StackedState) else np.asarray(state, dtype=float)
-    return (basis.t1 @ q).reshape(-1)
-
-
-def reconstruct_state(xi, average, basis):
-    """Inverse of :func:`reduce_state` given the network average."""
-    n = basis.n_agents
-    average = np.asarray(average, dtype=float)
-    xi_mat = np.asarray(xi, dtype=float).reshape(n - 1, average.size)
-    return basis.t1.T @ xi_mat + np.ones((n, 1)) * average[None, :]
-
-
 def q_star_prediction(state0):
     """Consensus limit in the conserving regime (b_ii = 1): the initial average."""
     return network_average(state0)
@@ -129,16 +115,14 @@ def reduced_drift(wbar, basis, delta):
     return ReducedDrift(fbar=fbar, shifted=shifted, lambda2=lam2, delta=delta)
 
 
-def s0_matrix(model, basis):
-    """Agent-space factor ``g = L L.T`` of the reduced driving noise.
+def s0_matrix(wbar, basis):
+    """Agent-space factor ``g = L L.T`` of the reduced driving noise, where
+    ``L`` is :func:`disagreement_rows` of the mean matrix ``wbar``.
 
     Every agent's message has the same limit covariance ``c``, so the
     driving noise is ``kron(L, I) kron(I_N, c) kron(L, I).T = kron(g, c)``.
-    ``model`` may be a weight model or an explicit mean matrix.
     """
-    if isinstance(model, WeightMatrixModel):
-        model = mean_matrix(model)
-    left = disagreement_rows(model, basis)
+    left = disagreement_rows(wbar, basis)
     g = left @ left.T
     return (g + g.T) / 2.0
 

@@ -7,7 +7,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import asymptotic_report, q_star_prediction
 from .dynamics import TrialAborted
 from .harness import (
     ConfigError,
@@ -16,11 +15,11 @@ from .harness import (
     fmt,
     load_config,
     replay_trial,
-    report_text,
     run_experiment,
+    theory_report,
+    write_report,
     write_trace,
 )
-from .state import initial_state
 
 
 def _add_common(sub):
@@ -105,27 +104,17 @@ def _run(args, cfg):
         return 0
 
     if args.command == "analyze":
-        q_star = q_star_prediction(initial_state(cfg.initial_samples, cfg.n_opinions))
         try:
-            report = asymptotic_report(
-                cfg.weight_model,
-                cfg.schedule.limit_constant,
-                q_star,
-                cfg.n_opinions,
-            )
+            report = theory_report(cfg)
         except ValueError as e:  # StabilityError among them
             print(f"analysis failed: {e}", file=sys.stderr)
             return 2
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(
-            report_text(report), encoding="utf-8", newline="\n"
-        )
+        path = write_report(report, cfg.out_dir)
         print(f"q_star = {','.join(fmt(x) for x in report.q_star)}")
         print(f"lambda2 = {fmt(report.lambda2)}")
         print(f"delta = {fmt(report.delta)}")
         print(f"lyapunov_residual = {fmt(report.lyapunov_residual)}")
-        print(f"report written to {out / 'report.txt'}")
+        print(f"report written to {path}")
         return 0
 
     # replay, the last of the parser's subcommands

@@ -8,7 +8,7 @@ sampling distribution, transmits, and moves its estimate by
 with step size ``d``, self-weight included in the neighbor sum.  The noise
 split used throughout the analysis writes the realized increment as
 ``d * (drift + censor_noise + martingale_noise)`` where the drift uses the
-mean weight matrix; :func:`decompose_step` reproduces that split exactly.
+mean weight matrix; :func:`_martingale_noise` computes the last part.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .network import (
     SWITCHING,
     birkhoff_permutation_blocks,
     birkhoff_weights,
+    iid_picks,
     mean_matrix,
 )
 from .sampling import (
@@ -114,19 +115,6 @@ class MixingMatrices:
         return self.b_diag.shape[0]
 
 
-@dataclass(frozen=True)
-class StepDecomposition:
-    """Split of one realized increment into drift and the two noise parts.
-
-    ``delta_k * (drift + censor_noise + martingale_noise)`` equals the
-    realized increment exactly.
-    """
-
-    drift: np.ndarray
-    censor_noise: np.ndarray
-    martingale_noise: np.ndarray
-
-
 @dataclass
 class TrialDiagnostics:
     """Counters and maxima accumulated while a trial runs."""
@@ -198,25 +186,15 @@ def resolve_checkpoints(spec, horizon):
     return tuple(ks)
 
 
-def _check_update_args(state, w, mix, messages):
-    n, m = state.n_agents, state.n_opinions
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(messages, dtype=float)
-    if w.shape != (n, n):
-        raise ValueError(f"weight matrix shape {w.shape} does not match {n} agents")
-    if y.shape != (n, m):
-        raise ValueError(f"messages shape {y.shape} does not match state ({n}, {m})")
-    if mix.n_agents != n:
-        raise ValueError("mixing diagonal length does not match agent count")
-    return w, y
-
-
 def _increment(w, q, y, ym_q, ab_col, b_col, out=None):
     """``(Q_{k+1} - Q_k) / d`` of one round, for one state or a batch.
 
     ``ab_col`` and ``b_col`` are None when every ``b_ii`` is 1: the retained
     and the transmitted own estimate then cancel, leaving ``W Y - Y``, and
     ``ym_q`` is not read.  The increment is written into ``out`` when given.
+    Its rows sum to 0 when every message is one-hot and every estimate sums
+    to 1.  A silent (all-zero) message carries no mass, so the agents that
+    hear it lose component sum.
     """
     inc = np.matmul(w, y, out=out)
     if ab_col is None:
@@ -247,39 +225,6 @@ def _mixing_columns(mix):
     if np.all(b == 1.0):
         return None, None
     return (mix.a_diag + b)[:, None], b[:, None]
-
-
-def update_step(state, w, mix, messages, delta_k):
-    """One synchronous protocol round.
-
-    With one-hot messages and estimates that sum to 1, each agent's
-    component sum is preserved (up to rounding, which b != 1 lets build up).
-    A silent (all-zero) message, which censored sampling without
-    renormalization emits, carries no mass, so the agents that hear it lose
-    component sum: silent runs do not conserve it.
-    """
-    w, y = _check_update_args(state, w, mix, messages)
-    q = state.q
-    increment = _increment(w, q, y, y - q, *_mixing_columns(mix))
-    return StackedState(q + delta_k * increment, state.step_index + 1)
-
-
-def decompose_step(state, w, wbar, mix, p, messages, delta_k):
-    """Drift / censoring-noise / martingale-noise split of one step.
-
-    ``wbar`` must be the mean of the weight-matrix model in force; ``p`` is
-    the matrix of per-agent sampling distributions the messages were drawn
-    from.
-    """
-    w, y = _check_update_args(state, w, mix, messages)
-    wbar = np.asarray(wbar, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = state.q
-    b = mix.b_diag[:, None]
-    drift = wbar @ q - q
-    censor = wbar @ (p - q) - b * (p - q)
-    mart = _martingale_noise(w, wbar, b, y - p, p)
-    return StepDecomposition(drift, censor, mart)
 
 
 def noise_norm_bound(n_agents, n_opinions):
@@ -360,14 +305,8 @@ def run_chunk(cfg, trials):
     ab_col, b_col = _mixing_columns(cfg.mixing)
 
     if model.kind == IID:
-        probs = np.asarray(model.probabilities)
         support = np.stack(model.support)
-        small = np.min_scalar_type(len(model.support) - 1)
-        picks = np.stack([
-            weight_stream(s).choice(len(model.support), size=horizon, p=probs)
-            .astype(small)
-            for s in seeds
-        ], axis=1)
+        picks = iid_picks(model, [weight_stream(s) for s in seeds], horizon)
     wbar_static = mean_matrix(model) if model.kind in (IID, BIRKHOFF) else None
 
     # each block of steps' uniforms, (steps, chunk, n), and birkhoff
@@ -393,8 +332,9 @@ def run_chunk(cfg, trials):
     max_negative = np.zeros(chunk)
     # a window writes each step's squared martingale norm, squared projected
     # noise norm (both 0 without noise recording) and sum drift into
-    # ``now``; one fmax.reduce folds them into ``maxima``.  sqrt is monotone and correctly rounded, so the root of the
-    # largest square is the largest root, bit for bit
+    # ``now``; one fmax.reduce folds them into ``maxima``.  sqrt is monotone
+    # and correctly rounded, so the root of the largest square is the
+    # largest root, bit for bit
     window = min(window_steps(chunk * n * m), horizon)
     maxima = np.zeros((3, chunk))
     now = np.zeros((3, window, chunk))

@@ -41,7 +41,7 @@ from .network import (
     metropolis_complete,
     switching_model,
 )
-from .sampling import SamplingPolicy
+from .sampling import SamplingPolicy, init_stream
 from .state import initial_state
 
 
@@ -179,12 +179,23 @@ def _parse_floats(text):
 
 
 def _resolve_initial(spec, n_agents, n_opinions, master_seed):
-    spec = spec.strip()
-    if spec.startswith("samples:"):
-        return tuple(
-            int(tok) for tok in spec[len("samples:"):].split(",") if tok.strip()
-        )
-    if spec.startswith("random:"):
+    """The initial opinions of ``experiment.initial``.
+
+    No spec draws them from the uniform law, as ``random:`` with ``1/M``
+    for every opinion would.
+    """
+    if spec is None:
+        probs = [1.0 / n_opinions] * n_opinions
+    else:
+        spec = spec.strip()
+        if spec.startswith("samples:"):
+            return tuple(
+                int(tok) for tok in spec[len("samples:"):].split(",") if tok.strip()
+            )
+        if not spec.startswith("random:"):
+            raise ConfigError(
+                "experiment.initial must start with 'samples:' or 'random:'"
+            )
         probs = _parse_floats(spec[len("random:"):])
         if len(probs) != n_opinions:
             raise ConfigError(
@@ -194,14 +205,9 @@ def _resolve_initial(spec, n_agents, n_opinions, master_seed):
             raise ConfigError(
                 "experiment.initial: probabilities must be nonnegative and sum to 1"
             )
-        from .sampling import init_stream
-
-        rng = init_stream(master_seed)
-        draws = rng.choice(n_opinions, size=n_agents, p=np.asarray(probs))
-        return tuple(int(x) + 1 for x in draws)
-    raise ConfigError(
-        "experiment.initial must start with 'samples:' or 'random:'"
-    )
+    rng = init_stream(master_seed)
+    draws = rng.choice(n_opinions, size=n_agents, p=np.asarray(probs))
+    return tuple(int(x) + 1 for x in draws)
 
 
 def _parse_stride(text):
@@ -290,8 +296,7 @@ def load_config(path, master_seed=None):
 
     with _malformed("experiment.initial"):
         initial = _resolve_initial(
-            cp.get("experiment", "initial", fallback=f"random:{','.join(['%g' % (1.0 / m)] * m)}"),
-            n, m, master_seed,
+            cp.get("experiment", "initial", fallback=None), n, m, master_seed
         )
 
     with _malformed("experiment"):
@@ -371,10 +376,6 @@ def serialize_config(cfg):
     return out.getvalue()
 
 
-def save_config(cfg, path):
-    Path(path).write_text(serialize_config(cfg), encoding="utf-8", newline="\n")
-
-
 def config_digest(cfg):
     """Digest of the experiment identity.
 
@@ -449,7 +450,8 @@ def run_trials(cfg):
                 failure = e
                 break
     else:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(chunks))) as pool:
             futures = [pool.submit(_write_chunk, cfg, trials) for trials in chunks]
         # leaving the pool waited for every chunk
         for future in futures:
@@ -581,6 +583,33 @@ def report_text(report):
     return "\n".join(lines) + "\n"
 
 
+def theory_report(cfg, final_states=None):
+    """:func:`asymptotic_report` of ``cfg``'s protocol at its initial average.
+
+    With ``final_states``, the trials' final states at ``cfg.horizon``, the
+    report also compares them with the prediction.  Raises ``ValueError``
+    (:class:`StabilityError` among them) when the prediction does not exist.
+    """
+    q_star = q_star_prediction(initial_state(cfg.initial_samples, cfg.n_opinions))
+    return asymptotic_report(
+        cfg.weight_model,
+        cfg.schedule.limit_constant,
+        q_star,
+        cfg.n_opinions,
+        final_states=final_states,
+        final_step_size=cfg.schedule.step_size(cfg.horizon),
+    )
+
+
+def write_report(report, out_dir):
+    """Write :func:`report_text` to ``report.txt`` in ``out_dir``, made if
+    missing, and return its path."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    path = Path(out_dir) / "report.txt"
+    path.write_text(report_text(report), encoding="utf-8", newline="\n")
+    return path
+
+
 def run_experiment(cfg, out_dir=None):
     """Run all replications, write traces and summaries, evaluate predicates.
 
@@ -608,16 +637,8 @@ def run_experiment(cfg, out_dir=None):
 
     report = None
     if cfg.covariance or cfg.normality:
-        q_star = q_star_prediction(initial_state(cfg.initial_samples, cfg.n_opinions))
         try:
-            report = asymptotic_report(
-                cfg.weight_model,
-                cfg.schedule.limit_constant,
-                q_star,
-                cfg.n_opinions,
-                final_states=[tr.final_state for tr in traces],
-                final_step_size=cfg.schedule.step_size(cfg.horizon),
-            )
+            report = theory_report(cfg, [tr.final_state for tr in traces])
         except ValueError as e:  # StabilityError among them
             failures.append(f"analysis failed: {e}")
         if report is not None:
@@ -663,9 +684,7 @@ def run_experiment(cfg, out_dir=None):
     summary_text = "\n".join(lines) + "\n"
     (out / "summary.txt").write_text(summary_text, encoding="utf-8", newline="\n")
     if report is not None:
-        (out / "report.txt").write_text(
-            report_text(report), encoding="utf-8", newline="\n"
-        )
+        write_report(report, out)
     wall = time.perf_counter() - t0
     (out / "timing.txt").write_text(f"wall_clock_seconds = {wall:.3f}\n", encoding="utf-8")
 

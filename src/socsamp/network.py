@@ -166,19 +166,18 @@ def switching_model(support, tau=1e-6, window=0):
     )
 
 
-def sample_weight_matrix(model, k, rng=None):
-    """Weight matrix for step ``k``; random kinds draw from ``rng``."""
-    if model.kind == FIXED:
-        return model.support[0]
-    if model.kind == SWITCHING:
-        return model.support[k % len(model.support)]
-    if rng is None:
-        raise ValueError("random weight model needs a random stream")
-    if model.kind == IID:
-        idx = int(rng.choice(len(model.support), p=np.asarray(model.probabilities)))
-        return model.support[idx]
-    perms = next(birkhoff_permutation_blocks(model, [rng], 1))[0, 0]
-    return birkhoff_weights(model, perms)
+def iid_picks(model, rngs, horizon):
+    """The iid model's support index at each of ``horizon`` steps, per stream.
+
+    Returns a ``(horizon, streams)`` array in the smallest unsigned type that
+    holds every index: one ``rng.choice`` over the whole horizon per stream.
+    """
+    count = len(model.support)
+    probs = np.asarray(model.probabilities)
+    small = np.min_scalar_type(count - 1)
+    return np.stack([
+        rng.choice(count, size=horizon, p=probs).astype(small) for rng in rngs
+    ], axis=1)
 
 
 def birkhoff_permutation_blocks(model, rngs, horizon):

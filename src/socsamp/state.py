@@ -3,8 +3,7 @@
 Opinion labels are 1-based integers in ``1..M`` at every public interface;
 array indices are 0-based internally.  Estimate vectors always sum to 1 but
 may carry small negative components while the protocol is running, so
-nonnegativity is a separate predicate (:func:`is_simplex`) rather than an
-invariant.
+nonnegativity is counted as a diagnostic rather than kept as an invariant.
 """
 
 from __future__ import annotations
@@ -29,11 +28,6 @@ def as_opinion_vector(values, n_opinions=None):
     return v
 
 
-def is_simplex(values, tol=0.0):
-    """True iff every component is >= -tol."""
-    return bool(np.all(np.asarray(values, dtype=float) >= -tol))
-
-
 def _check_samples(samples, n_opinions):
     xs = []
     for i, x in enumerate(samples):
@@ -44,16 +38,6 @@ def _check_samples(samples, n_opinions):
     if not xs:
         raise ValueError("need at least one sample")
     return xs
-
-
-def empirical_distribution(samples, n_opinions):
-    """Fraction of samples taking each label, as a length-M vector.
-
-    Entries are exact multiples of 1/N and sum to 1.
-    """
-    xs = _check_samples(samples, n_opinions)
-    counts = np.bincount([x - 1 for x in xs], minlength=n_opinions)
-    return counts / float(len(xs))
 
 
 def initial_state(samples, n_opinions):
@@ -85,14 +69,6 @@ class StackedState:
             raise ValueError("step_index must be nonnegative")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-
-    @property
-    def n_agents(self):
-        return self.q.shape[0]
-
-    @property
-    def n_opinions(self):
-        return self.q.shape[1]
 
 
 def _as_matrix(state):

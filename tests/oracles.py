@@ -7,7 +7,8 @@ a row-at-a-time sampling map, a whole-row five-pass inverse-CDF draw for
 the component-at-a-time three-pass one, a one-matrix-at-a-time birkhoff
 weight draw for the block-streamed batched one, a one-trial-at-a-time step
 loop for the trial-batched kernel, the dense (N-1)M-dimensional Lyapunov
-solve for the Kronecker-factored asymptotic covariance, and a
+solve for the Kronecker-factored asymptotic covariance, a bincount
+histogram for the network average of one-hot states, and a
 one-value-at-a-time writer for the whole-file trace and vector formatters.
 It also holds :func:`draw_messages`, the validating draw the statistical
 tests use.
@@ -59,6 +60,12 @@ def lyapunov_quadrature(a, s0, tail_tol=1e-16):
         integrand, 0.0, horizon, epsabs=1e-13, epsrel=1e-10
     )
     return val
+
+
+def empirical_distribution(samples, n_opinions):
+    """Fraction of the 1-based ``samples`` taking each label, by bincount."""
+    counts = np.bincount(np.asarray(samples) - 1, minlength=n_opinions)
+    return counts / float(len(samples))
 
 
 def random_doubly_stochastic(rng, n, n_perms=3, min_coef=0.05):
@@ -213,9 +220,8 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
     reference that the kernel must reproduce bit for bit.  It steps trial
     ``(trial_index, seed)`` of the experiment ``config`` and draws the same
     streams as the kernel (a full uniform panel per agent, one weight stream
-    per trial), draws birkhoff weights with :func:`reference_weight_matrix`,
-    maps estimates with ``policy_map`` and uses the library only for the
-    fixed and switching weight matrices.  The default map is
+    per trial), draws birkhoff weights with :func:`reference_weight_matrix`
+    and maps estimates with ``policy_map``.  The default map is
     :func:`reference_policy_matrix`; a check of something other than the map
     may pass the library's ``policy_matrix``, which gives the same bits in
     half the time.
@@ -230,7 +236,7 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
         TrialAborted, TrialDiagnostics, TrialTrace, noise_norm_bound,
         resolve_checkpoints,
     )
-    from socsamp.network import FIXED, IID, SWITCHING, mean_matrix, sample_weight_matrix
+    from socsamp.network import FIXED, IID, SWITCHING, mean_matrix
     from socsamp.sampling import AGENT_DOMAIN, substream, weight_stream
     from socsamp.state import StackedState, initial_state
 
@@ -270,7 +276,7 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
     for k in range(1, horizon + 1):
         delta = schedule.step_size(k)
         if model.kind in (FIXED, SWITCHING):
-            w = wbar = sample_weight_matrix(model, k)
+            w = wbar = model.support[k % len(model.support)]
         elif model.kind == IID:
             w, wbar = model.support[support_idx[k - 1]], wbar_static
         else:

@@ -12,8 +12,14 @@ import numpy as np
 import pytest
 
 import socsamp as ss
-from socsamp.dynamics import decompose_step
-from socsamp.network import sample_weight_matrix, step_mean_matrix
+from socsamp.dynamics import _martingale_noise
+from socsamp.harness import theory_report
+from socsamp.network import (
+    BIRKHOFF,
+    birkhoff_permutation_blocks,
+    birkhoff_weights,
+    step_mean_matrix,
+)
 from socsamp.sampling import policy_matrix, substream
 
 from conftest import random_trial_config
@@ -156,17 +162,7 @@ def normality_run(tmp_path_factory):
 
 
 def _normality_report(cfg, traces):
-    q_star = ss.q_star_prediction(
-        ss.initial_state(cfg.initial_samples, cfg.n_opinions)
-    )
-    return ss.asymptotic_report(
-        cfg.weight_model,
-        cfg.schedule.limit_constant,
-        q_star,
-        cfg.n_opinions,
-        final_states=[tr.final_state for tr in traces],
-        final_step_size=cfg.schedule.step_size(cfg.horizon),
-    )
+    return theory_report(cfg, [tr.final_state for tr in traces])
 
 
 def test_criterion_3_asymptotic_normality(normality_run):
@@ -242,23 +238,26 @@ def test_criterion_4_lyapunov_integral_equivalence():
 def _replay_martingale(tc, seed, freeze_k, n_replays, replay_seed):
     tr = ss.run_chunk(tc, [(0, seed)])[0]
     frozen = dict(zip(tr.checkpoints, tr.snapshots))[freeze_k]
-    state = ss.StackedState(frozen, step_index=freeze_k)
     delta = tc.schedule.step_size(freeze_k + 1)
-    wbar = step_mean_matrix(tc.weight_model, freeze_k + 1)
+    model = tc.weight_model
+    wbar = step_mean_matrix(model, freeze_k + 1)
+    b = tc.mixing.b_diag[:, None]
     rng = substream(replay_seed, 99)
     n, m = tc.n_agents, tc.n_opinions
     basis = ss.build_projection(n)
     samples = np.empty((n_replays, n * m))
     max_eps = 0.0
     for r in range(n_replays):
-        w = sample_weight_matrix(tc.weight_model, freeze_k + 1, rng)
+        if model.kind == BIRKHOFF:
+            perms = next(birkhoff_permutation_blocks(model, [rng], 1))[0, 0]
+            w = birkhoff_weights(model, perms)
+        else:
+            w = model.support[0]
         p, _, _ = policy_matrix(tc.policy, frozen, delta)
         y = draw_messages(p, rng.random(n))
-        dec = decompose_step(state, w, wbar, tc.mixing, p, y, delta)
-        samples[r] = dec.martingale_noise.reshape(-1)
-        max_eps = max(
-            max_eps, float(np.linalg.norm(basis.t1 @ dec.martingale_noise))
-        )
+        mart = _martingale_noise(w, wbar, b, y - p, p)
+        samples[r] = mart.reshape(-1)
+        max_eps = max(max_eps, float(np.linalg.norm(basis.t1 @ mart)))
     return samples, max_eps
 
 
@@ -398,8 +397,7 @@ def test_criterion_7_projection_correctness():
         )
         m = int(rng.integers(1, 6))
         q = rng.normal(size=(n, m))
-        xi = ss.reduce_state(q, basis)
-        rebuilt = ss.reconstruct_state(xi, q.mean(axis=0), basis)
+        rebuilt = basis.t1.T @ (basis.t1 @ q) + q.mean(axis=0)
         worst_reconstruction = max(
             worst_reconstruction, float(np.abs(rebuilt - q).max())
         )

@@ -4,10 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socsamp as ss
-from socsamp.dynamics import resolve_checkpoints
+from socsamp.dynamics import (
+    _increment,
+    _martingale_noise,
+    _mixing_columns,
+    resolve_checkpoints,
+)
+from socsamp.sampling import policy_matrix
 
 from conftest import random_trial_config
-from oracles import per_trial_reference
+from oracles import per_trial_reference, random_doubly_stochastic
 
 
 def make_config(n, m, samples, model, b, policy, schedule, horizon, **kw):
@@ -84,33 +90,27 @@ def test_mixing_requires_a4():
 
 
 # ---------------------------------------------------------------- update
+#
+# run_chunk's own primitives: Q + d * _increment(...) is one protocol round,
+# and the realized increment splits as drift + censor noise +
+# _martingale_noise(...), with drift and censor noise written out here.
 
 
 def test_single_agent_fixed_point():
-    state = ss.StackedState(np.array([[0.3, 0.7]]))
+    q = np.array([[0.3, 0.7]])
     mix = ss.MixingMatrices.from_b(1.0, 1)
     y = np.array([[1.0, 0.0]])
-    out = ss.update_step(state, np.array([[1.0]]), mix, y, 0.3)
-    np.testing.assert_allclose(out.q, state.q, atol=1e-15)
-    assert out.step_index == 1
+    out = q + 0.3 * _increment(np.array([[1.0]]), q, y, y - q, *_mixing_columns(mix))
+    np.testing.assert_allclose(out, q, atol=1e-15)
 
 
 def test_two_agent_hand_computation():
     # one-hot opposed agents, uniform weights, messages equal to estimates
-    state = ss.StackedState(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    q = np.array([[1.0, 0.0], [0.0, 1.0]])
     mix = ss.MixingMatrices.from_b(1.0, 2)
     w = ss.metropolis_complete(2)
-    out = ss.update_step(state, w, mix, state.q, 0.1)
-    np.testing.assert_allclose(out.q, [[0.95, 0.05], [0.05, 0.95]], atol=1e-15)
-
-
-def test_update_rejects_dimension_mismatch():
-    state = ss.StackedState(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    mix = ss.MixingMatrices.from_b(1.0, 2)
-    with pytest.raises(ValueError, match="shape"):
-        ss.update_step(state, np.eye(3), mix, state.q, 0.1)
-    with pytest.raises(ValueError, match="shape"):
-        ss.update_step(state, np.eye(2), mix, np.zeros((3, 2)), 0.1)
+    out = q + 0.1 * _increment(w, q, q, q - q, *_mixing_columns(mix))
+    np.testing.assert_allclose(out, [[0.95, 0.05], [0.05, 0.95]], atol=1e-15)
 
 
 @given(
@@ -122,79 +122,71 @@ def test_update_rejects_dimension_mismatch():
 def test_update_preserves_component_sums(n, m, seed):
     rng = np.random.default_rng(seed)
     q = rng.dirichlet(np.ones(m), size=n)
-    state = ss.StackedState(q)
-    from oracles import random_doubly_stochastic
-
     w = random_doubly_stochastic(rng, n)
     b = rng.uniform(0, 1, size=n)
     mix = ss.MixingMatrices.from_b(b, n)
     labels = rng.integers(0, m, size=n)
     y = np.zeros((n, m))
     y[np.arange(n), labels] = 1.0
-    out = ss.update_step(state, w, mix, y, float(rng.uniform(0.01, 1.0)))
-    np.testing.assert_allclose(out.q.sum(axis=1), 1.0, atol=1e-12)
+    inc = _increment(w, q, y, y - q, *_mixing_columns(mix))
+    out = q + float(rng.uniform(0.01, 1.0)) * inc
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
-# ---------------------------------------------------------------- decompose
+# ---------------------------------------------------------------- noise split
 
 
 def test_decompose_direct_policy_kills_censor_noise():
+    # the direct policy samples from the estimates themselves, p = q, so the
+    # censor noise wbar (p - q) - B (p - q) vanishes
     rng = np.random.default_rng(0)
     q = rng.dirichlet(np.ones(3), size=4)
-    state = ss.StackedState(q)
-    mix = ss.MixingMatrices.from_b(1.0, 4)
     w = ss.metropolis_complete(4)
-    y = np.zeros((4, 3))
-    y[np.arange(4), rng.integers(0, 3, size=4)] = 1.0
-    dec = ss.decompose_step(state, w, w, mix, q, y, 0.2)
-    np.testing.assert_array_equal(dec.censor_noise, np.zeros((4, 3)))
+    b = ss.MixingMatrices.from_b(1.0, 4).b_diag[:, None]
+    p, _, _ = policy_matrix(ss.SamplingPolicy("direct"), q, 0.2)
+    censor = w @ (p - q) - b * (p - q)
+    np.testing.assert_array_equal(censor, np.zeros((4, 3)))
 
 
 def test_decompose_mean_realizations_kill_martingale_noise():
     rng = np.random.default_rng(1)
     q = rng.dirichlet(np.ones(3), size=4)
-    state = ss.StackedState(q)
-    mix = ss.MixingMatrices.from_b(0.5, 4)
+    b = ss.MixingMatrices.from_b(0.5, 4).b_diag[:, None]
     w = ss.metropolis_complete(4)
-    dec = ss.decompose_step(state, w, w, mix, q, q, 0.2)  # y at its mean p=q
-    np.testing.assert_allclose(dec.martingale_noise, 0.0, atol=1e-15)
+    mart = _martingale_noise(w, w, b, q - q, q)  # y at its mean p=q
+    np.testing.assert_allclose(mart, 0.0, atol=1e-15)
 
 
 def test_decompose_two_agent_hand_values():
-    state = ss.StackedState(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    mix = ss.MixingMatrices.from_b(1.0, 2)
+    # messages at their mean: the increment is all drift, wbar q - q
+    q = np.array([[1.0, 0.0], [0.0, 1.0]])
+    cols = _mixing_columns(ss.MixingMatrices.from_b(1.0, 2))
     w = ss.metropolis_complete(2)
-    dec = ss.decompose_step(state, w, w, mix, state.q, state.q, 0.1)
     np.testing.assert_allclose(
-        dec.drift.reshape(-1), [-0.5, 0.5, 0.5, -0.5], atol=1e-15
+        _increment(w, q, q, q - q, *cols).reshape(-1),
+        [-0.5, 0.5, 0.5, -0.5], atol=1e-15,
     )
-    np.testing.assert_allclose(dec.censor_noise, 0.0, atol=1e-15)
-    np.testing.assert_allclose(dec.martingale_noise, 0.0, atol=1e-15)
+    np.testing.assert_allclose(_martingale_noise(w, w, None, q - q, q), 0.0, atol=1e-15)
 
 
 def test_decomposition_reconstructs_increment(rng):
-    from oracles import random_doubly_stochastic
-
     for _ in range(25):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(2, 5))
         q = rng.dirichlet(np.ones(m), size=n)
-        state = ss.StackedState(q)
         mats = [random_doubly_stochastic(rng, n) for _ in range(2)]
-        model = ss.iid_model(mats, [0.5, 0.5], tau=1e-9)
-        wbar = ss.mean_matrix(model)
+        wbar = ss.mean_matrix(ss.iid_model(mats, [0.5, 0.5], tau=1e-9))
         w = mats[int(rng.integers(0, 2))]
         mix = ss.MixingMatrices.from_b(rng.uniform(0, 1, size=n), n)
+        b = mix.b_diag[:, None]
         p = rng.dirichlet(np.ones(m), size=n)
         y = np.zeros((n, m))
         y[np.arange(n), rng.integers(0, m, size=n)] = 1.0
-        delta = float(rng.uniform(0.01, 1.0))
-        dec = ss.decompose_step(state, w, wbar, mix, p, y, delta)
-        reconstructed = state.q + delta * (
-            dec.drift + dec.censor_noise + dec.martingale_noise
-        )
-        direct = ss.update_step(state, w, mix, y, delta)
-        np.testing.assert_allclose(reconstructed, direct.q, atol=1e-12)
+        drift = wbar @ q - q
+        censor = wbar @ (p - q) - b * (p - q)
+        mart = _martingale_noise(w, wbar, b, y - p, p)
+        inc = _increment(w, q, y, y - q, *_mixing_columns(mix))
+        np.testing.assert_allclose(drift + censor + mart, inc, atol=1e-12)
 
 
 # ---------------------------------------------------------------- trials
@@ -335,10 +327,9 @@ def test_early_steps_go_negative_and_are_counted():
 
 def test_trial_abort_on_nonfinite():
     # amplitude far above stability blows the iteration up to non-finite
-    model = ss.fixed_model(ss.metropolis_complete(2))
-    sched = ss.StepSchedule(2.0, 0.51, 0)
-    big = ss.StackedState(np.array([[1e308, 1 - 1e308], [0.0, 1.0]]))
+    big = np.array([[1e308, 1 - 1e308], [0.0, 1.0]])
     mix = ss.MixingMatrices.from_b(1.0, 2)
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = ss.update_step(big, np.array([[0.0, 1.0], [1.0, 0.0]]), mix, y, 2.0)
-    assert not np.isfinite(out.q).all() or np.abs(out.q).max() > 1e307
+    w = np.array([[0.0, 1.0], [1.0, 0.0]])
+    out = big + 2.0 * _increment(w, big, y, y - big, *_mixing_columns(mix))
+    assert not np.isfinite(out).all() or np.abs(out).max() > 1e307

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -70,7 +71,7 @@ def test_load_shipped_full_scale_config():
     assert len(cfg.initial_samples) == 50
     assert all(1 <= x <= 4 for x in cfg.initial_samples)
     # the resolved draws follow the configured law, loosely
-    hist = ss.empirical_distribution(cfg.initial_samples, 4)
+    hist = ss.network_average(ss.initial_state(cfg.initial_samples, 4))
     assert np.abs(hist - [0.2, 0.3, 0.4, 0.1]).max() < 0.25
 
 
@@ -151,6 +152,22 @@ def test_experiment_config_refuses_invalid_fields(tmp_path, case):
         replace(cfg, **updates)
 
 
+@pytest.mark.parametrize("m", [3, 4, 6, 7])
+def test_default_initial_is_the_uniform_law(tmp_path, m):
+    # no initial key draws as random: with 1/M for every opinion; for M = 4
+    # that is random:0.25,0.25,0.25,0.25
+    text = SMALL_CFG.format(out=tmp_path).replace("opinions = 3", f"opinions = {m}")
+    default = ss.load_config(
+        write_cfg(tmp_path, text.replace("initial = samples:1,2,3,3\n", ""))
+    )
+    uniform = "random:" + ",".join([repr(1.0 / m)] * m)
+    spelled = ss.load_config(
+        write_cfg(tmp_path, text.replace("samples:1,2,3,3", uniform))
+    )
+    assert default.initial_samples == spelled.initial_samples
+    assert len(default.initial_samples) == 4
+
+
 def test_reject_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         ss.load_config(tmp_path / "nope.cfg")
@@ -159,7 +176,7 @@ def test_reject_missing_file(tmp_path):
 def test_config_round_trip(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path)))
     path = tmp_path / "roundtrip.cfg"
-    ss.save_config(cfg, path)
+    path.write_text(harness.serialize_config(cfg), encoding="utf-8")
     again = ss.load_config(path)
     assert cfg == again
     assert ss.config_digest(cfg) == ss.config_digest(again)
@@ -272,6 +289,28 @@ def test_aborted_run_leaves_no_output_files(tmp_path, monkeypatch, threads):
         ss.run_experiment(cfg)
     assert list((tmp_path / "out").glob("trace_*.csv")) == []
     assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_run_trials_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
+    # two trials make two chunks; a forked pool of four workers would start
+    # all four at the first submit
+    started, spawned = [], []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+        def _spawn_process(self):  # each worker process the pool starts
+            spawned.append(1)
+            super()._spawn_process()
+
+    cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "r")))
+    cfg = replace(cfg, replications=2, threads=4)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    assert len(ss.run_trials(cfg)) == 2
+    assert started == [2]
+    assert 1 <= len(spawned) <= 2
 
 
 def test_replay_rejects_out_of_range(tmp_path):

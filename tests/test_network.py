@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import socsamp as ss
-from socsamp.network import birkhoff_permutation_blocks, birkhoff_weights, step_mean_matrix
+from socsamp.network import (
+    birkhoff_permutation_blocks,
+    birkhoff_weights,
+    iid_picks,
+    step_mean_matrix,
+)
 from socsamp.sampling import WEIGHT_DOMAIN
 
 from oracles import (
@@ -46,10 +51,8 @@ def test_metropolis_complete_rejects_nonpositive():
 
 def test_fixed_model_constant():
     model = ss.fixed_model(np.eye(2))
-    for k in range(5):
-        np.testing.assert_array_equal(
-            ss.sample_weight_matrix(model, k), np.eye(2)
-        )
+    assert len(model.support) == 1
+    np.testing.assert_array_equal(model.support[0], np.eye(2))
     np.testing.assert_array_equal(ss.mean_matrix(model), np.eye(2))
 
 
@@ -64,11 +67,10 @@ def test_iid_model_mean_matrix_exact():
 def test_iid_model_empirical_mean():
     # entry standard deviation is 0.25, so 3 standard errors over 1e5 draws
     model = ss.iid_model([np.eye(2), ss.metropolis_complete(2)], [0.5, 0.5])
-    rng = ss.substream(2024, 5)
-    total = np.zeros((2, 2))
     n_draws = 100_000
-    for k in range(n_draws):
-        total += ss.sample_weight_matrix(model, k, rng)
+    picks = iid_picks(model, [ss.substream(2024, 5)], n_draws)
+    assert picks.shape == (n_draws, 1)
+    total = np.stack(model.support)[picks[:, 0]].sum(axis=0)
     se = 0.25 / np.sqrt(n_draws)
     assert np.abs(total / n_draws - IID_MEAN).max() <= 3 * se
 
@@ -111,9 +113,9 @@ def test_birkhoff_empirical_mean_matches_analytic():
 @pytest.mark.parametrize("block_steps", [None, 7])
 def test_birkhoff_blocks_match_per_step_reference(monkeypatch, block_steps):
     # the block-streamed permutations, built into matrices a step at a time
-    # as run_chunk builds them, and the one-matrix sample_weight_matrix both
-    # give the reference's bits, and leave each stream where the reference
-    # leaves it, whatever the block length and the streams alongside
+    # as run_chunk builds them, give the reference's bits, and leave each
+    # stream where the reference leaves it, whatever the block length and
+    # the streams alongside
     if block_steps is not None:
         monkeypatch.setattr(ss.sampling, "BLOCK_STEPS", block_steps)
     rng = np.random.default_rng(31)
@@ -129,7 +131,7 @@ def test_birkhoff_blocks_match_per_step_reference(monkeypatch, block_steps):
             mixing[n % (count + 1)] = 0.0
         model = ss.birkhoff_model(n, mixing / mixing.sum(), tau=1e-12)
         for horizon in (1, 127, 128, 129, 300):
-            refs, batch, single = streams(), streams(), streams()
+            refs, batch = streams(), streams()
             want = np.stack([
                 [reference_weight_matrix(model, g) for _ in range(horizon)]
                 for g in refs
@@ -137,25 +139,27 @@ def test_birkhoff_blocks_match_per_step_reference(monkeypatch, block_steps):
             got = kernel_weight_draws(model, batch, horizon)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (n, horizon)
-            after = [g.random() for g in refs]
-            assert [g.random() for g in batch] == after
-            if block_steps is None:  # one step is one block of any length
-                alone = np.stack([
-                    [ss.sample_weight_matrix(model, k, g) for k in range(1, horizon + 1)]
-                    for g in single
-                ])
-                assert alone.tobytes() == want.tobytes(), (n, horizon)
-                assert [g.random() for g in single] == after
+            assert [g.random() for g in batch] == [g.random() for g in refs]
 
 
 def test_switching_model_mean_and_steps():
     wa, wb = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
     model = ss.switching_model([wa, wb], window=1)
     np.testing.assert_allclose(ss.mean_matrix(model), (wa + wb) / 2)
-    np.testing.assert_array_equal(ss.sample_weight_matrix(model, 0), wa)
-    np.testing.assert_array_equal(ss.sample_weight_matrix(model, 1), wb)
-    np.testing.assert_array_equal(ss.sample_weight_matrix(model, 2), wa)
     np.testing.assert_array_equal(step_mean_matrix(model, 1), wb)
+    # run_chunk steps with support[k % period]: the swap at steps 1 and 3,
+    # the identity at step 2.  One-hot estimates send themselves, and the
+    # step sizes are 1/k
+    cfg = ss.ExperimentConfig(
+        n_agents=2, n_opinions=2, horizon=3, replications=1, master_seed=0,
+        initial_samples=(1, 2), weight_model=model,
+        mixing=ss.MixingMatrices.from_b(1.0, 2), policy=ss.SamplingPolicy("direct"),
+        schedule=ss.StepSchedule(1.0, 1.0, 0), stride="all",
+    )
+    snapshots = ss.run_chunk(cfg, [(0, 7)])[0].snapshots
+    np.testing.assert_array_equal(snapshots[1], wb)
+    np.testing.assert_array_equal(snapshots[2], wb)
+    np.testing.assert_allclose(snapshots[3], [[1 / 3, 2 / 3], [2 / 3, 1 / 3]])
 
 
 def test_empty_support_rejected():
@@ -176,13 +180,10 @@ def test_tau_bound_enforced():
 
 
 def test_column_stochasticity_identities():
-    rng = np.random.default_rng(3)
     model = ss.birkhoff_model(4, (0.25, 0.5, 0.25))
     wbar = ss.mean_matrix(model)
-    stream = ss.substream(5, 0)
     ones = np.ones(4)
-    for k in range(200):
-        w = ss.sample_weight_matrix(model, k, stream)
+    for w in kernel_weight_draws(model, [ss.substream(5, 0)], 200)[0]:
         assert np.abs(ones @ (w - np.eye(4))).max() <= 1e-12
         assert np.abs(ones @ (w - wbar)).max() <= 1e-12
 
@@ -280,8 +281,6 @@ def test_sampled_matrices_always_doubly_stochastic(rng):
         n = int(rng.integers(2, 7))
         mats = [random_doubly_stochastic(rng, n) for _ in range(2)]
         model = ss.iid_model(mats, [0.3, 0.7], tau=1e-9)
-        stream = ss.substream(int(rng.integers(0, 2**62)), 1)
-        for k in range(50):
-            assert ss.validate_doubly_stochastic(
-                ss.sample_weight_matrix(model, k, stream)
-            )
+        picks = iid_picks(model, [ss.substream(int(rng.integers(0, 2**62)), 1)], 50)
+        for k in picks[:, 0]:
+            assert ss.validate_doubly_stochastic(model.support[k])

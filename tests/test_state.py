@@ -3,22 +3,27 @@ import pytest
 
 import socsamp as ss
 
+from oracles import empirical_distribution
+
 
 def test_empirical_distribution_counts():
+    # the network average of the one-hot initial state is the histogram
     np.testing.assert_allclose(
-        ss.empirical_distribution([1, 1, 2, 3], 3), [0.50, 0.25, 0.25]
+        ss.network_average(ss.initial_state([1, 1, 2, 3], 3)), [0.50, 0.25, 0.25]
     )
 
 
 def test_empirical_distribution_single_agent():
-    np.testing.assert_allclose(ss.empirical_distribution([2], 2), [0.0, 1.0])
+    np.testing.assert_allclose(
+        ss.network_average(ss.initial_state([2], 2)), [0.0, 1.0]
+    )
 
 
 def test_empirical_distribution_iid_draws_are_multiples():
     rng = np.random.default_rng(42)
     probs = np.array([0.2, 0.3, 0.4, 0.1])
     samples = [int(x) + 1 for x in rng.choice(4, size=50, p=probs)]
-    hist = ss.empirical_distribution(samples, 4)
+    hist = ss.network_average(ss.initial_state(samples, 4))
     assert hist.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(hist * 50, np.round(hist * 50), atol=1e-9)
     assert np.abs(hist - probs).max() < 0.25  # 50 draws land near the law
@@ -27,7 +32,7 @@ def test_empirical_distribution_iid_draws_are_multiples():
 @pytest.mark.parametrize("bad", [[0, 1], [1, 4], [1, 2.5]])
 def test_empirical_distribution_rejects_bad_samples(bad):
     with pytest.raises(ValueError, match="out of range"):
-        ss.empirical_distribution(bad, 3)
+        ss.initial_state(bad, 3)
 
 
 def test_initial_state_one_hot():
@@ -68,7 +73,7 @@ def test_network_average_equals_empirical_distribution():
         samples = [int(x) for x in rng.integers(1, m + 1, size=n)]
         np.testing.assert_array_equal(
             ss.network_average(ss.initial_state(samples, m)),
-            ss.empirical_distribution(samples, m),
+            empirical_distribution(samples, m),
         )
 
 
@@ -110,8 +115,3 @@ def test_as_opinion_vector_checks_sum():
     with pytest.raises(ValueError, match="sum to 1"):
         ss.as_opinion_vector([0.5, 0.6])
 
-
-def test_is_simplex():
-    assert ss.is_simplex([0.5, 0.5])
-    assert not ss.is_simplex([1.2, -0.2])
-    assert ss.is_simplex([1.0 + 1e-12, -1e-12], tol=1e-9)
