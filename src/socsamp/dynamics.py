@@ -186,36 +186,39 @@ def resolve_checkpoints(spec, horizon):
     return tuple(ks)
 
 
-def _increment(w, q, y, ym_q, ab_col, b_col, out=None):
+def _increment(w, q, y, ym_q, ab_col, b_col, out=None, scratch=None):
     """``(Q_{k+1} - Q_k) / d`` of one round, for one state or a batch.
 
     ``ab_col`` and ``b_col`` are None when every ``b_ii`` is 1: the retained
     and the transmitted own estimate then cancel, leaving ``W Y - Y``, and
-    ``ym_q`` is not read.  The increment is written into ``out`` when given.
-    Its rows sum to 0 when every message is one-hot and every estimate sums
-    to 1.  A silent (all-zero) message carries no mass, so the agents that
-    hear it lose component sum.
+    ``ym_q`` is not read.  The increment is written into ``out`` and the
+    ``b_ii`` products into ``scratch``, an array of ``q``'s shape, when
+    given; no input is written.  The increment's rows sum to 0 when every
+    message is one-hot and every estimate sums to 1.  A silent (all-zero)
+    message carries no mass, so the agents that hear it lose component sum.
     """
     inc = np.matmul(w, y, out=out)
     if ab_col is None:
         inc -= y
     else:
-        inc -= ab_col * q
-        inc -= b_col * ym_q
+        inc -= np.multiply(ab_col, q, out=scratch)
+        inc -= np.multiply(b_col, ym_q, out=scratch)
     return inc
 
 
-def _martingale_noise(w, wbar, b_col, ym_p, p, out=None):
+def _martingale_noise(w, wbar, b_col, ym_p, p, out=None, scratch=None):
     """``(W - B)(Y - P) + (W - Wbar) P`` for one state or a batch.
 
     ``b_col`` is None when every ``b_ii`` is 1, where ``B (Y - P)`` is
     ``Y - P`` exactly.  The second term is left out when ``w is wbar``, where
-    it is zero.  The noise is written into ``out`` when given.
+    it is zero, and ``p`` is not read.  The noise is written into ``out``,
+    and ``B (Y - P)`` and then ``(W - Wbar) P`` into ``scratch``, an array
+    of ``ym_p``'s shape, when given; no input is written.
     """
     mart = np.matmul(w, ym_p, out=out)
-    mart -= ym_p if b_col is None else b_col * ym_p
+    mart -= ym_p if b_col is None else np.multiply(b_col, ym_p, out=scratch)
     if wbar is not w:
-        mart += (w - wbar) @ p
+        mart += np.matmul(w - wbar, p, out=scratch)
     return mart
 
 
@@ -232,16 +235,68 @@ def noise_norm_bound(n_agents, n_opinions):
     return float(n_agents**2 * n_opinions**2)
 
 
-# a window buffer of run_chunk holds at most this many doubles, 512 KiB.  A
-# window saves per-call overhead, which counts at a few hundred values per
-# step, where the longest windows step fastest.  At thousands of values per
-# step a call already spans enough of them, and a longer window would only
-# push the step's data out of cache and add to each worker's peak memory
+def _row_sums(x, out):
+    """``x.sum(axis=-1)``, bit for bit, written into ``out``.
+
+    Below 8 components numpy adds a row's components one after the other to
+    0.0, as adds of whole components do, in a few calls instead of a short
+    loop per row.  From 8 up numpy sums pairwise, and its own reduction is
+    kept.
+    """
+    m = x.shape[-1]
+    if m >= 8:
+        return np.add.reduce(x, axis=-1, out=out)
+    np.add(x[..., 0], 0.0, out=out)  # the start 0.0 folds a negative zero
+    for c in range(1, m):
+        out += x[..., c]
+    return out
+
+
+def _agent_sums(x, work):
+    """``np.add.reduce(x, axis=2)`` of a ``(steps, chunk, N, M)`` array, bit for bit.
+
+    With M > 1 numpy adds the N agents of each column one after the other.
+    An agent-major copy of ``x``, made in the flat ``work`` of at least
+    ``x.size`` values, is reduced over its leading axis in the same order,
+    one whole contiguous row at a time.  With M = 1 the agent axis is the
+    contiguous one, which numpy sums pairwise from N = 8, so its own
+    reduction is kept.
+    """
+    if x.shape[-1] == 1:
+        return np.add.reduce(x, axis=2)
+    major = work[: x.size].reshape(x.shape[2], *x.shape[:2], x.shape[3])
+    np.copyto(major, x.transpose(2, 0, 1, 3))
+    return np.add.reduce(major, axis=0)
+
+
+def _sent_counts(messages):
+    """Messages sent per trial in a window's ``(steps, chunk, N, M)`` draws.
+
+    Each message is one-hot or silent, so this counts its ones: over the
+    steps first, adding whole contiguous rows, then over each trial's
+    ``N * M`` values.  Every partial sum is a small integer, exact in any
+    order.
+    """
+    per_trial = np.add.reduce(messages, axis=0)
+    sent = np.add.reduce(per_trial.reshape(len(per_trial), -1), axis=1)
+    return sent.astype(np.int64)
+
+
+# a window buffer of run_chunk holds at most this many doubles, 512 KiB.  The
+# buffers hold a window's states, messages and noise, and its weight
+# matrices, which count toward the cap where they outnumber the N * M values
+# of a trial-step's state: N * N values per step on switching networks, and
+# on random ones N * N per trial-step for the matrices and as many for their
+# differences from the mean, which share the cap.  A window saves per-call
+# overhead, which counts at a few hundred values per step, where the longest
+# windows step fastest.  At thousands of values per step a call already
+# spans enough of them, and a longer window would only push the step's data
+# out of cache and add to each worker's peak memory
 WINDOW_VALUES = 1 << 16
 
 
 def window_steps(values_per_step):
-    """Steps per window of :func:`run_chunk`, for states of that many values.
+    """Steps per window of :func:`run_chunk`, for that many values per step.
 
     As many as fit in ``WINDOW_VALUES`` doubles, at least one and at most one
     block of uniforms.
@@ -261,7 +316,7 @@ def run_chunk(cfg, trials):
     checkpoints) and ``record_noise``.  ``trials`` holds
     ``(trial_index, seed)`` pairs, one per trial of the chunk.
 
-    Step ``k`` (1-based) samples each trial's weight matrix, forms the
+    Step ``k`` (1-based) takes each trial's weight matrix, forms the
     sampling distributions from the current states, draws the messages
     using the pre-assigned uniform of each (trial, agent, step), and applies
     the update with step size ``schedule.step_size(k)``.  Every trial draws
@@ -269,19 +324,25 @@ def run_chunk(cfg, trials):
     alone, so a trial's trace is the same bits in any chunk, a chunk of one
     included.
 
-    The steps run in windows of :func:`window_steps` steps.  Inside a window
-    a step does only what the next step reads: it writes its state, and its
-    martingale noise when noise is recorded, into a row of a window buffer.
-    It draws its messages with the three-pass :func:`inverse_cdf_draw` into
-    buffers allocated once per chunk, and computes the noise and the update
-    with ``out=`` and in place.  On the fixed and switching networks under
-    the direct policy with every ``b_ii = 1``, the one array a step
-    allocates is the copy of its uniforms out of their block.
-    The diagnostics (silent messages, noise norms, sum drift, negativity,
-    finiteness) and the snapshots at checkpoints are then taken over the
-    whole window in a few calls; the silent count reads the last row of each
-    step's draw buffer.  Maxima, counts and snapshots do not depend on the
-    order they are taken in, so the window length never changes a bit.
+    The steps run in windows of :func:`window_steps` steps, and a step does
+    only what the next step reads.  Once per step: the sampling map (skipped
+    while the direct policy meets nonnegative estimates), the three-pass
+    :func:`inverse_cdf_draw` into a row of a window buffer of messages, the
+    update, written into a row of a window buffer of states, and the
+    minimum that decides whether the next step may skip the sampling map.
+    Once per window: its uniforms, copied out of their block into a
+    step-major buffer; the weight matrices of all its steps (a broadcast
+    view of a fixed network, a stack of a switching network's matrices, the
+    picked support of an iid network, one :func:`birkhoff_weights` call for
+    a birkhoff one); the martingale noise of all its steps, in one
+    :func:`_martingale_noise` call on the kept messages and sampling
+    distributions; the diagnostics (silent messages, noise norms, sum
+    drift, negativity, finiteness) and the snapshots at checkpoints.  Every
+    buffer is allocated once per chunk, so a step that passes its state
+    through allocates no array memory.  Maxima, counts and snapshots do not
+    depend on the order they are taken in, and the window reductions add in
+    numpy's order (see :func:`_row_sums` and :func:`_agent_sums`), so the
+    window length never changes a bit.
 
     A trial that hits a non-finite value is put back to its initial state
     and stepped on, so that it cannot disturb the rest; the chunk then
@@ -304,17 +365,18 @@ def run_chunk(cfg, trials):
     initial_avg = q0.mean(axis=0)
     ab_col, b_col = _mixing_columns(cfg.mixing)
 
-    if model.kind == IID:
+    random_weights = model.kind in (IID, BIRKHOFF)
+    if model.kind == SWITCHING:
+        period = np.stack(model.support)
+    elif model.kind == IID:
         support = np.stack(model.support)
         picks = iid_picks(model, [weight_stream(s) for s in seeds], horizon)
-    wbar_static = mean_matrix(model) if model.kind in (IID, BIRKHOFF) else None
+    wbar_static = mean_matrix(model) if random_weights else None
+    # the values of one step's weight matrices, and on random networks of
+    # their differences from the mean
+    weight_values = {FIXED: 0, SWITCHING: n * n}.get(model.kind, 2 * chunk * n * n)
 
-    # each block of steps' uniforms, (steps, chunk, n), and birkhoff
-    # permutations, (steps, chunk, count, n)
-    uniform_blocks = (
-        np.moveaxis(block, -1, 0)
-        for block in message_uniform_blocks(seeds, n, horizon)
-    )
+    # birkhoff permutations of each block of steps, (steps, chunk, count, n)
     if model.kind == BIRKHOFF:
         permutation_blocks = (
             np.moveaxis(block, 1, 0)
@@ -324,6 +386,23 @@ def run_chunk(cfg, trials):
         )
     else:
         permutation_blocks = repeat(None)
+
+    def window_weights(first, a, b, perms):
+        """The weight matrices of steps ``first + a + 1 .. first + b``, one
+        per step, and ``(w, wbar)`` of those steps, shaped to broadcast
+        against their ``(steps, chunk, N, M)`` states."""
+        if model.kind == IID:
+            ws = support[picks[first + a : first + b]]
+            return ws, ws, wbar_static
+        if model.kind == BIRKHOFF:
+            ws = birkhoff_weights(model, perms[a:b])
+            return ws, ws, wbar_static
+        if model.kind == FIXED:
+            ws = np.broadcast_to(model.support[0], (b - a, n, n))
+        else:
+            ws = period[np.arange(first + a + 1, first + b + 1) % len(period)]
+        w = ws[:, None]
+        return ws, w, w
 
     # agent-steps with a negative component, silent messages, uniform
     # fallbacks and clamped agents, per trial
@@ -335,7 +414,7 @@ def run_chunk(cfg, trials):
     # ``now``; one fmax.reduce folds them into ``maxima``.  sqrt is monotone
     # and correctly rounded, so the root of the largest square is the
     # largest root, bit for bit
-    window = min(window_steps(chunk * n * m), horizon)
+    window = min(window_steps(max(chunk * n * m, weight_values)), horizon)
     maxima = np.zeros((3, chunk))
     now = np.zeros((3, window, chunk))
     bound = noise_norm_bound(n, m)
@@ -354,15 +433,32 @@ def run_chunk(cfg, trials):
         )
 
     record_noise = cfg.record_noise and n >= 2
-    # the states after each step of a window, the martingale noise of each
-    # step, and each step's draw work of inverse_cdf_draw, whose last row
-    # marks the agents that sent a message
-    states = np.empty((window, chunk, n, m))
-    noises = np.empty_like(states) if record_noise else None
-    draws = np.zeros((window, m + 1, chunk * n))
-    # one step's messages, their differences from the state and from the
-    # sampling distributions, and its increment
-    y, ym_q, ym_p, inc = np.empty((4, chunk, n, m))
+    # row 0 of ``states`` holds a window's starting state and row i the
+    # state after its i-th step.  ``messages`` holds each step's messages,
+    # then their differences from the sampling distributions, and then
+    # serves the window reductions as scratch.  ``noises`` holds each step's
+    # martingale noise.  ``stash`` keeps the sampling distributions of the
+    # steps that run the sampling map.  On fixed and switching networks that
+    # is ``noises`` itself, which no step reads and which the noise call
+    # only writes; on random networks the noise reads the distributions
+    # apart from Y - P, so they get a buffer of their own.  ``scratch``
+    # holds the b != 1 products and the products with W - Wbar
+    states = np.empty((window + 1, chunk, n, m))
+    messages = np.empty((window, chunk, n, m))
+    noises = stash = np.empty_like(messages) if record_noise else None
+    if record_noise and random_weights:
+        stash = np.empty_like(messages)
+    scratch = step_scratch = None
+    if ab_col is not None or (record_noise and random_weights):
+        scratch = np.empty((window if record_noise else 1, chunk, n, m))
+        step_scratch = scratch[0]
+    # one step's increment, its messages' differences from its state (read
+    # only when b != 1), and its draw work for inverse_cdf_draw
+    inc = np.empty((chunk, n, m))
+    ym_q = np.empty_like(inc) if ab_col is not None else None
+    work = np.zeros((m + 1, chunk * n))
+    # a window's uniforms in step-major order
+    window_uniforms = np.empty((window, chunk, n))
     snapshots = np.empty((chunk, len(checkpoints), n, m))
     errs = np.empty((chunk, len(checkpoints)))
 
@@ -379,33 +475,33 @@ def run_chunk(cfg, trials):
     pass_through = direct  # the one-hot initial estimates are nonnegative
 
     def windows():
-        """Each window: the steps before its block, the block's uniforms and
-        permutations, and the window's (start, stop) positions in the block."""
+        """Each window: the steps before it, its uniforms, step-major, and
+        its permutations."""
         first = 0
-        for us, perms in zip(uniform_blocks, permutation_blocks):
-            for start in range(0, len(us), window):
-                yield first, us, perms, (start, min(start + window, len(us)))
-            first += len(us)
+        blocks = message_uniform_blocks(seeds, n, horizon)
+        for block, perms in zip(blocks, permutation_blocks):
+            for a in range(0, block.shape[-1], window):
+                b = min(a + window, block.shape[-1])
+                us = window_uniforms[: b - a]
+                np.copyto(us, block[..., a:b].transpose(2, 0, 1))
+                yield first + a, us, None if perms is None else perms[a:b]
+            first += block.shape[-1]
 
-    for first, us, perms, span in windows():
+    for first, us, perms in windows():
         # the window's start, to step it again from
         saved = q.copy(), counts.copy(), max_negative.copy(), pass_through
-        spans = [span]  # the windows left to step, last first
+        spans = [(0, len(us))]  # the step ranges left to step, last first
         while spans:
             a, b = spans.pop()
+            steps = b - a
+            ws, w_window, wbar_window = window_weights(first, a, b, perms)
+            states[0] = q
+            q = states[0]
             clean = direct  # every state of the window passed through
-            for j in range(a, b):
-                k = first + j + 1
+            mapped = []  # the steps that ran the sampling map
+            for i in range(steps):
+                k = first + a + i + 1
                 delta = schedule.step_size(k)
-                if model.kind == FIXED:
-                    w = wbar = model.support[0]
-                elif model.kind == SWITCHING:
-                    w = wbar = model.support[k % len(model.support)]
-                elif model.kind == IID:
-                    w, wbar = support[picks[k - 1]], wbar_static
-                else:
-                    w, wbar = birkhoff_weights(model, perms[j]), wbar_static
-
                 if pass_through:
                     p = q
                 else:
@@ -413,39 +509,58 @@ def run_chunk(cfg, trials):
                     if p is not q:
                         fallbacks += fell_back
                         clamped += clamps
-                inverse_cdf_draw(p, us[j], out=y, work=draws[j - a])
-
-                if record_noise:
-                    np.subtract(y, p, out=ym_p)
-                    _martingale_noise(w, wbar, b_col, ym_p, p, out=noises[j - a])
-                if ab_col is not None:  # the update reads y - q only when b != 1
+                    if record_noise:
+                        stash[i] = p
+                        mapped.append(i)
+                y = inverse_cdf_draw(p, us[a + i], out=messages[i], work=work)[0]
+                if ym_q is not None:
                     np.subtract(y, q, out=ym_q)
-                _increment(w, q, y, ym_q, ab_col, b_col, out=inc)
+                _increment(
+                    ws[i], q, y, ym_q, ab_col, b_col, out=inc, scratch=step_scratch
+                )
                 inc *= delta
-                q = np.add(q, inc, out=states[j - a])
+                q = np.add(q, inc, out=states[i + 1])
                 # one reduction over the chunk; a NaN fails it too
                 pass_through = direct and np.minimum.reduce(q, axis=None) >= 0.0
                 clean = clean and pass_through
 
-            steps = b - a
-            window_states = states[:steps]
+            window_states = states[1 : steps + 1]
+            window_messages = messages[:steps]
             mart_sq, noise_sq, drift = now[:, :steps]
+            silent += steps * n - _sent_counts(window_messages)
             if record_noise:
-                mart = noises[:steps]
-                # mart.mean(axis=2) without its Python wrapper; the batched
-                # matmul gives each step and trial the bits of
-                # col_mean @ col_mean, einsum rounds differently
-                col_mean = np.add.reduce(mart, axis=2) / n
+                # each step's sampling distributions: its state, or the stash
+                p_window = states[:steps]
+                if mapped:
+                    if len(mapped) < steps:
+                        passed = np.ones((steps, 1, 1, 1), dtype=bool)
+                        passed[mapped] = False
+                        np.copyto(stash[:steps], p_window, where=passed)
+                    p_window = stash[:steps]
+                ym_p = np.subtract(window_messages, p_window, out=window_messages)
+                mart = _martingale_noise(
+                    w_window, wbar_window, b_col, ym_p,
+                    p_window if random_weights else None, out=noises[:steps],
+                    scratch=None if scratch is None else scratch[:steps],
+                )
+                # the bits of mart.mean(axis=2); the batched matmul gives
+                # each step and trial the bits of col_mean @ col_mean,
+                # einsum rounds differently
+                col_mean = _agent_sums(mart, messages.reshape(-1))
+                col_mean /= n
                 cc = (col_mean[..., None, :] @ col_mean[..., :, None])[..., 0, 0]
                 mart *= mart  # the buffer is rewritten by the next window
                 np.add.reduce(mart.reshape(steps, chunk, -1), axis=2, out=mart_sq)
                 # the starting maximum 0 stands in for the clamp of a
                 # negative difference at 0
                 np.subtract(mart_sq, n * cc, out=noise_sq)
-            np.abs(window_states.sum(axis=3) - 1.0).max(axis=2, out=drift)
-            # each step's active row holds a 1.0 per agent that sent a message
-            sent = np.add.reduce(draws[:steps, m].reshape(steps, chunk, n), axis=(0, 2))
-            silent += steps * n - sent.astype(np.int64)
+            # each row's |sum - 1|, in the messages buffer, which the window
+            # has done with
+            sums = messages.reshape(-1)[: steps * chunk * n].reshape(steps, chunk, n)
+            _row_sums(window_states, out=sums)
+            sums -= 1.0
+            np.abs(sums, out=sums)
+            np.maximum.reduce(sums, axis=2, out=drift)
             if not clean:
                 # a NaN fails the comparison, so it adds to no count
                 qmin = window_states.min(axis=(2, 3))

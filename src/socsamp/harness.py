@@ -59,9 +59,16 @@ def fmt(x):
 
 
 def fmt_vector(v):
-    """``fmt`` of every entry, comma-separated, in one ``%`` operation."""
-    values = (np.asarray(v, dtype=float) + 0.0).ravel().tolist()
-    return ",".join(["%.17g"] * len(values)) % tuple(values)
+    """``fmt`` of every entry, comma-separated.
+
+    Report matrices repeat most of their values, so each distinct value is
+    formatted once, in one ``%`` operation, and the strings are spread back
+    over the entries by ``np.unique``'s inverse index.
+    """
+    values = np.asarray(v, dtype=float).ravel() + 0.0  # folds negative zero
+    distinct, inverse = np.unique(values, return_inverse=True)
+    strings = ("%.17g\0" * len(distinct) % tuple(distinct.tolist())).split("\0")
+    return ",".join([strings[i] for i in inverse.tolist()])
 
 
 @dataclass(eq=False)
@@ -580,7 +587,8 @@ def report_text(report):
         lines += _matrix_lines("empirical_cov", report.empirical_cov)
     if report.p_values is not None:
         lines.append(f"p_values = {fmt_vector(report.p_values)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline, without a copy of the whole text
+    return "\n".join(lines)
 
 
 def theory_report(cfg, final_states=None):

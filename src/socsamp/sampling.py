@@ -46,14 +46,18 @@ def message_uniform_blocks(seeds, n_agents, horizon):
     last axis they give, for each (trial, agent), the first ``horizon``
     uniforms of that agent's substream: a generator's draws continue where
     its last draw stopped, so the block length does not change the values.
+    Every block is written into one buffer and overwrites the last one, so a
+    caller that keeps a block copies it.
     """
     streams = [substream(seed, AGENT_DOMAIN, i)
                for seed in seeds for i in range(n_agents)]
+    values = np.empty(len(streams) * min(BLOCK_STEPS, horizon))
     for start in range(0, horizon, BLOCK_STEPS):
-        block = np.empty((len(seeds), n_agents, min(BLOCK_STEPS, horizon - start)))
-        for gen, row in zip(streams, block.reshape(len(streams), -1)):
+        steps = min(BLOCK_STEPS, horizon - start)
+        block = values[: len(streams) * steps].reshape(len(streams), steps)
+        for gen, row in zip(streams, block):
             gen.random(out=row)
-        yield block
+        yield block.reshape(len(seeds), n_agents, steps)
 
 
 def weight_stream(seed):
@@ -98,8 +102,13 @@ def censor_threshold(policy, delta_k):
 
 
 def _count(rows):
-    counts = rows.sum(axis=-1)
+    counts = np.add.reduce(rows, axis=-1)
     return int(counts) if counts.ndim == 0 else counts
+
+
+def _no_count(rows):
+    """What :func:`_count` gives for ``rows`` with no row set."""
+    return 0 if rows.ndim == 1 else np.zeros(rows.shape[:-1], dtype=np.int64)
 
 
 def policy_matrix(policy, q, delta_k):
@@ -126,32 +135,41 @@ def policy_matrix(policy, q, delta_k):
     rows a single state would.
     """
     q = np.asarray(q, dtype=float)
-    neg_rows = (q < 0.0).any(axis=-1)
-    fallbacks = np.zeros_like(neg_rows)
+    # the ufunc reductions without the ndarray methods' Python wrappers
+    neg_rows = np.logical_or.reduce(q < 0.0, axis=-1)
     if policy.kind == "direct":
         if not neg_rows.any():
-            return q, _count(fallbacks), _count(neg_rows)
+            return q, _no_count(neg_rows), _count(neg_rows)
         # rows rebuilt from the positive part, and the sum it is scaled above
         p, rebuilt, cap = q.copy(), neg_rows, 1.0
     else:
         p = np.where(q >= censor_threshold(policy, delta_k), q, 0.0)
-        totals = p.sum(axis=-1, keepdims=True)
+        totals = np.add.reduce(p, axis=-1, keepdims=True)
         if not policy.renormalize:  # nothing is rebuilt
             np.divide(p, totals, out=p, where=totals > 1.0)
-            return p, _count(fallbacks), _count(neg_rows)
+            return p, _no_count(neg_rows), _count(neg_rows)
         live = totals > 0.0
         np.divide(p, totals, out=p, where=live)
         rebuilt, cap = ~live[..., 0], 0.0
-    if rebuilt.any():  # rare, so the common censored call skips the block
-        pos = np.clip(q[rebuilt], 0.0, None)
-        totals = pos.sum(axis=-1)
-        scaled = totals > cap
-        pos[scaled] /= totals[scaled, None]
-        empty = ~(totals > 0.0)
-        pos[empty] = 1.0 / q.shape[-1]
-        p[rebuilt] = pos
-        fallbacks[rebuilt] = empty
+    if not np.logical_or.reduce(rebuilt, axis=None):  # the common censored call
+        return p, _no_count(neg_rows), _count(neg_rows)
+    pos = np.clip(q[rebuilt], 0.0, None)
+    totals = pos.sum(axis=-1)
+    scaled = totals > cap
+    pos[scaled] /= totals[scaled, None]
+    empty = ~(totals > 0.0)
+    pos[empty] = 1.0 / q.shape[-1]
+    p[rebuilt] = pos
+    fallbacks = np.zeros_like(neg_rows)
+    fallbacks[rebuilt] = empty
     return p, _count(fallbacks), _count(neg_rows)
+
+
+# rows from which inverse_cdf_draw sums the CDF by whole components.  Under
+# timeit, np.add.accumulate's loop over M in each row costs about 8 ns per
+# value, against about 1.5 us per call of a component add; at M = 3 and 4
+# the two cross between 100 and 200 rows (2,500 rows: 56 us against 10 us)
+CDF_ROW_ADDS = 200
 
 
 def inverse_cdf_draw(p, uniforms, out=None, work=None):
@@ -166,11 +184,14 @@ def inverse_cdf_draw(p, uniforms, out=None, work=None):
 
     The draw takes three passes over the ``(M, rows)`` transposed view, one
     component at a time: the CDF, ``u < cdf`` and the difference of adjacent
-    components.  ``out``, a C-contiguous array of ``p``'s shape, receives the
-    messages, and ``work``, a C-contiguous ``(M + 1, rows)`` float array
-    whose row 0 is zero, the CDF and then the comparison; ``active`` is its
-    last row.  A caller that draws every step passes both, so the draw
-    allocates nothing when ``uniforms`` is contiguous.
+    components.  From ``CDF_ROW_ADDS`` rows on, the CDF is component 0 and
+    then ``M - 1`` adds of whole components, which sum in
+    ``np.add.accumulate``'s order without its loop over M in each row.
+    ``out``, a C-contiguous array of ``p``'s shape, receives the messages,
+    and ``work``, a C-contiguous ``(M + 1, rows)`` float array whose row 0
+    is zero, the CDF and then the comparison; ``active`` is its last row.
+    A caller that draws every step passes both, so the draw allocates
+    nothing when ``uniforms`` is contiguous.
     """
     m = p.shape[-1]
     rows = uniforms.size
@@ -179,7 +200,13 @@ def inverse_cdf_draw(p, uniforms, out=None, work=None):
     if work is None:
         work = np.zeros((m + 1, rows))
     below = work[1:]
-    np.add.accumulate(p.reshape(rows, m).T, axis=0, out=below)
+    components = p.reshape(rows, m).T
+    if rows < CDF_ROW_ADDS:
+        np.add.accumulate(components, axis=0, out=below)
+    else:
+        np.copyto(below[0], components[0])
+        for c in range(1, m):
+            np.add(below[c - 1], components[c], out=below[c])
     # a nonnegative row has a nondecreasing CDF, so ``u < cdf`` switches on
     # once, at the drawn component, and stays on
     np.less(uniforms.reshape(rows), below, out=below)

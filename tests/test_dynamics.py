@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 import socsamp as ss
 from socsamp.dynamics import (
+    _agent_sums,
     _increment,
     _martingale_noise,
     _mixing_columns,
+    _row_sums,
+    _sent_counts,
     resolve_checkpoints,
 )
-from socsamp.sampling import policy_matrix
+from socsamp.sampling import inverse_cdf_draw, policy_matrix
 
 from conftest import random_trial_config
 from oracles import per_trial_reference, random_doubly_stochastic
@@ -326,10 +329,74 @@ def test_early_steps_go_negative_and_are_counted():
 
 
 def test_trial_abort_on_nonfinite():
-    # amplitude far above stability blows the iteration up to non-finite
+    # a step far above stability blows the iteration up to non-finite.  With
+    # b = 1/2 the round is Q + d * (W Y - Y/2 - Q/2), which retains
+    # (1 - d/2) Q: at d = 10 the estimate near the largest double overflows,
+    # while the row that stays in the simplex does not
     big = np.array([[1e308, 1 - 1e308], [0.0, 1.0]])
-    mix = ss.MixingMatrices.from_b(1.0, 2)
+    mix = ss.MixingMatrices.from_b(0.5, 2)
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = big + 2.0 * _increment(w, big, y, y - big, *_mixing_columns(mix))
-    assert not np.isfinite(out).all() or np.abs(out).max() > 1e307
+    with np.errstate(over="ignore"):
+        out = big + 10.0 * _increment(w, big, y, y - big, *_mixing_columns(mix))
+    assert np.isneginf(out[0, 0]) and np.isposinf(out[0, 1])
+    np.testing.assert_array_equal(out[1], [10.0, -9.0])
+
+
+# the window reductions of run_chunk against the numpy expressions they
+# replace, bit for bit, below and above numpy's pairwise threshold of 8
+REDUCTION_SHAPES = pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 17])
+
+
+def reduction_input(rng, n, m):
+    """``(steps, chunk, n, m)`` values over many magnitudes and both signs,
+    with signed zeros, so that any change of summation order shows."""
+    x = rng.standard_normal((5, 3, n, m)) * 10.0 ** rng.integers(-8, 9, (5, 3, n, m))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    return x
+
+
+@REDUCTION_SHAPES
+@pytest.mark.parametrize("n", [1, 2, 9, 50])
+def test_row_sums_match_numpy_sum(rng, n, m):
+    x = reduction_input(rng, n, m)
+    out = np.full(x.shape[:-1], np.nan)
+    got = _row_sums(x, out=out)
+    assert got is out
+    want = x.sum(axis=-1)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@REDUCTION_SHAPES
+@pytest.mark.parametrize("n", [1, 2, 9, 50])
+def test_agent_sums_match_numpy_reduce(rng, n, m):
+    x = reduction_input(rng, n, m)
+    work = np.full(x.size + 5, np.nan)
+    got = _agent_sums(x, work)
+    want = np.add.reduce(x, axis=2)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@REDUCTION_SHAPES
+@pytest.mark.parametrize("n", [1, 2, 9, 50])
+def test_sent_counts_match_active_rows(rng, n, m):
+    # messages drawn from sub-stochastic rows, so some agents are silent;
+    # the count equals the sum of the draws' active rows, the expression
+    # the silent count was taken from before
+    steps, chunk = 6, 3
+    p = rng.dirichlet(np.ones(m), size=(steps, chunk, n)) * rng.uniform(
+        0.5, 1.0, (steps, chunk, n, 1)
+    )
+    u = rng.random((steps, chunk, n))
+    messages = np.empty_like(p)
+    active = np.empty((steps, chunk * n))
+    for k in range(steps):
+        _, act = inverse_cdf_draw(p[k], u[k], out=messages[k])
+        active[k] = act.reshape(-1)
+    want = np.add.reduce(active.reshape(steps, chunk, n), axis=(0, 2))
+    got = _sent_counts(messages)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want.astype(np.int64))
+    assert 0 < got.sum() < steps * chunk * n

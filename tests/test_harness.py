@@ -601,7 +601,10 @@ def test_formatters_match_per_value_reference(tmp_path):
     spread = rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-323.5, 308.2, 10_000)
     values = np.concatenate([edges, spread])
     assert np.isfinite(values).all() and np.signbit(values[0])
-    for v in (values, values[:12].reshape(3, 4), [], [np.nan, np.inf, -np.inf]):
+    # fmt_vector formats each distinct value once, so repeats go in too
+    repeats = np.random.default_rng(18).permutation(np.resize(values[:40], 4000))
+    for v in (values, values[:12].reshape(3, 4), [], [np.nan, np.inf, -np.inf],
+              repeats, [-0.0, 0.0, np.nan, -0.0, np.nan, 1.0]):
         assert fmt_vector(v) == reference_fmt_vector(v)
     # traces of assorted shapes, so the cached template is rebuilt and reused
     path, start = tmp_path / "t.csv", 0

@@ -25,7 +25,7 @@ from socsamp import dynamics
 from socsamp.harness import CHUNK_ROWS, derive_trial_seed, trial_chunks
 
 from conftest import random_trial_config
-from oracles import per_trial_reference
+from oracles import per_trial_reference, random_doubly_stochastic
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,26 +122,46 @@ def assert_same_trace(a, b):
 
 
 def kernel_corpus(renormalize):
-    """13 random protocol configs, each with 9 trials, at H=150.
+    """15 random protocol configs, each with 9 trials, at H=150.
 
-    The random corpus need not draw one, so the last config is a birkhoff
-    network with censored sampling and b != 1, as random_censored runs,
-    whose permutations cross a block boundary at H=150.
+    The random corpus need not draw them, so three configs are set by hand:
+    a birkhoff network with censored sampling and b != 1, as random_censored
+    runs, whose permutations cross a block boundary at H=150; an iid network
+    with M = 9 opinions and N = 12 agents, where numpy sums a row of M
+    pairwise; and a switching network of period 3, which divides neither 7
+    nor the default window of 128 steps.
     """
     rng = np.random.default_rng(808)
-    for idx in range(13):
+    for idx in range(15):
         tc, (_, base_seed), _ = random_trial_config(
             rng, idx, horizon=150, renormalize=renormalize
+        )
+        censored = ss.SamplingPolicy(
+            "censored", censor_floor_scale=0.5, censor_exponent=1.0,
+            renormalize=renormalize,
         )
         if idx == 12:
             tc = replace(
                 tc,
                 weight_model=ss.birkhoff_model(tc.n_agents, (0.4, 0.3, 0.3)),
                 mixing=ss.MixingMatrices.from_b(0.6, tc.n_agents),
-                policy=ss.SamplingPolicy(
-                    "censored", censor_floor_scale=0.5, censor_exponent=1.0,
-                    renormalize=renormalize,
-                ),
+                policy=censored,
+            )
+        elif idx == 13:
+            n, m = 12, 9
+            mats = [random_doubly_stochastic(rng, n) for _ in range(3)]
+            tc = replace(
+                tc, n_agents=n, n_opinions=m,
+                initial_samples=tuple(int(x) for x in rng.integers(1, m + 1, n)),
+                weight_model=ss.iid_model(mats, (0.5, 0.3, 0.2), tau=1e-9),
+                mixing=ss.MixingMatrices.from_b(rng.uniform(0.0, 1.0, n), n),
+                policy=censored,
+            )
+        elif idx == 14:
+            mats = [random_doubly_stochastic(rng, tc.n_agents) for _ in range(3)]
+            tc = replace(
+                tc, weight_model=ss.switching_model(mats, tau=1e-9, window=2),
+                policy=ss.SamplingPolicy("direct"),
             )
         yield tc, [(j, derive_trial_seed(base_seed, j)) for j in range(9)]
 

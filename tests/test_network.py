@@ -76,11 +76,11 @@ def test_iid_model_empirical_mean():
 
 
 def kernel_weight_draws(model, rngs, horizon):
-    """``(streams, horizon, n, n)`` weights, built a step at a time as run_chunk does."""
-    return np.stack([
-        birkhoff_weights(model, block[:, s])
+    """``(streams, horizon, n, n)`` weights, each block built in one call, as
+    run_chunk builds a window's."""
+    return np.concatenate([
+        birkhoff_weights(model, block)
         for block in birkhoff_permutation_blocks(model, rngs, horizon)
-        for s in range(block.shape[1])
     ], axis=1)
 
 
@@ -112,8 +112,8 @@ def test_birkhoff_empirical_mean_matches_analytic():
 
 @pytest.mark.parametrize("block_steps", [None, 7])
 def test_birkhoff_blocks_match_per_step_reference(monkeypatch, block_steps):
-    # the block-streamed permutations, built into matrices a step at a time
-    # as run_chunk builds them, give the reference's bits, and leave each
+    # the block-streamed permutations, built into matrices a block at a time
+    # as run_chunk builds a window's, give the reference's bits, and leave each
     # stream where the reference leaves it, whatever the block length and
     # the streams alongside
     if block_steps is not None:

@@ -285,10 +285,31 @@ def test_inverse_cdf_draw_matches_five_pass_reference(m, shape, seed):
         np.testing.assert_array_equal(active, expected_active.astype(float))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
+def test_inverse_cdf_draw_wide_chunks_match_reference(m):
+    # on both sides of CDF_ROW_ADDS, where the CDF switches from
+    # np.add.accumulate to adds of whole components, with silent rows and
+    # uniforms equal to a partial sum of their row
+    rng = np.random.default_rng(m)
+    for rows in (1, ss.sampling.CDF_ROW_ADDS - 1, ss.sampling.CDF_ROW_ADDS, 2500):
+        p = rng.dirichlet(np.ones(m), size=(rows, 1))
+        p *= rng.choice([1.0, 0.5, 0.0], size=(rows, 1, 1))
+        u = rng.random((rows, 1))
+        on_sum = rng.random((rows, 1)) < 0.4
+        cdf = np.add.accumulate(p, axis=-1)
+        picked = np.take_along_axis(cdf, rng.integers(0, m, (rows, 1, 1)), -1)
+        u[on_sum] = picked[on_sum, 0]
+        expected, expected_active = reference_inverse_cdf_draw(p, u)
+        messages, active = inverse_cdf_draw(p, u)
+        np.testing.assert_array_equal(messages, expected)
+        np.testing.assert_array_equal(active, expected_active.astype(float))
+
+
 def uniform_panel(seeds, n_agents, horizon):
     """Streamed message uniforms as one (trials, agents, steps) array."""
     return np.concatenate(
-        list(ss.message_uniform_blocks(seeds, n_agents, horizon)), axis=-1
+        [b.copy() for b in ss.message_uniform_blocks(seeds, n_agents, horizon)],
+        axis=-1,
     )
 
 
@@ -305,7 +326,8 @@ def test_reproducibility_per_agent_step(monkeypatch):
     # so blocks of any length, and any other trials streamed alongside, give
     # the same uniforms as one draw per (trial, agent)
     monkeypatch.setattr(ss.sampling, "BLOCK_STEPS", 7)
-    blocks = list(ss.message_uniform_blocks([7, 123], 4, 50))
+    # every block is written into one buffer, so they are kept as copies
+    blocks = [blk.copy() for blk in ss.message_uniform_blocks([7, 123], 4, 50)]
     assert [blk.shape[-1] for blk in blocks] == [7] * 7 + [1]
     np.testing.assert_array_equal(np.concatenate(blocks, axis=-1)[1:], a)
     for i in range(4):
