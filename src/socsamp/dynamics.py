@@ -32,7 +32,7 @@ from .network import (
 )
 from .sampling import (
     BLOCK_STEPS,
-    inverse_cdf_draw,
+    draw_columns,
     message_uniform_blocks,
     policy_matrix,
     weight_stream,
@@ -191,17 +191,19 @@ def _increment(w, q, y, ym_q, ab_col, b_col, out=None, scratch=None):
 
     ``ab_col`` and ``b_col`` are None when every ``b_ii`` is 1: the retained
     and the transmitted own estimate then cancel, leaving ``W Y - Y``, and
-    ``ym_q`` is not read.  The increment is written into ``out`` and the
-    ``b_ii`` products into ``scratch``, an array of ``q``'s shape, when
+    ``ym_q`` is not read.  ``ab_col`` alone is None when every
+    ``a_ii + b_ii`` is exactly 1, where ``q`` is subtracted as it is, the
+    bits of its product with 1.0.  The increment is written into ``out`` and
+    the ``b_ii`` products into ``scratch``, an array of ``q``'s shape, when
     given; no input is written.  The increment's rows sum to 0 when every
     message is one-hot and every estimate sums to 1.  A silent (all-zero)
     message carries no mass, so the agents that hear it lose component sum.
     """
     inc = np.matmul(w, y, out=out)
-    if ab_col is None:
+    if b_col is None:
         inc -= y
     else:
-        inc -= np.multiply(ab_col, q, out=scratch)
+        inc -= q if ab_col is None else np.multiply(ab_col, q, out=scratch)
         inc -= np.multiply(b_col, ym_q, out=scratch)
     return inc
 
@@ -227,7 +229,8 @@ def _mixing_columns(mix):
     b = mix.b_diag
     if np.all(b == 1.0):
         return None, None
-    return (mix.a_diag + b)[:, None], b[:, None]
+    ab = mix.a_diag + b
+    return None if np.all(ab == 1.0) else ab[:, None], b[:, None]
 
 
 def noise_norm_bound(n_agents, n_opinions):
@@ -249,6 +252,24 @@ def _row_sums(x, out):
     np.add(x[..., 0], 0.0, out=out)  # the start 0.0 folds a negative zero
     for c in range(1, m):
         out += x[..., c]
+    return out
+
+
+def _row_maxima(x, out):
+    """``np.maximum.reduce(x, axis=-1)`` of nonnegative or NaN values, into ``out``.
+
+    A maximum is exact in any order, and ``np.maximum`` passes a NaN on as
+    the reduction does.  numpy reduces a short contiguous row in a loop of
+    its own, about 70 ns a row under timeit, so below 8 values a row a few
+    calls over whole slices take less: 281 against 22 us for 4,000 rows of
+    5.  From 8 up the calls cost more than the rows on the windows
+    :func:`run_chunk` steps, and the reduction is kept.
+    """
+    if x.shape[-1] >= 8:
+        return np.maximum.reduce(x, axis=-1, out=out)
+    np.copyto(out, x[..., 0])
+    for c in range(1, x.shape[-1]):
+        np.maximum(out, x[..., c], out=out)
     return out
 
 
@@ -325,13 +346,19 @@ def run_chunk(cfg, trials):
     included.
 
     The steps run in windows of :func:`window_steps` steps, and a step does
-    only what the next step reads.  Once per step: the sampling map (skipped
-    while the direct policy meets nonnegative estimates), the three-pass
-    :func:`inverse_cdf_draw` into a row of a window buffer of messages, the
-    update, written into a row of a window buffer of states, and the
-    minimum that decides whether the next step may skip the sampling map.
-    Once per window: its uniforms, copied out of their block into a
-    step-major buffer; the weight matrices of all its steps (a broadcast
+    only what the next step reads.  Once per step: the sampling map, the
+    three-pass :func:`draw_columns` into a row of a window buffer of
+    messages, the update, written into a row of a window buffer of states,
+    and the minimum of the new state.  That one nonnegativity test decides
+    how much work the next step's map does: the direct policy passes a
+    nonnegative state through without a call, the censored map skips its
+    search for negatives and writes into the stash of sampling
+    distributions, and a window whose every state passed skips its
+    negativity diagnostics.  The draw reads and writes column views of the
+    step buffers built once per chunk, and the step sizes of a window are
+    computed when it starts.  Once per window: its uniforms, copied out of
+    their block into a step-major buffer; the weight matrices of all its
+    steps (a broadcast
     view of a fixed network, a stack of a switching network's matrices, the
     picked support of an iid network, one :func:`birkhoff_weights` call for
     a birkhoff one); the martingale noise of all its steps, in one
@@ -341,8 +368,8 @@ def run_chunk(cfg, trials):
     buffer is allocated once per chunk, so a step that passes its state
     through allocates no array memory.  Maxima, counts and snapshots do not
     depend on the order they are taken in, and the window reductions add in
-    numpy's order (see :func:`_row_sums` and :func:`_agent_sums`), so the
-    window length never changes a bit.
+    numpy's order (see :func:`_row_sums`, :func:`_row_maxima` and
+    :func:`_agent_sums`), so the window length never changes a bit.
 
     A trial that hits a non-finite value is put back to its initial state
     and stepped on, so that it cannot disturb the rest; the chunk then
@@ -441,24 +468,39 @@ def run_chunk(cfg, trials):
     # steps that run the sampling map.  On fixed and switching networks that
     # is ``noises`` itself, which no step reads and which the noise call
     # only writes; on random networks the noise reads the distributions
-    # apart from Y - P, so they get a buffer of their own.  ``scratch``
-    # holds the b != 1 products and the products with W - Wbar
+    # apart from Y - P, so they get a buffer of their own.  Without noise
+    # recording it holds one step's distributions, in its row 0.
+    # ``scratch`` holds the b != 1 products and the products with W - Wbar
     states = np.empty((window + 1, chunk, n, m))
     messages = np.empty((window, chunk, n, m))
     noises = stash = np.empty_like(messages) if record_noise else None
     if record_noise and random_weights:
         stash = np.empty_like(messages)
+    elif not record_noise:
+        stash = np.empty((1, chunk, n, m))
     scratch = step_scratch = None
-    if ab_col is not None or (record_noise and random_weights):
+    if b_col is not None or (record_noise and random_weights):
         scratch = np.empty((window if record_noise else 1, chunk, n, m))
         step_scratch = scratch[0]
     # one step's increment, its messages' differences from its state (read
-    # only when b != 1), and its draw work for inverse_cdf_draw
+    # only when b != 1), and its draw work for draw_columns
     inc = np.empty((chunk, n, m))
-    ym_q = np.empty_like(inc) if ab_col is not None else None
+    ym_q = np.empty_like(inc) if b_col is not None else None
     work = np.zeros((m + 1, chunk * n))
     # a window's uniforms in step-major order
     window_uniforms = np.empty((window, chunk, n))
+    # the step buffers as draw_columns reads and writes them: each step's
+    # (M, rows) column view, and its uniforms as one row.  These views of
+    # the whole buffers are built once, and a step's view of one costs half
+    # a reshaped and transposed view of its row.  Lists of every step's
+    # views would cost less again, but hold about 150 bytes a view: 0.13 MB
+    # more peak memory for consensus_n50's 128-step windows
+    def columns(buf):
+        return buf.reshape(len(buf), chunk * n, m).transpose(0, 2, 1)
+
+    state_columns, message_columns = columns(states), columns(messages)
+    stash_columns = columns(stash)
+    uniform_rows = window_uniforms.reshape(window, chunk * n)
     snapshots = np.empty((chunk, len(checkpoints), n, m))
     errs = np.empty((chunk, len(checkpoints)))
 
@@ -468,11 +510,13 @@ def run_chunk(cfg, trials):
         errs[:, 0] = consensus_error(q, initial_avg)
 
     aborted = {}  # chunk position -> (step, diagnostics at that step)
-    # the direct policy passes nonnegative estimates through unchanged, so
-    # policy_matrix runs only once a negative component has been seen (a
-    # non-finite trial is reset before the next step)
+    # whether the state has no negative or NaN component (a non-finite trial
+    # is reset before the next step).  The direct policy passes such a state
+    # through unchanged, so policy_matrix runs only once a negative
+    # component has been seen, and the censored map is told, so that it
+    # skips its search for negatives
     direct = cfg.policy.kind == "direct"
-    pass_through = direct  # the one-hot initial estimates are nonnegative
+    nonnegative = True  # the one-hot initial estimates
 
     def windows():
         """Each window: the steps before it, its uniforms, step-major, and
@@ -489,30 +533,35 @@ def run_chunk(cfg, trials):
 
     for first, us, perms in windows():
         # the window's start, to step it again from
-        saved = q.copy(), counts.copy(), max_negative.copy(), pass_through
+        saved = q.copy(), counts.copy(), max_negative.copy(), nonnegative
         spans = [(0, len(us))]  # the step ranges left to step, last first
         while spans:
             a, b = spans.pop()
             steps = b - a
             ws, w_window, wbar_window = window_weights(first, a, b, perms)
+            ks = range(first + a + 1, first + b + 1)
+            deltas = [schedule.step_size(k) for k in ks]
             states[0] = q
             q = states[0]
-            clean = direct  # every state of the window passed through
+            clean = True  # every state of the window is nonnegative
             mapped = []  # the steps that ran the sampling map
-            for i in range(steps):
-                k = first + a + i + 1
-                delta = schedule.step_size(k)
-                if pass_through:
-                    p = q
+            for i, delta in enumerate(deltas):
+                if direct and nonnegative:
+                    p_columns = state_columns[i]
                 else:
-                    p, fell_back, clamps = policy_matrix(cfg.policy, q, delta)
-                    if p is not q:
+                    slot = i if record_noise else 0
+                    out = stash[slot]
+                    p, fell_back, clamps = policy_matrix(
+                        cfg.policy, q, delta, nonnegative=nonnegative, out=out
+                    )
+                    if p is not out:  # the hinted map counts nothing
                         fallbacks += fell_back
                         clamped += clamps
-                    if record_noise:
-                        stash[i] = p
-                        mapped.append(i)
-                y = inverse_cdf_draw(p, us[a + i], out=messages[i], work=work)[0]
+                        np.copyto(out, p)
+                    mapped.append(i)
+                    p_columns = stash_columns[slot]
+                draw_columns(p_columns, uniform_rows[a + i], message_columns[i], work)
+                y = messages[i]
                 if ym_q is not None:
                     np.subtract(y, q, out=ym_q)
                 _increment(
@@ -521,8 +570,8 @@ def run_chunk(cfg, trials):
                 inc *= delta
                 q = np.add(q, inc, out=states[i + 1])
                 # one reduction over the chunk; a NaN fails it too
-                pass_through = direct and np.minimum.reduce(q, axis=None) >= 0.0
-                clean = clean and pass_through
+                nonnegative = np.minimum.reduce(q, axis=None) >= 0.0
+                clean = clean and nonnegative
 
             window_states = states[1 : steps + 1]
             window_messages = messages[:steps]
@@ -560,7 +609,7 @@ def run_chunk(cfg, trials):
             _row_sums(window_states, out=sums)
             sums -= 1.0
             np.abs(sums, out=sums)
-            np.maximum.reduce(sums, axis=2, out=drift)
+            _row_maxima(sums, out=drift)
             if not clean:
                 # a NaN fails the comparison, so it adds to no count
                 qmin = window_states.min(axis=(2, 3))
@@ -572,17 +621,18 @@ def run_chunk(cfg, trials):
             # max() passes a NaN on, so one comparison finds every bad trial
             if not drift.max() < math.inf:
                 if steps > 1:
-                    q, saved_counts, saved_negative, pass_through = saved
+                    q, saved_counts, saved_negative, nonnegative = saved
                     counts[:] = saved_counts
                     max_negative[:] = saved_negative
                     spans = [(j, j + 1) for j in reversed(range(a, b))]
                     continue
                 # an aborted trial's diagnostics hold the noise maxima
-                # of the failing step but not its drift
+                # of the failing step, step b of this one-step window, but
+                # not its drift
                 np.fmax(maxima[:2], now[:2, 0], out=maxima[:2])
                 bad = ~np.isfinite(drift[0])
                 for r in np.flatnonzero(bad):
-                    aborted.setdefault(int(r), (k, diagnostics(r)))
+                    aborted.setdefault(int(r), (first + b, diagnostics(r)))
                 q[bad] = q0
                 if 0 in aborted:
                     break  # no earlier trial in the chunk can abort instead

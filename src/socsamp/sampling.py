@@ -106,12 +106,12 @@ def _count(rows):
     return int(counts) if counts.ndim == 0 else counts
 
 
-def _no_count(rows):
-    """What :func:`_count` gives for ``rows`` with no row set."""
-    return 0 if rows.ndim == 1 else np.zeros(rows.shape[:-1], dtype=np.int64)
+def _no_count(q):
+    """What :func:`_count` gives for the rows of ``q`` with no row set."""
+    return 0 if q.ndim == 2 else np.zeros(q.shape[:-2], dtype=np.int64)
 
 
-def policy_matrix(policy, q, delta_k):
+def policy_matrix(policy, q, delta_k, nonnegative=False, out=None):
     """Per-agent sampling distributions for a state matrix or a batch of them.
 
     ``q`` has shape ``(N, M)`` or ``(..., N, M)``, one estimate per row:
@@ -133,26 +133,46 @@ def policy_matrix(policy, q, delta_k):
     state, one count per state (an array over the leading axes) for a
     batch.  Each row depends only on its own estimate, so a batch gives the
     rows a single state would.
+
+    ``nonnegative`` says that no component of ``q`` is negative or NaN, as
+    a caller that has taken ``q``'s minimum knows; it must not be set
+    otherwise.  It skips the search for negative rows: ``direct`` returns
+    ``q`` at once, and a renormalized ``censored`` map whose every row keeps
+    mass divides the survivors straight into ``out``, an array of ``q``'s
+    shape, and returns it.  Every other call returns a new array, so a
+    caller that passes ``out`` tells the two apart by identity; the hint
+    changes no bit and no count.
     """
     q = np.asarray(q, dtype=float)
-    # the ufunc reductions without the ndarray methods' Python wrappers
+    if policy.kind == "direct":
+        if nonnegative:
+            return q, _no_count(q), _no_count(q)
+    else:
+        p = np.where(q >= censor_threshold(policy, delta_k), q, 0.0)
+        # the ufunc reductions without the ndarray methods' Python wrappers
+        totals = np.add.reduce(p, axis=-1, keepdims=True)
+        if (
+            nonnegative
+            and policy.renormalize
+            and np.minimum.reduce(totals, axis=None) > 0.0
+        ):  # every row keeps mass, and no row has a negative component
+            none = _no_count(q)
+            return np.divide(p, totals, out=p if out is None else out), none, none
     neg_rows = np.logical_or.reduce(q < 0.0, axis=-1)
     if policy.kind == "direct":
         if not neg_rows.any():
-            return q, _no_count(neg_rows), _count(neg_rows)
+            return q, _no_count(q), _count(neg_rows)
         # rows rebuilt from the positive part, and the sum it is scaled above
         p, rebuilt, cap = q.copy(), neg_rows, 1.0
     else:
-        p = np.where(q >= censor_threshold(policy, delta_k), q, 0.0)
-        totals = np.add.reduce(p, axis=-1, keepdims=True)
         if not policy.renormalize:  # nothing is rebuilt
             np.divide(p, totals, out=p, where=totals > 1.0)
-            return p, _no_count(neg_rows), _count(neg_rows)
+            return p, _no_count(q), _count(neg_rows)
         live = totals > 0.0
         np.divide(p, totals, out=p, where=live)
         rebuilt, cap = ~live[..., 0], 0.0
     if not np.logical_or.reduce(rebuilt, axis=None):  # the common censored call
-        return p, _no_count(neg_rows), _count(neg_rows)
+        return p, _no_count(q), _count(neg_rows)
     pos = np.clip(q[rebuilt], 0.0, None)
     totals = pos.sum(axis=-1)
     scaled = totals > cap
@@ -165,7 +185,7 @@ def policy_matrix(policy, q, delta_k):
     return p, _count(fallbacks), _count(neg_rows)
 
 
-# rows from which inverse_cdf_draw sums the CDF by whole components.  Under
+# rows from which draw_columns sums the CDF by whole components.  Under
 # timeit, np.add.accumulate's loop over M in each row costs about 8 ns per
 # value, against about 1.5 us per call of a component add; at M = 3 and 4
 # the two cross between 100 and 200 rows (2,500 rows: 56 us against 10 us)
@@ -182,16 +202,10 @@ def inverse_cdf_draw(p, uniforms, out=None, work=None):
     falls beyond the row's total mass, which gets the zero (silent)
     message.  Rows that are not known to be valid must be checked first.
 
-    The draw takes three passes over the ``(M, rows)`` transposed view, one
-    component at a time: the CDF, ``u < cdf`` and the difference of adjacent
-    components.  From ``CDF_ROW_ADDS`` rows on, the CDF is component 0 and
-    then ``M - 1`` adds of whole components, which sum in
-    ``np.add.accumulate``'s order without its loop over M in each row.
     ``out``, a C-contiguous array of ``p``'s shape, receives the messages,
-    and ``work``, a C-contiguous ``(M + 1, rows)`` float array whose row 0
-    is zero, the CDF and then the comparison; ``active`` is its last row.
-    A caller that draws every step passes both, so the draw allocates
-    nothing when ``uniforms`` is contiguous.
+    and ``work`` is the draw's work array (see :func:`draw_columns`);
+    ``active`` is its last row.  The draw itself is :func:`draw_columns` on
+    the ``(M, rows)`` transposed views of ``p`` and ``out``.
     """
     m = p.shape[-1]
     rows = uniforms.size
@@ -199,19 +213,41 @@ def inverse_cdf_draw(p, uniforms, out=None, work=None):
         out = np.empty(p.shape)
     if work is None:
         work = np.zeros((m + 1, rows))
+    draw_columns(
+        p.reshape(rows, m).T, uniforms.reshape(rows), out.reshape(rows, m).T, work
+    )
+    return out, work[m].reshape(uniforms.shape)
+
+
+def draw_columns(components, uniforms, messages, work):
+    """The inverse-CDF draw of :func:`inverse_cdf_draw` on column views.
+
+    ``components`` and ``messages`` are ``(M, rows)`` views, one component
+    of every row per row of the view (the transposed view of a C-contiguous
+    ``(rows, M)`` array), and ``uniforms`` holds one value per row.
+    ``work`` is a C-contiguous ``(M + 1, rows)`` float array whose row 0 is
+    zero; it receives the CDF and then the comparison, and its last row is
+    1.0 where a message was sent.  A caller that draws every step builds
+    these views once, so the draw allocates nothing and builds no view but
+    the two row ranges of ``work``.
+
+    The draw takes three passes, one component at a time: the CDF,
+    ``u < cdf`` and the difference of adjacent components.  From
+    ``CDF_ROW_ADDS`` rows on, the CDF is component 0 and then ``M - 1`` adds
+    of whole components, which sum in ``np.add.accumulate``'s order without
+    its loop over M in each row.
+    """
     below = work[1:]
-    components = p.reshape(rows, m).T
-    if rows < CDF_ROW_ADDS:
+    if len(uniforms) < CDF_ROW_ADDS:
         np.add.accumulate(components, axis=0, out=below)
     else:
         np.copyto(below[0], components[0])
-        for c in range(1, m):
+        for c in range(1, len(components)):
             np.add(below[c - 1], components[c], out=below[c])
     # a nonnegative row has a nondecreasing CDF, so ``u < cdf`` switches on
     # once, at the drawn component, and stays on
-    np.less(uniforms.reshape(rows), below, out=below)
-    np.subtract(below, work[:-1], out=out.reshape(rows, m).T)
-    return out, work[m].reshape(uniforms.shape)
+    np.less(uniforms, below, out=below)
+    np.subtract(below, work[:-1], out=messages)
 
 
 def categorical_covariance(q_star, n_agents):

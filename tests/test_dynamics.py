@@ -9,6 +9,7 @@ from socsamp.dynamics import (
     _increment,
     _martingale_noise,
     _mixing_columns,
+    _row_maxima,
     _row_sums,
     _sent_counts,
     resolve_checkpoints,
@@ -114,6 +115,28 @@ def test_two_agent_hand_computation():
     w = ss.metropolis_complete(2)
     out = q + 0.1 * _increment(w, q, q, q - q, *_mixing_columns(mix))
     np.testing.assert_allclose(out, [[0.95, 0.05], [0.05, 0.95]], atol=1e-15)
+
+
+def test_increment_subtracts_q_when_retention_plus_transmission_is_one(rng):
+    # a_ii + b_ii is exactly 1 for every b that from_b builds, and q is then
+    # subtracted as it is, bit for bit the product with a column of ones;
+    # a hand-built pair within A4_TOL of 1 keeps its column
+    n, m = 6, 3
+    q = rng.dirichlet(np.ones(m), size=n)
+    w = random_doubly_stochastic(rng, n)
+    y = np.eye(m)[rng.integers(0, m, n)]
+    b = rng.uniform(0.0, 1.0, n)
+    ab_col, b_col = _mixing_columns(ss.MixingMatrices.from_b(b, n))
+    assert ab_col is None
+    np.testing.assert_array_equal(b_col[:, 0], b)
+    want = w @ y - ((1.0 - b) + b)[:, None] * q - b[:, None] * (y - q)
+    got = _increment(w, q, y, y - q, ab_col, b_col)
+    assert got.tobytes() == want.tobytes()
+    a = 1.0 - b + 1e-13
+    ab_col, b_col = _mixing_columns(ss.MixingMatrices(a, b))
+    np.testing.assert_array_equal(ab_col[:, 0], a + b)
+    want = w @ y - (a + b)[:, None] * q - b[:, None] * (y - q)
+    assert _increment(w, q, y, y - q, ab_col, b_col).tobytes() == want.tobytes()
 
 
 @given(
@@ -366,6 +389,20 @@ def test_row_sums_match_numpy_sum(rng, n, m):
     want = x.sum(axis=-1)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@REDUCTION_SHAPES
+@pytest.mark.parametrize("n", [1, 2, 9, 50])
+def test_row_maxima_match_numpy_reduce(rng, n, m):
+    # on |sum - 1| values as run_chunk takes them, with NaNs, which both
+    # pass on
+    x = np.abs(reduction_input(rng, n, m))
+    x[rng.random(x.shape) < 0.05] = np.nan
+    out = np.full(x.shape[:-1], -1.0)
+    got = _row_maxima(x, out=out)
+    assert got is out
+    want = np.maximum.reduce(x, axis=-1)
+    assert got.tobytes() == want.tobytes()
 
 
 @REDUCTION_SHAPES

@@ -85,7 +85,7 @@ def output_digests(out):
 @pytest.mark.parametrize(
     "name,threads",
     [("normality_n5", 1), ("normality_n5", 2), ("random_censored", 1),
-     ("consensus_n50", 1)],
+     ("random_censored", 2), ("consensus_n50", 1)],
 )
 def test_outputs_match_recorded_digests(tmp_path, name, threads):
     path, replications, expected = GOLDEN[name]

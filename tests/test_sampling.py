@@ -152,6 +152,46 @@ def test_policy_matrix_matches_row_by_row_reference():
     assert ("direct", "positive part above 1", True) in seen
 
 
+@given(
+    m=st.integers(1, 5),
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    policy=st.sampled_from(
+        [DIRECT, censored(0.5), censored(0.5, renormalize=False), censored(2.0, 2.0),
+         censored(0.0)]
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_nonnegative_hint_changes_no_bit(m, shape, seed, policy):
+    # a state known to have no negative or NaN component: the hinted map
+    # gives the bits, counts and count types of the unhinted one, on rows
+    # above the threshold, rows whose every component is below it, all-zero
+    # rows of either sign and rows that sum to more than 1
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(np.ones(m), size=shape)
+    q *= rng.choice([1.0, 1.0, 1.0, 1.5, 1e-3, 0.0, -0.0], size=(*shape, 1))
+    q[rng.random(q.shape) < 0.1] = 0.0
+    delta = float(rng.uniform(0.01, 1.0))
+    before = q.copy()
+    want_p, want_fallbacks, want_clamped = policy_matrix(policy, q, delta)
+    out = np.full(q.shape, np.nan)
+    p, fallbacks, clamped = policy_matrix(policy, q, delta, nonnegative=True, out=out)
+    assert (p is q) == (want_p is q)
+    assert p.dtype == want_p.dtype and p.shape == want_p.shape
+    assert p.tobytes() == want_p.tobytes()
+    for got, want in ((fallbacks, want_fallbacks), (clamped, want_clamped)):
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+    assert q.tobytes() == before.tobytes()
+    # the map hands back ``out`` exactly when it wrote it, which is when
+    # a renormalized censored map finds mass in every row
+    kept = np.where(q >= censor_threshold(policy, delta), q, 0.0).sum(axis=-1)
+    fast = policy.kind == "censored" and policy.renormalize and (kept > 0.0).all()
+    assert (p is out) == fast
+    if not fast:
+        assert np.isnan(out).all()
+
+
 def test_threshold_shape():
     pol = censored(c=0.5, exponent=2.0)
     assert censor_threshold(pol, 0.1) == pytest.approx(0.5 * 0.01)
