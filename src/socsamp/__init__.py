@@ -21,7 +21,6 @@ from .analysis import (
     s_tilde,
 )
 from .dynamics import (
-    MixingMatrices,
     StepSchedule,
     TrialAborted,
     TrialTrace,
@@ -61,7 +60,6 @@ from .sampling import (
     substream,
 )
 from .state import (
-    StackedState,
     as_opinion_vector,
     consensus_error,
     initial_state,

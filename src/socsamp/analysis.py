@@ -23,7 +23,7 @@ import scipy.stats
 
 from .network import mean_matrix, spectral_gap
 from .sampling import categorical_covariance
-from .state import StackedState, as_opinion_vector, network_average
+from .state import as_opinion_vector, network_average
 
 DEGENERATE_VARIANCE = 1e-12
 
@@ -183,15 +183,16 @@ def empirical_scaled_covariance(final_states, q_ref, basis, delta_k):
     """Sample covariance of the scaled disagreement coordinate across trials.
 
     Each trial contributes ``xi / sqrt(delta_k)`` computed from its final
-    state; returns ``(covariance, samples)`` with one sample row per trial.
+    ``(N, M)`` state; returns ``(covariance, samples)`` with one sample row
+    per trial.
     """
     if len(final_states) < 2:
         raise ValueError("need at least two trials for a sample covariance")
     q_ref = np.asarray(q_ref, dtype=float)
-    rows = []
-    for st in final_states:
-        q = st.q if isinstance(st, StackedState) else np.asarray(st, dtype=float)
-        rows.append((basis.t1 @ (q - q_ref[None, :])).reshape(-1))
+    rows = [
+        (basis.t1 @ (np.asarray(q, dtype=float) - q_ref[None, :])).reshape(-1)
+        for q in final_states
+    ]
     samples = np.asarray(rows) / math.sqrt(delta_k)
     cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
     return cov, samples

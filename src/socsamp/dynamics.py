@@ -37,9 +37,7 @@ from .sampling import (
     policy_matrix,
     weight_stream,
 )
-from .state import StackedState, consensus_error, initial_state
-
-A4_TOL = 1e-12
+from .state import consensus_error, initial_state
 
 
 @dataclass(frozen=True)
@@ -56,14 +54,15 @@ class StepSchedule:
     offset: int = 0
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError("A1 violated: amplitude a must be positive")
+        # a NaN or an infinite value fails each check
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError("A1 violated: amplitude a must be positive and finite")
         if not 0.5 < self.exponent <= 1.0:
             raise ValueError(
                 f"A1 violated: exponent gamma must be in (1/2, 1], got {self.exponent}"
             )
-        if self.offset < 0:
-            raise ValueError("A1 violated: offset k0 must be nonnegative")
+        if not 0 <= self.offset < math.inf:
+            raise ValueError("A1 violated: offset k0 must be finite and nonnegative")
 
     @property
     def limit_constant(self):
@@ -73,46 +72,6 @@ class StepSchedule:
         if k < 1:
             raise ValueError(f"step index starts at 1, got {k}")
         return self.amplitude / (k + self.offset) ** self.exponent
-
-
-@dataclass(frozen=True)
-class MixingMatrices:
-    """Diagonal retention/transmission coefficients with a_ii + b_ii = 1."""
-
-    a_diag: np.ndarray
-    b_diag: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a_diag, dtype=float)
-        b = np.asarray(self.b_diag, dtype=float)
-        if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-            raise ValueError("mixing diagonals must be equal-length nonempty vectors")
-        if (a < 0).any() or (b < 0).any():
-            i = int(np.argmin(np.minimum(a, b)))
-            raise ValueError(
-                f"A4 violated: coefficients must be nonnegative at i={i + 1}"
-            )
-        gap = np.abs(a + b - 1.0)
-        if gap.max() > A4_TOL:
-            i = int(gap.argmax())
-            raise ValueError(
-                f"A4 violated: a_ii+b_ii = {a[i] + b[i]!r} at i={i + 1}"
-            )
-        for name, arr in (("a_diag", a), ("b_diag", b)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_b(cls, b, n_agents):
-        b = np.asarray(b, dtype=float)
-        if b.ndim == 0:
-            b = np.full(n_agents, float(b))
-        return cls(1.0 - b, b)
-
-    @property
-    def n_agents(self):
-        return self.b_diag.shape[0]
 
 
 @dataclass
@@ -137,7 +96,7 @@ class TrialTrace:
     checkpoints: list
     snapshots: list
     consensus_errors: list
-    final_state: StackedState
+    final_state: np.ndarray
     diagnostics: TrialDiagnostics
 
 
@@ -186,24 +145,26 @@ def resolve_checkpoints(spec, horizon):
     return tuple(ks)
 
 
-def _increment(w, q, y, ym_q, ab_col, b_col, out=None, scratch=None):
+def _increment(w, q, y, ym_q, b_col, out=None, scratch=None):
     """``(Q_{k+1} - Q_k) / d`` of one round, for one state or a batch.
 
-    ``ab_col`` and ``b_col`` are None when every ``b_ii`` is 1: the retained
-    and the transmitted own estimate then cancel, leaving ``W Y - Y``, and
-    ``ym_q`` is not read.  ``ab_col`` alone is None when every
-    ``a_ii + b_ii`` is exactly 1, where ``q`` is subtracted as it is, the
-    bits of its product with 1.0.  The increment is written into ``out`` and
-    the ``b_ii`` products into ``scratch``, an array of ``q``'s shape, when
-    given; no input is written.  The increment's rows sum to 0 when every
-    message is one-hot and every estimate sums to 1.  A silent (all-zero)
-    message carries no mass, so the agents that hear it lose component sum.
+    ``b_col`` holds the ``b_ii`` as a column, and is None when every
+    ``b_ii`` is 1: the retained and the transmitted own estimate then
+    cancel, leaving ``W Y - Y``, and ``ym_q`` is not read.  Otherwise the
+    round is ``W Y - Q - B (Y - Q)``: ``a_ii = 1 - b_ii`` and, in floating
+    point, ``(1 - b) + b == 1`` for every ``b`` in [0, 1], so ``Q`` is
+    subtracted as it is, the bits of its product with ``A + B``.  The
+    increment is written into ``out`` and the ``b_ii`` products into
+    ``scratch``, an array of ``q``'s shape, when given; no input is
+    written.  The increment's rows sum to 0 when every message is one-hot
+    and every estimate sums to 1.  A silent (all-zero) message carries no
+    mass, so the agents that hear it lose component sum.
     """
     inc = np.matmul(w, y, out=out)
     if b_col is None:
         inc -= y
     else:
-        inc -= q if ab_col is None else np.multiply(ab_col, q, out=scratch)
+        inc -= q
         inc -= np.multiply(b_col, ym_q, out=scratch)
     return inc
 
@@ -222,15 +183,6 @@ def _martingale_noise(w, wbar, b_col, ym_p, p, out=None, scratch=None):
     if wbar is not w:
         mart += np.matmul(w - wbar, p, out=scratch)
     return mart
-
-
-def _mixing_columns(mix):
-    """``(ab_col, b_col)`` as :func:`_increment` takes them."""
-    b = mix.b_diag
-    if np.all(b == 1.0):
-        return None, None
-    ab = mix.a_diag + b
-    return None if np.all(ab == 1.0) else ab[:, None], b[:, None]
 
 
 def noise_norm_bound(n_agents, n_opinions):
@@ -333,7 +285,7 @@ def run_chunk(cfg, trials):
 
     ``cfg`` is an experiment config; the kernel reads its protocol fields
     ``n_agents``, ``n_opinions``, ``initial_samples``, ``weight_model``,
-    ``mixing``, ``policy``, ``schedule``, ``horizon``, ``stride`` (the
+    ``b``, ``policy``, ``schedule``, ``horizon``, ``stride`` (the
     checkpoints) and ``record_noise``.  ``trials`` holds
     ``(trial_index, seed)`` pairs, one per trial of the chunk.
 
@@ -388,9 +340,9 @@ def run_chunk(cfg, trials):
     seeds = [int(s) for _, s in trials]
     chunk = len(seeds)
 
-    q0 = initial_state(cfg.initial_samples, m).q
+    q0 = initial_state(cfg.initial_samples, m)
     initial_avg = q0.mean(axis=0)
-    ab_col, b_col = _mixing_columns(cfg.mixing)
+    b_col = None if np.all(cfg.b == 1.0) else cfg.b[:, None]
 
     random_weights = model.kind in (IID, BIRKHOFF)
     if model.kind == SWITCHING:
@@ -564,9 +516,7 @@ def run_chunk(cfg, trials):
                 y = messages[i]
                 if ym_q is not None:
                     np.subtract(y, q, out=ym_q)
-                _increment(
-                    ws[i], q, y, ym_q, ab_col, b_col, out=inc, scratch=step_scratch
-                )
+                _increment(ws[i], q, y, ym_q, b_col, out=inc, scratch=step_scratch)
                 inc *= delta
                 q = np.add(q, inc, out=states[i + 1])
                 # one reduction over the chunk; a NaN fails it too
@@ -654,6 +604,7 @@ def run_chunk(cfg, trials):
         raise TrialAborted(step, diag, indices[r], seeds[r])
 
     final = q.copy()  # not a view that holds the window buffer
+    final.setflags(write=False)
     return [
         TrialTrace(
             trial_index=indices[r],
@@ -661,7 +612,7 @@ def run_chunk(cfg, trials):
             checkpoints=list(checkpoints),
             snapshots=list(snapshots[r]),
             consensus_errors=errs[r].tolist(),
-            final_state=StackedState(final[r], step_index=horizon),
+            final_state=final[r],
             diagnostics=diagnostics(r),
         )
         for r in range(chunk)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .analysis import asymptotic_report, q_star_prediction
 from .dynamics import (
-    MixingMatrices,
     StepSchedule,
     TrialDiagnostics,
     resolve_checkpoints,
@@ -77,7 +76,10 @@ class ExperimentConfig:
 
     Construction validates the fields, so a config made by
     :func:`load_config`, by hand or by ``dataclasses.replace`` either runs
-    or raises :class:`ConfigError`.
+    or raises :class:`ConfigError`.  ``b`` takes the transmission
+    coefficients ``b_ii`` as one value for every agent or one per agent,
+    each in [0, 1], and holds them as a read-only vector; the retention
+    coefficients are ``a_ii = 1 - b_ii``.
     """
 
     n_agents: int
@@ -87,7 +89,7 @@ class ExperimentConfig:
     master_seed: int
     initial_samples: tuple
     weight_model: WeightMatrixModel
-    mixing: MixingMatrices
+    b: np.ndarray
     policy: SamplingPolicy
     schedule: StepSchedule
     out_dir: str = "runs/out"
@@ -128,10 +130,21 @@ class ExperimentConfig:
             raise ConfigError(
                 f"network: weight model has {self.weight_model.n} agents, expected {n}"
             )
-        if self.mixing.n_agents != n:
+        b = np.array(self.b, dtype=float)
+        if b.size == 1:
+            b = np.full(n, b.item())
+        if b.shape != (n,):
+            raise ConfigError(f"mixing.b: expected 1 or {n} values, got {b.size}")
+        # a NaN fails both comparisons
+        outside = ~((b >= 0.0) & (b <= 1.0))
+        if outside.any():
+            i = int(outside.argmax())
             raise ConfigError(
-                f"mixing.b: expected 1 or {n} values, got {self.mixing.n_agents}"
+                f"mixing.b: A4 violated: b_ii must lie in [0, 1], got {float(b[i])!r} "
+                f"at i={i + 1}"
             )
+        b.setflags(write=False)
+        self.b = b
         try:
             resolve_checkpoints(self.stride, self.horizon)
         except ValueError as e:
@@ -276,8 +289,7 @@ def load_config(path, master_seed=None):
         replications = cp.getint("experiment", "replications", fallback=1)
         if master_seed is None:
             master_seed = cp.getint("experiment", "master_seed", fallback=0)
-    # the network, the mixing and the default initial opinions are built
-    # from the counts
+    # the network and the default initial opinions are built from the counts
     _check_counts(n, m)
 
     model = _build_model(cp, n, base_dir)
@@ -295,11 +307,7 @@ def load_config(path, master_seed=None):
             renormalize=cp.getboolean("sampling", "renormalize", fallback=True),
         )
     with _malformed("mixing"):
-        b_vals = _parse_floats(cp.get("mixing", "b", fallback="1.0"))
-        if not b_vals:  # MixingMatrices cannot say how many values it wanted
-            raise ConfigError(f"mixing.b: expected 1 or {n} values, got 0")
-        b = np.full(n, b_vals[0]) if len(b_vals) == 1 else np.asarray(b_vals)
-        mixing = MixingMatrices.from_b(b, n)
+        b = _parse_floats(cp.get("mixing", "b", fallback="1.0"))
 
     with _malformed("experiment.initial"):
         initial = _resolve_initial(
@@ -315,7 +323,7 @@ def load_config(path, master_seed=None):
             master_seed=master_seed,
             initial_samples=initial,
             weight_model=model,
-            mixing=mixing,
+            b=b,
             policy=policy,
             schedule=schedule,
             out_dir=cp.get("experiment", "out_dir", fallback="runs/out").strip(),
@@ -379,7 +387,7 @@ def serialize_config(cfg):
     out.write(f"gamma = {fmt(cfg.schedule.exponent)}\n")
     out.write(f"k0 = {cfg.schedule.offset}\n")
     out.write("\n[mixing]\n")
-    out.write(f"b = {fmt_vector(cfg.mixing.b_diag)}\n")
+    out.write(f"b = {fmt_vector(cfg.b)}\n")
     return out.getvalue()
 
 
@@ -503,7 +511,7 @@ def audit_assumptions(cfg):
             f"(window {model.window})",
         )
     )
-    gap = np.abs(cfg.mixing.a_diag + cfg.mixing.b_diag - 1.0).max()
+    gap = np.abs((1.0 - cfg.b) + cfg.b - 1.0).max()
     results.append(("A4", bool(gap <= 1e-12), f"max |a_ii+b_ii-1| = {fmt(gap)}"))
     return results
 

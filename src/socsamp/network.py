@@ -7,6 +7,7 @@ network average a conserved quantity under the protocol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,9 @@ class WeightMatrixModel:
             raise ValueError("model needs at least one agent")
         if self.window < 0:
             raise ValueError("window must be nonnegative")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        # a NaN fails every comparison, so each range check below refuses it
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         object.__setattr__(self, "support", tuple(_frozen(w) for w in self.support))
         object.__setattr__(
             self, "probabilities", tuple(float(p) for p in self.probabilities)
@@ -109,8 +111,10 @@ class WeightMatrixModel:
         if self.kind == IID:
             if len(self.probabilities) != len(self.support):
                 raise ValueError("need one probability per support matrix")
-            if any(p < 0 for p in self.probabilities):
-                raise ValueError("selection probabilities must be nonnegative")
+            if not all(0 <= p < math.inf for p in self.probabilities):
+                raise ValueError(
+                    "selection probabilities must be finite and nonnegative"
+                )
             if abs(sum(self.probabilities) - 1.0) > DS_TOL:
                 raise ValueError("selection probabilities must sum to 1")
         if self.kind == BIRKHOFF:
@@ -120,8 +124,8 @@ class WeightMatrixModel:
                 raise ValueError(
                     "mixing needs one identity weight plus one weight per permutation"
                 )
-            if any(c < 0 for c in self.mixing):
-                raise ValueError("mixing weights must be nonnegative")
+            if not all(0 <= c < math.inf for c in self.mixing):
+                raise ValueError("mixing weights must be finite and nonnegative")
             if abs(sum(self.mixing) - 1.0) > DS_TOL:
                 raise ValueError("mixing weights must sum to 1")
 

@@ -9,6 +9,7 @@ arguments replay identically across runs and worker schedules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,10 +92,11 @@ class SamplingPolicy:
     def __post_init__(self):
         if self.kind not in ("direct", "censored"):
             raise ValueError(f"unknown sampling policy kind {self.kind!r}")
-        if self.censor_floor_scale < 0:
-            raise ValueError("censor floor scale must be nonnegative")
-        if self.censor_exponent < 1:
-            raise ValueError("censor exponent must be >= 1")
+        # a NaN fails each comparison
+        if not 0 <= self.censor_floor_scale < math.inf:
+            raise ValueError("censor floor scale must be finite and nonnegative")
+        if not 1 <= self.censor_exponent < math.inf:
+            raise ValueError("censor exponent must be finite and >= 1")
 
 
 def censor_threshold(policy, delta_k):
@@ -136,18 +138,16 @@ def policy_matrix(policy, q, delta_k, nonnegative=False, out=None):
 
     ``nonnegative`` says that no component of ``q`` is negative or NaN, as
     a caller that has taken ``q``'s minimum knows; it must not be set
-    otherwise.  It skips the search for negative rows: ``direct`` returns
-    ``q`` at once, and a renormalized ``censored`` map whose every row keeps
-    mass divides the survivors straight into ``out``, an array of ``q``'s
-    shape, and returns it.  Every other call returns a new array, so a
-    caller that passes ``out`` tells the two apart by identity; the hint
-    changes no bit and no count.
+    otherwise.  A renormalized ``censored`` map whose every row keeps mass
+    then skips the search for negative rows, divides the survivors straight
+    into ``out``, an array of ``q``'s shape, and returns it.  Every other
+    call returns ``q`` itself or a new array, so a caller that passes
+    ``out`` tells the two apart by identity; the hint changes no bit and no
+    count.  ``direct`` does not read it: a caller that knows ``q`` is
+    nonnegative can use ``q`` without the call.
     """
     q = np.asarray(q, dtype=float)
-    if policy.kind == "direct":
-        if nonnegative:
-            return q, _no_count(q), _no_count(q)
-    else:
+    if policy.kind != "direct":
         p = np.where(q >= censor_threshold(policy, delta_k), q, 0.0)
         # the ufunc reductions without the ndarray methods' Python wrappers
         totals = np.add.reduce(p, axis=-1, keepdims=True)
@@ -192,44 +192,19 @@ def policy_matrix(policy, q, delta_k, nonnegative=False, out=None):
 CDF_ROW_ADDS = 200
 
 
-def inverse_cdf_draw(p, uniforms, out=None, work=None):
-    """One-hot draws by inverse CDF, one uniform per row, without validation.
-
-    ``p`` has shape ``(..., M)`` with finite nonnegative rows, and
-    ``uniforms`` the shape ``p.shape[:-1]``.  Returns ``(messages, active)``:
-    ``messages`` has the shape of ``p``, and ``active`` the shape of
-    ``uniforms``, 1.0 where a message was sent and 0.0 where the uniform
-    falls beyond the row's total mass, which gets the zero (silent)
-    message.  Rows that are not known to be valid must be checked first.
-
-    ``out``, a C-contiguous array of ``p``'s shape, receives the messages,
-    and ``work`` is the draw's work array (see :func:`draw_columns`);
-    ``active`` is its last row.  The draw itself is :func:`draw_columns` on
-    the ``(M, rows)`` transposed views of ``p`` and ``out``.
-    """
-    m = p.shape[-1]
-    rows = uniforms.size
-    if out is None:
-        out = np.empty(p.shape)
-    if work is None:
-        work = np.zeros((m + 1, rows))
-    draw_columns(
-        p.reshape(rows, m).T, uniforms.reshape(rows), out.reshape(rows, m).T, work
-    )
-    return out, work[m].reshape(uniforms.shape)
-
-
 def draw_columns(components, uniforms, messages, work):
-    """The inverse-CDF draw of :func:`inverse_cdf_draw` on column views.
+    """One-hot draws by inverse CDF, one uniform per row, without validation.
 
     ``components`` and ``messages`` are ``(M, rows)`` views, one component
     of every row per row of the view (the transposed view of a C-contiguous
-    ``(rows, M)`` array), and ``uniforms`` holds one value per row.
-    ``work`` is a C-contiguous ``(M + 1, rows)`` float array whose row 0 is
-    zero; it receives the CDF and then the comparison, and its last row is
-    1.0 where a message was sent.  A caller that draws every step builds
-    these views once, so the draw allocates nothing and builds no view but
-    the two row ranges of ``work``.
+    ``(rows, M)`` array), and ``uniforms`` holds one value per row.  Each
+    row's distribution must be finite and nonnegative; a uniform beyond the
+    row's total mass gets the zero (silent) message.  ``work`` is a
+    C-contiguous ``(M + 1, rows)`` float array whose row 0 is zero; it
+    receives the CDF and then the comparison, and its last row is 1.0 where
+    a message was sent.  A caller that draws every step builds these views
+    once, so the draw allocates nothing and builds no view but the two row
+    ranges of ``work``.
 
     The draw takes three passes, one component at a time: the CDF,
     ``u < cdf`` and the difference of adjacent components.  From

@@ -1,4 +1,4 @@
-"""Opinion vectors, stacked network state, and averaging utilities.
+"""Opinion vectors, the agents' state matrix, and averaging utilities.
 
 Opinion labels are 1-based integers in ``1..M`` at every public interface;
 array indices are 0-based internally.  Estimate vectors always sum to 1 but
@@ -7,8 +7,6 @@ nonnegativity is counted as a diagnostic rather than kept as an invariant.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,43 +39,23 @@ def _check_samples(samples, n_opinions):
 
 
 def initial_state(samples, n_opinions):
-    """One-hot starting state: agent i holds the unit vector of its sample."""
+    """One-hot starting state: agent i holds the unit vector of its sample.
+
+    A state is an ``(N, M)`` array, agent-major: row i is agent i's
+    estimate, so ``q.reshape(-1)`` has agent i in entries
+    ``i*M .. (i+1)*M - 1``, the order of the block-diagonal covariances.
+    The returned array is read-only.
+    """
     xs = _check_samples(samples, n_opinions)
     q = np.zeros((len(xs), n_opinions))
     q[np.arange(len(xs)), [x - 1 for x in xs]] = 1.0
-    return StackedState(q, step_index=0)
-
-
-@dataclass(frozen=True)
-class StackedState:
-    """All agents' estimates at one step, agent-major.
-
-    Row i of ``q`` is agent i's length-M estimate, so the stacked vector
-    ``q.reshape(-1)`` has agent i in entries ``i*M .. (i+1)*M - 1``, the
-    order of the block-diagonal covariances.  The array is marked read-only;
-    updates construct a new state.
-    """
-
-    q: np.ndarray
-    step_index: int = 0
-
-    def __post_init__(self):
-        q = np.ascontiguousarray(np.asarray(self.q, dtype=float))
-        if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
-            raise ValueError("state must be a nonempty (agents, opinions) matrix")
-        if self.step_index < 0:
-            raise ValueError("step_index must be nonnegative")
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-
-
-def _as_matrix(state):
-    return state.q if isinstance(state, StackedState) else np.asarray(state, dtype=float)
+    q.setflags(write=False)
+    return q
 
 
 def network_average(state):
     """Mean of the agents' estimate vectors."""
-    return _as_matrix(state).mean(axis=0)
+    return np.asarray(state, dtype=float).mean(axis=0)
 
 
 def consensus_error(state, target):
@@ -86,7 +64,7 @@ def consensus_error(state, target):
     A batch of states ``(..., N, M)`` takes one target per state, or one
     length-M target for all, and gives an array with one error per state.
     """
-    q = _as_matrix(state)
+    q = np.asarray(state, dtype=float)
     t = np.asarray(target, dtype=float)
     if not 1 <= t.ndim < q.ndim or t.shape[-1] != q.shape[-1]:
         raise ValueError(

@@ -35,7 +35,6 @@ def random_trial_config(rng, idx, horizon=1000, renormalize=True):
         model = ss.birkhoff_model(n, coefs, tau=tau)
     conserving = idx % 2 == 0
     b = np.ones(n) if conserving else rng.uniform(0.0, 1.0, size=n)
-    mixing = ss.MixingMatrices.from_b(b, n)
     if rng.random() < 0.5:
         policy = ss.SamplingPolicy("direct")
     else:
@@ -60,7 +59,7 @@ def random_trial_config(rng, idx, horizon=1000, renormalize=True):
         master_seed=0,
         initial_samples=samples,
         weight_model=model,
-        mixing=mixing,
+        b=b,
         policy=policy,
         schedule=schedule,
     )

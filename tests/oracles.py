@@ -84,8 +84,8 @@ def reference_inverse_cdf_draw(p, uniforms):
 
     The CDF along the last axis, ``u < cdf``, a cast to float, the shifted
     difference and the last column.  Returns ``(messages, active)`` with
-    ``active`` boolean; ``inverse_cdf_draw`` must give the same messages and
-    an ``active`` of 1.0 exactly where this one is True.
+    ``active`` boolean; ``draw_columns`` must give the same messages and
+    a last work row of 1.0 exactly where ``active`` is True.
     """
     below = uniforms[..., None] < np.add.accumulate(p, axis=-1)
     messages = below.astype(float)
@@ -101,7 +101,7 @@ def draw_messages(p, uniforms):
     tolerance); residual mass of a sub-stochastic row yields the zero
     (silent) message.
     """
-    from socsamp.sampling import inverse_cdf_draw
+    from socsamp.sampling import draw_columns
 
     p = np.atleast_2d(np.asarray(p, dtype=float))
     if not np.isfinite(p).all():
@@ -113,7 +113,13 @@ def draw_messages(p, uniforms):
     u = np.asarray(uniforms, dtype=float)
     if u.size != p.size // p.shape[-1]:
         raise ValueError("need exactly one uniform per distribution row")
-    return inverse_cdf_draw(p, u.reshape(p.shape[:-1]))[0]
+    m, rows = p.shape[-1], u.size
+    messages = np.empty(p.shape)
+    draw_columns(
+        p.reshape(rows, m).T, u.reshape(rows), messages.reshape(rows, m).T,
+        np.zeros((m + 1, rows)),
+    )
+    return messages
 
 
 def reference_weight_matrix(model, rng):
@@ -238,14 +244,15 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
     )
     from socsamp.network import FIXED, IID, SWITCHING, mean_matrix
     from socsamp.sampling import AGENT_DOMAIN, substream, weight_stream
-    from socsamp.state import StackedState, initial_state
+    from socsamp.state import initial_state
 
     n, m = config.n_agents, config.n_opinions
     model, schedule, horizon = config.weight_model, config.schedule, config.horizon
     checkpoints = set(resolve_checkpoints(config.stride, horizon))
-    q = initial_state(config.initial_samples, m).q.copy()
+    q = initial_state(config.initial_samples, m).copy()
     initial_avg = q.mean(axis=0)
-    a, b = config.mixing.a_diag, config.mixing.b_diag
+    b = config.b
+    a = 1.0 - b
     ab_col, b_col = (a + b)[:, None], b[:, None]
     conserving = bool(np.all(b == 1.0))
 
@@ -328,7 +335,7 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
 
     trace = TrialTrace(
         trial_index, seed, kept, snapshots, errs,
-        StackedState(q, step_index=horizon), diag,
+        q, diag,
     )
     return trace, mean_increments
 

@@ -241,7 +241,7 @@ def _replay_martingale(tc, seed, freeze_k, n_replays, replay_seed):
     delta = tc.schedule.step_size(freeze_k + 1)
     model = tc.weight_model
     wbar = step_mean_matrix(model, freeze_k + 1)
-    b = tc.mixing.b_diag[:, None]
+    b = tc.b[:, None]
     rng = substream(replay_seed, 99)
     n, m = tc.n_agents, tc.n_opinions
     basis = ss.build_projection(n)
@@ -285,7 +285,7 @@ def test_criterion_5_martingale_property():
             master_seed=0,
             initial_samples=initial,
             weight_model=model,
-            mixing=ss.MixingMatrices.from_b(b, n),
+            b=b,
             policy=ss.SamplingPolicy("direct"),
             schedule=ss.StepSchedule(1.0, 0.75, 0),
             stride=(5, 20, 50),

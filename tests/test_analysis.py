@@ -63,7 +63,7 @@ def test_q_star_prediction_is_histogram():
 
 
 def test_q_star_prediction_single_agent():
-    state0 = ss.StackedState(np.array([[0.3, 0.7]]))
+    state0 = np.array([[0.3, 0.7]])
     np.testing.assert_allclose(ss.q_star_prediction(state0), [0.3, 0.7])
 
 
@@ -380,7 +380,7 @@ def test_asymptotic_report_refuses_trials_at_a_vertex():
     # empirical covariance against it would be 0/0
     model = ss.fixed_model(ss.metropolis_complete(5))
     q_star = np.array([0.0, 1.0, 0.0])
-    finals = [ss.StackedState(np.tile(q_star, (5, 1)), 50)] * 4
+    finals = [np.tile(q_star, (5, 1))] * 4
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="q\\* is a vertex"):

@@ -1,4 +1,4 @@
-"""The package re-exports only what its own modules use."""
+"""The package defines and re-exports only what its own modules use."""
 
 import ast
 from pathlib import Path
@@ -31,3 +31,21 @@ def test_every_reexport_has_a_caller_in_the_package():
         if path.name != "__init__.py":
             used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(exported - used) == []
+
+
+def test_every_top_level_definition_is_loaded_in_the_package():
+    # a function or class that no module of the package calls, imports or
+    # names in code is dead; a docstring mention does not keep it
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in SRC.glob("*.py")
+    }
+    used = set().union(*(_names_used(tree) for tree in trees.values()))
+    defined = {
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in used
+    }
+    assert sorted(defined) == []

@@ -8,13 +8,12 @@ from socsamp.dynamics import (
     _agent_sums,
     _increment,
     _martingale_noise,
-    _mixing_columns,
     _row_maxima,
     _row_sums,
     _sent_counts,
     resolve_checkpoints,
 )
-from socsamp.sampling import inverse_cdf_draw, policy_matrix
+from socsamp.sampling import draw_columns, policy_matrix
 
 from conftest import random_trial_config
 from oracles import per_trial_reference, random_doubly_stochastic
@@ -29,7 +28,7 @@ def make_config(n, m, samples, model, b, policy, schedule, horizon, **kw):
         master_seed=0,
         initial_samples=samples,
         weight_model=model,
-        mixing=ss.MixingMatrices.from_b(b, n),
+        b=b,
         policy=policy,
         schedule=schedule,
         **kw,
@@ -79,20 +78,6 @@ def test_schedule_is_decreasing_and_square_summable_shape():
     assert ds[-1] > 0
 
 
-# ---------------------------------------------------------------- mixing
-
-
-def test_mixing_requires_a4():
-    with pytest.raises(ValueError, match=r"A4 violated: a_ii\+b_ii"):
-        ss.MixingMatrices(np.array([0.5, 0.5]), np.array([0.7, 0.5]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        ss.MixingMatrices(np.array([1.5, 0.5]), np.array([-0.5, 0.5]))
-    with pytest.raises(ValueError, match="nonempty"):
-        ss.MixingMatrices.from_b([], 3)
-    mix = ss.MixingMatrices.from_b(0.25, 3)
-    np.testing.assert_allclose(mix.a_diag, 0.75)
-
-
 # ---------------------------------------------------------------- update
 #
 # run_chunk's own primitives: Q + d * _increment(...) is one protocol round,
@@ -102,41 +87,38 @@ def test_mixing_requires_a4():
 
 def test_single_agent_fixed_point():
     q = np.array([[0.3, 0.7]])
-    mix = ss.MixingMatrices.from_b(1.0, 1)
     y = np.array([[1.0, 0.0]])
-    out = q + 0.3 * _increment(np.array([[1.0]]), q, y, y - q, *_mixing_columns(mix))
+    out = q + 0.3 * _increment(np.array([[1.0]]), q, y, y - q, None)  # b = 1
     np.testing.assert_allclose(out, q, atol=1e-15)
 
 
 def test_two_agent_hand_computation():
     # one-hot opposed agents, uniform weights, messages equal to estimates
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
-    mix = ss.MixingMatrices.from_b(1.0, 2)
     w = ss.metropolis_complete(2)
-    out = q + 0.1 * _increment(w, q, q, q - q, *_mixing_columns(mix))
+    out = q + 0.1 * _increment(w, q, q, q - q, None)  # b = 1
     np.testing.assert_allclose(out, [[0.95, 0.05], [0.05, 0.95]], atol=1e-15)
 
 
-def test_increment_subtracts_q_when_retention_plus_transmission_is_one(rng):
-    # a_ii + b_ii is exactly 1 for every b that from_b builds, and q is then
-    # subtracted as it is, bit for bit the product with a column of ones;
-    # a hand-built pair within A4_TOL of 1 keeps its column
-    n, m = 6, 3
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=200, deadline=None)
+def test_increment_subtracts_q_when_retention_plus_transmission_is_one(b, m, seed):
+    # a_ii = 1 - b_ii, and (1 - b) + b rounds to exactly 1 for every b in
+    # [0, 1], so q is subtracted as it is, bit for bit the product with
+    # A + B
+    rng = np.random.default_rng(seed)
+    b = np.array(b)
+    n = len(b)
     q = rng.dirichlet(np.ones(m), size=n)
     w = random_doubly_stochastic(rng, n)
     y = np.eye(m)[rng.integers(0, m, n)]
-    b = rng.uniform(0.0, 1.0, n)
-    ab_col, b_col = _mixing_columns(ss.MixingMatrices.from_b(b, n))
-    assert ab_col is None
-    np.testing.assert_array_equal(b_col[:, 0], b)
     want = w @ y - ((1.0 - b) + b)[:, None] * q - b[:, None] * (y - q)
-    got = _increment(w, q, y, y - q, ab_col, b_col)
+    got = _increment(w, q, y, y - q, b[:, None])
     assert got.tobytes() == want.tobytes()
-    a = 1.0 - b + 1e-13
-    ab_col, b_col = _mixing_columns(ss.MixingMatrices(a, b))
-    np.testing.assert_array_equal(ab_col[:, 0], a + b)
-    want = w @ y - (a + b)[:, None] * q - b[:, None] * (y - q)
-    assert _increment(w, q, y, y - q, ab_col, b_col).tobytes() == want.tobytes()
 
 
 @given(
@@ -150,11 +132,10 @@ def test_update_preserves_component_sums(n, m, seed):
     q = rng.dirichlet(np.ones(m), size=n)
     w = random_doubly_stochastic(rng, n)
     b = rng.uniform(0, 1, size=n)
-    mix = ss.MixingMatrices.from_b(b, n)
     labels = rng.integers(0, m, size=n)
     y = np.zeros((n, m))
     y[np.arange(n), labels] = 1.0
-    inc = _increment(w, q, y, y - q, *_mixing_columns(mix))
+    inc = _increment(w, q, y, y - q, b[:, None])
     out = q + float(rng.uniform(0.01, 1.0)) * inc
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
@@ -168,7 +149,7 @@ def test_decompose_direct_policy_kills_censor_noise():
     rng = np.random.default_rng(0)
     q = rng.dirichlet(np.ones(3), size=4)
     w = ss.metropolis_complete(4)
-    b = ss.MixingMatrices.from_b(1.0, 4).b_diag[:, None]
+    b = np.ones((4, 1))
     p, _, _ = policy_matrix(ss.SamplingPolicy("direct"), q, 0.2)
     censor = w @ (p - q) - b * (p - q)
     np.testing.assert_array_equal(censor, np.zeros((4, 3)))
@@ -177,7 +158,7 @@ def test_decompose_direct_policy_kills_censor_noise():
 def test_decompose_mean_realizations_kill_martingale_noise():
     rng = np.random.default_rng(1)
     q = rng.dirichlet(np.ones(3), size=4)
-    b = ss.MixingMatrices.from_b(0.5, 4).b_diag[:, None]
+    b = np.full((4, 1), 0.5)
     w = ss.metropolis_complete(4)
     mart = _martingale_noise(w, w, b, q - q, q)  # y at its mean p=q
     np.testing.assert_allclose(mart, 0.0, atol=1e-15)
@@ -186,10 +167,9 @@ def test_decompose_mean_realizations_kill_martingale_noise():
 def test_decompose_two_agent_hand_values():
     # messages at their mean: the increment is all drift, wbar q - q
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
-    cols = _mixing_columns(ss.MixingMatrices.from_b(1.0, 2))
     w = ss.metropolis_complete(2)
     np.testing.assert_allclose(
-        _increment(w, q, q, q - q, *cols).reshape(-1),
+        _increment(w, q, q, q - q, None).reshape(-1),  # b = 1
         [-0.5, 0.5, 0.5, -0.5], atol=1e-15,
     )
     np.testing.assert_allclose(_martingale_noise(w, w, None, q - q, q), 0.0, atol=1e-15)
@@ -203,15 +183,14 @@ def test_decomposition_reconstructs_increment(rng):
         mats = [random_doubly_stochastic(rng, n) for _ in range(2)]
         wbar = ss.mean_matrix(ss.iid_model(mats, [0.5, 0.5], tau=1e-9))
         w = mats[int(rng.integers(0, 2))]
-        mix = ss.MixingMatrices.from_b(rng.uniform(0, 1, size=n), n)
-        b = mix.b_diag[:, None]
+        b = rng.uniform(0, 1, size=(n, 1))
         p = rng.dirichlet(np.ones(m), size=n)
         y = np.zeros((n, m))
         y[np.arange(n), rng.integers(0, m, size=n)] = 1.0
         drift = wbar @ q - q
         censor = wbar @ (p - q) - b * (p - q)
         mart = _martingale_noise(w, wbar, b, y - p, p)
-        inc = _increment(w, q, y, y - q, *_mixing_columns(mix))
+        inc = _increment(w, q, y, y - q, b)
         np.testing.assert_allclose(drift + censor + mart, inc, atol=1e-12)
 
 
@@ -225,7 +204,7 @@ def test_null_dynamics_constant_states():
     tc = make_config(3, 2, (1, 2, 2), model, 1.0, ss.SamplingPolicy("direct"),
                      sched, 200)
     tr = run_seeded(tc, 5)
-    q0 = ss.initial_state((1, 2, 2), 2).q
+    q0 = ss.initial_state((1, 2, 2), 2)
     for snap in tr.snapshots:
         np.testing.assert_array_equal(snap, q0)
 
@@ -250,7 +229,7 @@ def test_trial_determinism():
     tc = make_config(4, 3, (1, 2, 3, 1), model, 1.0, ss.SamplingPolicy("direct"),
                      sched, 500)
     a, b = run_seeded(tc, 77), run_seeded(tc, 77)
-    np.testing.assert_array_equal(a.final_state.q, b.final_state.q)
+    np.testing.assert_array_equal(a.final_state, b.final_state)
     for sa, sb in zip(a.snapshots, b.snapshots):
         np.testing.assert_array_equal(sa, sb)
 
@@ -357,11 +336,10 @@ def test_trial_abort_on_nonfinite():
     # (1 - d/2) Q: at d = 10 the estimate near the largest double overflows,
     # while the row that stays in the simplex does not
     big = np.array([[1e308, 1 - 1e308], [0.0, 1.0]])
-    mix = ss.MixingMatrices.from_b(0.5, 2)
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
     with np.errstate(over="ignore"):
-        out = big + 10.0 * _increment(w, big, y, y - big, *_mixing_columns(mix))
+        out = big + 10.0 * _increment(w, big, y, y - big, np.full((2, 1), 0.5))
     assert np.isneginf(out[0, 0]) and np.isposinf(out[0, 1])
     np.testing.assert_array_equal(out[1], [10.0, -9.0])
 
@@ -429,9 +407,11 @@ def test_sent_counts_match_active_rows(rng, n, m):
     u = rng.random((steps, chunk, n))
     messages = np.empty_like(p)
     active = np.empty((steps, chunk * n))
+    work = np.zeros((m + 1, chunk * n))
     for k in range(steps):
-        _, act = inverse_cdf_draw(p[k], u[k], out=messages[k])
-        active[k] = act.reshape(-1)
+        rows = messages[k].reshape(-1, m)
+        draw_columns(p[k].reshape(-1, m).T, u[k].reshape(-1), rows.T, work)
+        active[k] = work[m]
     want = np.add.reduce(active.reshape(steps, chunk, n), axis=(0, 2))
     got = _sent_counts(messages)
     assert got.dtype == np.int64

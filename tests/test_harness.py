@@ -67,7 +67,8 @@ def test_load_shipped_full_scale_config():
     assert cfg.schedule.exponent == 0.75
     assert cfg.replications == 1000
     assert cfg.policy.kind == "direct"
-    np.testing.assert_array_equal(cfg.mixing.b_diag, np.ones(50))
+    np.testing.assert_array_equal(cfg.b, np.ones(50))
+    assert not cfg.b.flags.writeable
     assert len(cfg.initial_samples) == 50
     assert all(1 <= x <= 4 for x in cfg.initial_samples)
     # the resolved draws follow the configured law, loosely
@@ -118,10 +119,13 @@ INVALID_FIELDS = {
         {"weight_model": ss.fixed_model(ss.metropolis_complete(5))},
         "weight model has 5 agents, expected 4",
     ),
-    "mixing size": (
-        {"mixing": ss.MixingMatrices.from_b(1.0, 3)},
-        "mixing.b: expected 1 or 4 values, got 3",
+    "mixing size": ({"b": np.ones(3)}, "mixing.b: expected 1 or 4 values, got 3"),
+    "no b": ({"b": []}, "mixing.b: expected 1 or 4 values, got 0"),
+    "negative b": (
+        {"b": [1.0, -0.5, 1.0, 1.0]},
+        r"mixing\.b: A4 violated: b_ii must lie in \[0, 1\], got -0\.5 at i=2",
     ),
+    "nan b": ({"b": np.nan}, r"mixing\.b: A4 violated: .*got nan at i=1"),
     "stride past horizon": ({"stride": (0, 50, 9999)}, STRIDE_MESSAGE),
     "negative stride": ({"stride": (-1,)}, STRIDE_MESSAGE),
     # the stride is checked again when only the horizon changes
@@ -226,7 +230,7 @@ def test_null_config_constant_trace(tmp_path):
     summary = ss.run_experiment(cfg)
     assert summary.passed
     trace = (Path(summary.out_dir) / "trace_0.csv").read_text().splitlines()[1:]
-    q0 = ss.initial_state(cfg.initial_samples, cfg.n_opinions).q
+    q0 = ss.initial_state(cfg.initial_samples, cfg.n_opinions)
     for row in trace:
         k, agent, comp, value = row.split(",")
         assert float(value) == q0[int(agent) - 1, int(comp) - 1]
@@ -259,11 +263,14 @@ def test_run_trials_writes_traces_and_keeps_no_snapshots(tmp_path, threads):
     assert [tr.trial_index for tr in traces] == [0, 1, 2]
     for tr, ref in zip(traces, full):
         assert tr.snapshots is None
-        assert not any(isinstance(v, np.ndarray) for v in vars(tr).values())
+        assert not any(
+            isinstance(v, np.ndarray)
+            for k, v in vars(tr).items() if k != "final_state"
+        )
         assert (tr.seed, tr.checkpoints) == (ref.seed, ref.checkpoints)
         assert tr.consensus_errors == ref.consensus_errors
         assert asdict(tr.diagnostics) == asdict(ref.diagnostics)
-        np.testing.assert_array_equal(tr.final_state.q, ref.final_state.q)
+        np.testing.assert_array_equal(tr.final_state, ref.final_state)
         written = (tmp_path / "r" / f"trace_{tr.trial_index}.csv").read_text()
         assert written == reference_trace_text(ref.checkpoints, ref.snapshots)
 
@@ -324,7 +331,7 @@ def test_trial_permutation_only_reorders_outputs(tmp_path):
     traces = {tc_i: ss.run_trials(replace(cfg, replications=3))[tc_i] for tc_i in range(3)}
     # running trial 2 alone reproduces the batch's trial 2
     solo = ss.run_chunk(cfg, [(2, ss.derive_trial_seed(cfg.master_seed, 2))])[0]
-    np.testing.assert_array_equal(solo.final_state.q, traces[2].final_state.q)
+    np.testing.assert_array_equal(solo.final_state, traces[2].final_state)
 
 
 def test_audit_assumptions_pass_and_fail(tmp_path):
@@ -556,11 +563,45 @@ DIVERGING = {
         ("simulate", {"opinions = 3": "opinions = 1", "samples:1,2,3,3": "samples:1,1,1,1",
                       "normality = false": "normality = true"}, [],
          "config error: experiment.normality: every initial sample is 1,"),
+        # b outside [0, 1], NaN among them, and a wrong count
+        ("simulate", {"b = 1.0": "b = nan"}, [],
+         "config error: mixing.b: A4 violated: b_ii must lie in [0, 1], got nan at i=1"),
+        ("simulate", {"b = 1.0": "b = 1,1,-0.1,1"}, [],
+         "config error: mixing.b: A4 violated: b_ii must lie in [0, 1], got -0.1 at i=3"),
+        ("simulate", {"b = 1.0": "b = 1.5"}, [],
+         "config error: mixing.b: A4 violated: b_ii must lie in [0, 1], got 1.5 at i=1"),
+        ("simulate", {"b = 1.0": "b = 1,1"}, [],
+         "config error: mixing.b: expected 1 or 4 values, got 2"),
+        # non-finite protocol parameters
+        ("simulate", {"kind = direct": "kind = censored\nc = nan"}, [],
+         "config error: sampling: censor floor scale must be finite and nonnegative"),
+        ("simulate", {"kind = direct": "kind = censored\nc = inf"}, [],
+         "config error: sampling: censor floor scale must be finite and nonnegative"),
+        ("simulate", {"kind = direct": "kind = censored\nexponent = nan"}, [],
+         "config error: sampling: censor exponent must be finite and >= 1"),
+        ("simulate", {"kind = direct": "kind = censored\nexponent = inf"}, [],
+         "config error: sampling: censor exponent must be finite and >= 1"),
+        ("simulate", {"a = 1.0": "a = nan"}, [],
+         "config error: schedule: A1 violated: amplitude a must be positive and finite"),
+        ("simulate", {"a = 1.0": "a = inf"}, [],
+         "config error: schedule: A1 violated: amplitude a must be positive and finite"),
+        ("simulate", {"kind = complete": "kind = complete\ntau = nan"}, [],
+         "config error: network: tau must be positive and finite"),
+        ("simulate", {"kind = complete": "kind = birkhoff-random\nmixing = 0.5,nan,0.5"},
+         [], "config error: network: mixing weights must be finite and nonnegative"),
+        ("simulate", {"kind = complete": "kind = iid-finite-support\n"
+                      "support = 1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1 ; "
+                      "0,1,0,0,1,0,0,0,0,0,0,1,0,0,1,0\nprobabilities = nan,0.5"},
+         [], "config error: network: selection probabilities must be finite and "
+         "nonnegative"),
     ],
     ids=["replications-0", "stride-past-horizon", "horizon-0", "replay-out-of-range",
          "simulate-diverges", "replay-diverges", "initial-not-int", "b-not-float",
          "b-empty", "threads-not-int", "covariance-not-bool", "threads-0",
-         "threads-flag-negative", "covariance-at-vertex", "normality-one-opinion"],
+         "threads-flag-negative", "covariance-at-vertex", "normality-one-opinion",
+         "b-nan", "b-negative", "b-above-1", "b-wrong-count",
+         "c-nan", "c-inf", "exponent-nan", "exponent-inf", "a-nan", "a-inf",
+         "tau-nan", "birkhoff-mixing-nan", "iid-probabilities-nan"],
 )
 def test_cli_refusals_exit_2_with_one_line(
     tmp_path, capsys, command, edits, flags, prefix
@@ -577,7 +618,7 @@ def test_cli_refusals_exit_2_with_one_line(
     assert code == 2
     assert captured.err.startswith(prefix)
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    assert not (tmp_path / "out" / "summary.txt").exists()
+    assert not any((tmp_path / "out").rglob("*"))
 
 
 def test_write_trace_layout(tmp_path):

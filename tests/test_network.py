@@ -153,7 +153,7 @@ def test_switching_model_mean_and_steps():
     cfg = ss.ExperimentConfig(
         n_agents=2, n_opinions=2, horizon=3, replications=1, master_seed=0,
         initial_samples=(1, 2), weight_model=model,
-        mixing=ss.MixingMatrices.from_b(1.0, 2), policy=ss.SamplingPolicy("direct"),
+        b=1.0, policy=ss.SamplingPolicy("direct"),
         schedule=ss.StepSchedule(1.0, 1.0, 0), stride="all",
     )
     snapshots = ss.run_chunk(cfg, [(0, 7)])[0].snapshots

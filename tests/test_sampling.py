@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socsamp as ss
-from socsamp.sampling import censor_threshold, inverse_cdf_draw, policy_matrix
+from socsamp.sampling import censor_threshold, draw_columns, policy_matrix
 
 from oracles import draw_messages, reference_inverse_cdf_draw, reference_policy_matrix
 
@@ -315,14 +315,18 @@ def test_inverse_cdf_draw_matches_five_pass_reference(m, shape, seed):
     u[on_sum] = np.take_along_axis(cdf, rng.integers(0, m, (*shape, 1)), -1)[on_sum, 0]
     u[rng.random(shape) < 0.1] = 0.0
     expected, expected_active = reference_inverse_cdf_draw(p, u)
-    out, work = np.empty_like(p), np.zeros((m + 1, u.size))
-    # fresh buffers, then the same buffers again, as the kernel reuses them
-    for kwargs in ({}, {"out": out, "work": work}, {"out": out, "work": work}):
-        messages, active = inverse_cdf_draw(p, u, **kwargs)
-        assert messages.shape == p.shape and active.shape == u.shape
+    rows = u.size
+    messages, work = np.empty_like(p), np.zeros((m + 1, rows))
+    # twice on the same buffers, as the kernel reuses them
+    for _ in range(2):
+        draw_columns(
+            p.reshape(rows, m).T, u.reshape(rows), messages.reshape(rows, m).T, work
+        )
         np.testing.assert_array_equal(messages, expected)
         assert not np.signbit(messages).any()
-        np.testing.assert_array_equal(active, expected_active.astype(float))
+        np.testing.assert_array_equal(
+            work[m].reshape(u.shape), expected_active.astype(float)
+        )
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
@@ -340,9 +344,10 @@ def test_inverse_cdf_draw_wide_chunks_match_reference(m):
         picked = np.take_along_axis(cdf, rng.integers(0, m, (rows, 1, 1)), -1)
         u[on_sum] = picked[on_sum, 0]
         expected, expected_active = reference_inverse_cdf_draw(p, u)
-        messages, active = inverse_cdf_draw(p, u)
+        messages, work = np.empty_like(p), np.zeros((m + 1, rows))
+        draw_columns(p[:, 0].T, u[:, 0], messages[:, 0].T, work)
         np.testing.assert_array_equal(messages, expected)
-        np.testing.assert_array_equal(active, expected_active.astype(float))
+        np.testing.assert_array_equal(work[m], expected_active[:, 0].astype(float))
 
 
 def uniform_panel(seeds, n_agents, horizon):

@@ -37,26 +37,26 @@ def test_empirical_distribution_rejects_bad_samples(bad):
 
 def test_initial_state_one_hot():
     st0 = ss.initial_state([2], 3)
-    np.testing.assert_array_equal(st0.q, [[0.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(st0, [[0.0, 1.0, 0.0]])
 
 
 def test_initial_state_stacking_order():
     st0 = ss.initial_state([1, 3], 3)
-    np.testing.assert_array_equal(st0.q.reshape(-1), [1, 0, 0, 0, 0, 1])
+    np.testing.assert_array_equal(st0.reshape(-1), [1, 0, 0, 0, 0, 1])
 
 
 def test_initial_state_duplicate_samples():
     st0 = ss.initial_state([1, 1], 2)
-    np.testing.assert_array_equal(st0.q, [[1.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(st0, [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_network_average_symmetry():
-    st0 = ss.StackedState(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    st0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(ss.network_average(st0), [0.5, 0.5])
 
 
 def test_network_average_single_agent_identity():
-    st0 = ss.StackedState(np.array([[0.3, 0.7]]))
+    st0 = np.array([[0.3, 0.7]])
     np.testing.assert_allclose(ss.network_average(st0), [0.3, 0.7])
 
 
@@ -78,17 +78,17 @@ def test_network_average_equals_empirical_distribution():
 
 
 def test_consensus_error_zero_at_consensus():
-    st0 = ss.StackedState(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    st0 = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert ss.consensus_error(st0, np.array([0.5, 0.5])) == 0.0
 
 
 def test_consensus_error_hand_values():
-    st0 = ss.StackedState(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    st0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert ss.consensus_error(st0, np.array([0.5, 0.5])) == pytest.approx(0.5)
-    st1 = ss.StackedState(np.array([[0.6, 0.4]]))
+    st1 = np.array([[0.6, 0.4]])
     assert ss.consensus_error(st1, np.array([0.5, 0.5])) == pytest.approx(0.1)
     # a batch gives one error per state, against a shared or a per-state target
-    batch = np.stack([st0.q, np.array([[0.6, 0.4], [0.5, 0.5]])])
+    batch = np.stack([st0, np.array([[0.6, 0.4], [0.5, 0.5]])])
     np.testing.assert_allclose(ss.consensus_error(batch, np.array([0.5, 0.5])), [0.5, 0.1])
     np.testing.assert_allclose(
         ss.consensus_error(batch, np.array([[1.0, 0.0], [0.6, 0.4]])), [1.0, 0.1]
@@ -96,7 +96,7 @@ def test_consensus_error_hand_values():
 
 
 def test_consensus_error_dimension_mismatch():
-    st0 = ss.StackedState(np.array([[0.5, 0.5]]))
+    st0 = np.array([[0.5, 0.5]])
     with pytest.raises(ValueError, match="does not match"):
         ss.consensus_error(st0, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="does not match"):
@@ -106,7 +106,7 @@ def test_consensus_error_dimension_mismatch():
 def test_state_is_read_only():
     state = ss.initial_state([1, 2], 2)
     with pytest.raises(ValueError):
-        state.q[0, 0] = 5.0
+        state[0, 0] = 5.0
 
 
 def test_as_opinion_vector_checks_sum():
