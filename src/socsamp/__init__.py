@@ -57,7 +57,7 @@ from .sampling import (
     SamplingPolicy,
     categorical_covariance,
     message_uniform_blocks,
-    substream,
+    substreams,
 )
 from .state import (
     as_opinion_vector,

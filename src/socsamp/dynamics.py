@@ -32,10 +32,11 @@ from .network import (
 )
 from .sampling import (
     BLOCK_STEPS,
+    WEIGHT_DOMAIN,
     draw_columns,
     message_uniform_blocks,
     policy_matrix,
-    weight_stream,
+    substreams,
 )
 from .state import consensus_error, initial_state
 
@@ -349,7 +350,7 @@ def run_chunk(cfg, trials):
         period = np.stack(model.support)
     elif model.kind == IID:
         support = np.stack(model.support)
-        picks = iid_picks(model, [weight_stream(s) for s in seeds], horizon)
+        picks = iid_picks(model, substreams(seeds, WEIGHT_DOMAIN), horizon)
     wbar_static = mean_matrix(model) if random_weights else None
     # the values of one step's weight matrices, and on random networks of
     # their differences from the mean
@@ -360,7 +361,7 @@ def run_chunk(cfg, trials):
         permutation_blocks = (
             np.moveaxis(block, 1, 0)
             for block in birkhoff_permutation_blocks(
-                model, [weight_stream(s) for s in seeds], horizon
+                model, substreams(seeds, WEIGHT_DOMAIN), horizon
             )
         )
     else:

@@ -15,6 +15,9 @@ import configparser
 import functools
 import hashlib
 import io
+import itertools
+import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -40,7 +43,7 @@ from .network import (
     metropolis_complete,
     switching_model,
 )
-from .sampling import SamplingPolicy, init_stream
+from .sampling import INIT_DOMAIN, SamplingPolicy, substreams
 from .state import initial_state
 
 
@@ -126,6 +129,13 @@ class ExperimentConfig:
             )
         if self.threads < 1:
             raise ConfigError("experiment.threads: must be at least 1")
+        # a NaN fails each comparison
+        if not 0.0 <= self.max_cov_rel_error < math.inf:
+            raise ConfigError(
+                "experiment.max_cov_rel_error: must be finite and nonnegative"
+            )
+        if not 0.0 <= self.min_normality_pass <= 1.0:
+            raise ConfigError("experiment.min_normality_pass: must lie in [0, 1]")
         if self.weight_model.n != n:
             raise ConfigError(
                 f"network: weight model has {self.weight_model.n} agents, expected {n}"
@@ -168,14 +178,16 @@ def derive_trial_seed(master_seed, trial_index):
 def _malformed(key):
     """Refuse a value that does not parse with a ConfigError naming ``key``.
 
-    A ConfigError raised inside names its own key and passes through.
+    A ConfigError raised inside names its own key and passes through.  The
+    message is one line: configparser spreads some of its own over several.
     """
     try:
         yield
     except ConfigError:
         raise
     except (ValueError, configparser.Error) as e:
-        raise ConfigError(f"{key}: {e}") from e
+        message = " ".join(line.strip() for line in str(e).splitlines())
+        raise ConfigError(f"{key}: {message}") from e
 
 
 def _parse_matrix(text, n, base_dir, key):
@@ -225,7 +237,7 @@ def _resolve_initial(spec, n_agents, n_opinions, master_seed):
             raise ConfigError(
                 "experiment.initial: probabilities must be nonnegative and sum to 1"
             )
-    rng = init_stream(master_seed)
+    (rng,) = substreams([master_seed], INIT_DOMAIN)
     draws = rng.choice(n_opinions, size=n_agents, p=np.asarray(probs))
     return tuple(int(x) + 1 for x in draws)
 
@@ -280,7 +292,8 @@ def load_config(path, master_seed=None):
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read(path, encoding="utf-8")
+    with _malformed("config file"):
+        cp.read(path, encoding="utf-8")
     base_dir = path.parent
     with _malformed("experiment"):
         n = cp.getint("experiment", "agents")
@@ -437,16 +450,33 @@ def _write_chunk(cfg, trials):
     return [replace(tr, snapshots=None) for tr in traces]
 
 
+def _create_trace_files(out_dir, chunks):
+    """Create the trace file of every trial of ``chunks`` that does not exist.
+
+    No file is truncated, so one that a chunk has written keeps its bytes.
+    Files go in the order the chunks write them, position j of every chunk
+    before position j + 1, so the creations stay ahead of the writes.
+    """
+    for position in itertools.zip_longest(*chunks):
+        for trial in position:
+            if trial is not None:
+                path = _trace_path(out_dir, trial[0])
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+
+
 def run_trials(cfg):
     """All replications, stepped in chunks of trials.
 
     Each chunk, in a worker process when ``cfg.threads`` > 1, writes the
-    ``trace_<trial>.csv`` of its trials into ``cfg.out_dir``; the traces
-    returned hold the checkpoints, consensus errors, diagnostics and final
-    states, and ``snapshots`` is None.  When a chunk fails, every chunk is
-    waited for, the traces already written are deleted, and the first
-    failure in chunk order is raised.  Trial results and trace bytes do not
-    depend on the worker count or the chunk sizes.
+    ``trace_<trial>.csv`` of its trials into ``cfg.out_dir``, truncating any
+    file there; the traces returned hold the checkpoints, consensus errors,
+    diagnostics and final states, and ``snapshots`` is None.  While the
+    workers step, the parent, otherwise idle, creates the trace files they
+    will write, so the cost of making a new file leaves the workers' path.
+    When a chunk fails, every chunk is waited for, the trace file of every
+    trial is deleted, and the first failure in chunk order is raised.  Trial
+    results and trace bytes do not depend on the worker count or the chunk
+    sizes.
     """
     chunks = [
         [(i, derive_trial_seed(cfg.master_seed, i)) for i in range(start, stop)]
@@ -468,6 +498,10 @@ def run_trials(cfg):
         # a forked pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(cfg.threads, len(chunks))) as pool:
             futures = [pool.submit(_write_chunk, cfg, trials) for trials in chunks]
+            try:
+                _create_trace_files(cfg.out_dir, chunks)
+            except OSError as e:
+                failure = e
         # leaving the pool waited for every chunk
         for future in futures:
             error = future.exception()
@@ -476,9 +510,9 @@ def run_trials(cfg):
             elif failure is None:
                 failure = error
     if failure is not None:
-        for traces in results:
-            for tr in traces:
-                _trace_path(cfg.out_dir, tr.trial_index).unlink()
+        for trials in chunks:
+            for index, _ in trials:
+                _trace_path(cfg.out_dir, index).unlink(missing_ok=True)
         raise failure
     return [trace for traces in results for trace in traces]
 

@@ -10,9 +10,11 @@ arguments replay identically across runs and worker schedules.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .state import as_opinion_vector
 
@@ -31,12 +33,117 @@ INIT_DOMAIN = 3
 BLOCK_STEPS = 128
 
 
-def substream(seed, *path):
-    """Independent generator addressed by (seed, path)."""
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & _MASK64, spawn_key=tuple(int(p) for p in path)
-    )
-    return np.random.Generator(np.random.PCG64(ss))
+# numpy's SeedSequence hash: a pool of 4 uint32 words, mixed and then read
+# out by these constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+class _StateWords(ISeedSequence):
+    """The state words of one PCG64, hashed beforehand by
+    :func:`_pcg64_state_words`; PCG64 asks for them once, when it is built."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _lanes(values, inner, outer):
+    """One int with a 64-bit lane per stream: each of ``values`` fills
+    ``inner`` lanes in turn, and that run repeats ``outer`` times."""
+    run = b"".join(v.to_bytes(8, "little") * inner for v in values)
+    return int.from_bytes(run * outer, "little")
+
+
+def _pcg64_state_words(words, streams):
+    """``SeedSequence.generate_state(4, np.uint64)`` of many streams at once.
+
+    ``words`` are the words a SeedSequence assembles, the entropy zero-padded
+    to the pool size and then the spawn key, each given as one int whose
+    64-bit lane ``i`` holds stream ``i``'s word (see :func:`_lanes`).  The
+    hash runs once on these ints, step by step as numpy's runs on one
+    stream: a 32-bit word times a 32-bit constant stays inside its lane, and
+    masking every lane to 32 bits after each product gives the uint32
+    wrap-around.  Python's own int arithmetic does it, so the hash runs no
+    numpy integer loop: the same hash on uint32 arrays faulted in 0.3 MB of
+    numpy's code that the rest of a run does not touch (a consensus_n50
+    run's peak RSS, numpy 2.4 on x86_64).  Returns a C-contiguous
+    ``(streams, 4)`` uint64 array, one stream per row.
+    """
+    ones = _lanes([1], streams, 1)
+    mask32, mask16 = _MASK32 * ones, 0xFFFF * ones
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const * ones
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = (value * hash_const) & mask32
+        return value ^ ((value >> 16) & mask16)
+
+    def mix(x, y):
+        # x * L - y * R modulo 2**32, with y * (2**32 - R) added in place of
+        # the subtraction, so that no lane borrows from the next
+        result = ((x * _MIX_MULT_L) & mask32) + ((y * (2**32 - _MIX_MULT_R)) & mask32)
+        result &= mask32
+        return result ^ ((result >> 16) & mask16)
+
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    out = []
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ (hash_const * ones)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = (value * hash_const) & mask32
+        out.append(value ^ ((value >> 16) & mask16))
+    # generate_state reads each pair of uint32 words as a little-endian uint64
+    state = np.empty((streams, 4), dtype=np.uint64)
+    for j in range(4):
+        pair = out[2 * j] | (out[2 * j + 1] << 32)
+        state[:, j] = np.frombuffer(pair.to_bytes(8 * streams, "little"), dtype="<u8")
+    return state
+
+
+def substreams(seeds, *path):
+    """Independent generators addressed by (seed, path), one per element of
+    the product of ``seeds`` and the path, seeds outermost.
+
+    Each path entry is an int or a sequence of ints in [0, 2**32).  The
+    generator of ``(seed, k1, k2, ...)`` is numpy's
+    ``Generator(PCG64(SeedSequence(seed mod 2**64, spawn_key=(k1, k2, ...))))``,
+    bit for bit, but the seed hash runs once for all of them.
+    """
+    seeds = [int(s) & _MASK64 for s in seeds]
+    keys = [[int(k)] if isinstance(k, numbers.Integral) else [int(v) for v in k]
+            for k in path]
+    if not all(0 <= v <= _MASK32 for k in keys for v in k):
+        raise ValueError("substream path entries must be ints in [0, 2**32)")
+    # stream order is the product's: factor f's value changes every
+    # prod(sizes[f + 1:]) streams
+    sizes = [len(seeds), *(len(k) for k in keys)]
+
+    def lanes(factor, values):
+        return _lanes(values, math.prod(sizes[factor + 1:]), math.prod(sizes[:factor]))
+
+    words = [lanes(0, [s & _MASK32 for s in seeds]), lanes(0, [s >> 32 for s in seeds]), 0, 0]
+    words += [lanes(factor, k) for factor, k in enumerate(keys, start=1)]
+    state = _pcg64_state_words(words, math.prod(sizes))
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 
 
 def message_uniform_blocks(seeds, n_agents, horizon):
@@ -50,8 +157,7 @@ def message_uniform_blocks(seeds, n_agents, horizon):
     Every block is written into one buffer and overwrites the last one, so a
     caller that keeps a block copies it.
     """
-    streams = [substream(seed, AGENT_DOMAIN, i)
-               for seed in seeds for i in range(n_agents)]
+    streams = substreams(seeds, AGENT_DOMAIN, range(n_agents))
     values = np.empty(len(streams) * min(BLOCK_STEPS, horizon))
     for start in range(0, horizon, BLOCK_STEPS):
         steps = min(BLOCK_STEPS, horizon - start)
@@ -59,14 +165,6 @@ def message_uniform_blocks(seeds, n_agents, horizon):
         for gen, row in zip(streams, block):
             gen.random(out=row)
         yield block.reshape(len(seeds), n_agents, steps)
-
-
-def weight_stream(seed):
-    return substream(seed, WEIGHT_DOMAIN)
-
-
-def init_stream(seed):
-    return substream(seed, INIT_DOMAIN)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ the component-at-a-time three-pass one, a one-matrix-at-a-time birkhoff
 weight draw for the block-streamed batched one, a one-trial-at-a-time step
 loop for the trial-batched kernel, the dense (N-1)M-dimensional Lyapunov
 solve for the Kronecker-factored asymptotic covariance, a bincount
-histogram for the network average of one-hot states, and a
-one-value-at-a-time writer for the whole-file trace and vector formatters.
+histogram for the network average of one-hot states, a
+one-value-at-a-time writer for the whole-file trace and vector formatters,
+and numpy's own SeedSequence for the array-hashed random streams.
 It also holds :func:`draw_messages`, the validating draw the statistical
 tests use.
 """
@@ -19,6 +20,13 @@ import math
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+
+
+def reference_stream(seed, *path):
+    """The generator addressed by (seed, path), built by numpy's SeedSequence
+    one stream at a time."""
+    seq = np.random.SeedSequence(int(seed) % 2**64, spawn_key=path)
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def transitive_closure(adj):
@@ -243,7 +251,7 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
         resolve_checkpoints,
     )
     from socsamp.network import FIXED, IID, SWITCHING, mean_matrix
-    from socsamp.sampling import AGENT_DOMAIN, substream, weight_stream
+    from socsamp.sampling import AGENT_DOMAIN, WEIGHT_DOMAIN
     from socsamp.state import initial_state
 
     n, m = config.n_agents, config.n_opinions
@@ -257,9 +265,9 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
     conserving = bool(np.all(b == 1.0))
 
     uniforms = np.stack(
-        [substream(seed, AGENT_DOMAIN, i).random(horizon) for i in range(n)]
+        [reference_stream(seed, AGENT_DOMAIN, i).random(horizon) for i in range(n)]
     )
-    wrng = weight_stream(seed)
+    wrng = reference_stream(seed, WEIGHT_DOMAIN)
     if model.kind == IID:
         support_idx = wrng.choice(
             len(model.support), size=horizon, p=np.asarray(model.probabilities)

@@ -20,7 +20,7 @@ from socsamp.network import (
     birkhoff_weights,
     step_mean_matrix,
 )
-from socsamp.sampling import policy_matrix, substream
+from socsamp.sampling import policy_matrix
 
 from conftest import random_trial_config
 from oracles import (
@@ -28,6 +28,7 @@ from oracles import (
     lyapunov_quadrature,
     per_trial_reference,
     random_doubly_stochastic,
+    reference_stream,
     strongly_connected_bruteforce,
     transitive_closure,
 )
@@ -242,7 +243,7 @@ def _replay_martingale(tc, seed, freeze_k, n_replays, replay_seed):
     model = tc.weight_model
     wbar = step_mean_matrix(model, freeze_k + 1)
     b = tc.b[:, None]
-    rng = substream(replay_seed, 99)
+    rng = reference_stream(replay_seed, 99)
     n, m = tc.n_agents, tc.n_opinions
     basis = ss.build_projection(n)
     samples = np.empty((n_replays, n * m))

@@ -141,6 +141,14 @@ INVALID_FIELDS = {
         {"initial_samples": (3, 3, 3, 3), "normality": True},
         r"experiment\.normality: every initial sample is 3,",
     ),
+    "nan covariance threshold": (
+        {"max_cov_rel_error": np.nan},
+        "experiment.max_cov_rel_error: must be finite and nonnegative",
+    ),
+    "nan normality threshold": (
+        {"min_normality_pass": np.nan},
+        r"experiment\.min_normality_pass: must lie in \[0, 1\]",
+    ),
 }
 
 
@@ -296,6 +304,34 @@ def test_aborted_run_leaves_no_output_files(tmp_path, monkeypatch, threads):
         ss.run_experiment(cfg)
     assert list((tmp_path / "out").glob("trace_*.csv")) == []
     assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_rerun_into_the_same_directory_leaves_no_stale_trace_bytes(tmp_path, monkeypatch):
+    # the parent creates the trace files while the chunks step and write
+    # them; a longer file left by an earlier run is cut to the new bytes
+    cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")))
+    cfg = replace(cfg, threads=2, replications=6)
+    monkeypatch.setattr(harness, "CHUNK_ROWS", 2 * cfg.n_agents)
+    ss.run_experiment(replace(cfg, horizon=500))
+    ss.run_experiment(replace(cfg, horizon=50))
+    ss.run_experiment(replace(cfg, horizon=50), out_dir=tmp_path / "fresh")
+    names = sorted(p.name for p in (tmp_path / "fresh").glob("trace_*.csv"))
+    assert len(names) == cfg.replications
+    assert sorted(p.name for p in (tmp_path / "out").glob("trace_*.csv")) == names
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == (
+            tmp_path / "fresh" / name
+        ).read_bytes()
+
+
+def test_trace_file_creation_keeps_written_bytes(tmp_path):
+    # the parent may create a trace file after its chunk wrote it: the file
+    # keeps its bytes, and the missing ones are made empty
+    (tmp_path / "trace_1.csv").write_text("k,agent,component,value\n")
+    harness._create_trace_files(tmp_path, [[(0, 5), (1, 6)], [(2, 7)]])
+    assert (tmp_path / "trace_1.csv").read_text() == "k,agent,component,value\n"
+    for i in (0, 2):
+        assert (tmp_path / f"trace_{i}.csv").read_bytes() == b""
 
 
 def test_run_trials_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
@@ -594,6 +630,28 @@ DIVERGING = {
                       "0,1,0,0,1,0,0,0,0,0,0,1,0,0,1,0\nprobabilities = nan,0.5"},
          [], "config error: network: selection probabilities must be finite and "
          "nonnegative"),
+        # text configparser cannot read
+        ("check", {"threads = 1": "threads = 1\nthreads = 2"}, [],
+         "config error: config file: While reading from "),
+        ("check", {"[mixing]": "[network]\n[mixing]"}, [],
+         "config error: config file: While reading from "),
+        ("check", {"[experiment]\n": ""}, [],
+         "config error: config file: File contains no section headers. file: "),
+        ("check", {"k0 = 0": "k0 = 0\nstray"}, [],
+         "config error: config file: Source contains parsing errors: "),
+        # verdict thresholds that no run could meet, or that every run meets
+        ("simulate", {"threads = 1": "threads = 1\nmax_cov_rel_error = nan"}, [],
+         "config error: experiment.max_cov_rel_error: must be finite and nonnegative"),
+        ("simulate", {"threads = 1": "threads = 1\nmax_cov_rel_error = inf"}, [],
+         "config error: experiment.max_cov_rel_error: must be finite and nonnegative"),
+        ("simulate", {"threads = 1": "threads = 1\nmax_cov_rel_error = -0.1"}, [],
+         "config error: experiment.max_cov_rel_error: must be finite and nonnegative"),
+        ("simulate", {"threads = 1": "threads = 1\nmin_normality_pass = nan"}, [],
+         "config error: experiment.min_normality_pass: must lie in [0, 1]"),
+        ("simulate", {"threads = 1": "threads = 1\nmin_normality_pass = 1.5"}, [],
+         "config error: experiment.min_normality_pass: must lie in [0, 1]"),
+        ("simulate", {"threads = 1": "threads = 1\nmin_normality_pass = -0.1"}, [],
+         "config error: experiment.min_normality_pass: must lie in [0, 1]"),
     ],
     ids=["replications-0", "stride-past-horizon", "horizon-0", "replay-out-of-range",
          "simulate-diverges", "replay-diverges", "initial-not-int", "b-not-float",
@@ -601,7 +659,11 @@ DIVERGING = {
          "threads-flag-negative", "covariance-at-vertex", "normality-one-opinion",
          "b-nan", "b-negative", "b-above-1", "b-wrong-count",
          "c-nan", "c-inf", "exponent-nan", "exponent-inf", "a-nan", "a-inf",
-         "tau-nan", "birkhoff-mixing-nan", "iid-probabilities-nan"],
+         "tau-nan", "birkhoff-mixing-nan", "iid-probabilities-nan",
+         "duplicate-option", "duplicate-section", "no-section-header", "line-without-equals",
+         "max-cov-rel-error-nan", "max-cov-rel-error-inf", "max-cov-rel-error-negative",
+         "min-normality-pass-nan", "min-normality-pass-above-1",
+         "min-normality-pass-negative"],
 )
 def test_cli_refusals_exit_2_with_one_line(
     tmp_path, capsys, command, edits, flags, prefix

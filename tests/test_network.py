@@ -14,6 +14,7 @@ from socsamp.sampling import WEIGHT_DOMAIN
 
 from oracles import (
     random_doubly_stochastic,
+    reference_stream,
     reference_weight_matrix,
     strongly_connected_bruteforce,
 )
@@ -68,7 +69,7 @@ def test_iid_model_empirical_mean():
     # entry standard deviation is 0.25, so 3 standard errors over 1e5 draws
     model = ss.iid_model([np.eye(2), ss.metropolis_complete(2)], [0.5, 0.5])
     n_draws = 100_000
-    picks = iid_picks(model, [ss.substream(2024, 5)], n_draws)
+    picks = iid_picks(model, [reference_stream(2024, 5)], n_draws)
     assert picks.shape == (n_draws, 1)
     total = np.stack(model.support)[picks[:, 0]].sum(axis=0)
     se = 0.25 / np.sqrt(n_draws)
@@ -86,7 +87,7 @@ def kernel_weight_draws(model, rngs, horizon):
 
 def test_birkhoff_always_doubly_stochastic():
     model = ss.birkhoff_model(3, (0.4, 0.3, 0.3))
-    draws = kernel_weight_draws(model, [ss.substream(99, 1)], 10_000)[0]
+    draws = kernel_weight_draws(model, [reference_stream(99, 1)], 10_000)[0]
     for w in draws:
         assert ss.validate_doubly_stochastic(w)
 
@@ -101,7 +102,7 @@ def test_birkhoff_empirical_mean_matches_analytic():
     model = ss.birkhoff_model(3, (0.2, 0.5, 0.3))
     n_draws = 100_000
     perms = np.concatenate(
-        list(birkhoff_permutation_blocks(model, [ss.substream(4321, 8)], n_draws)),
+        list(birkhoff_permutation_blocks(model, [reference_stream(4321, 8)], n_draws)),
         axis=1,
     )
     total = birkhoff_weights(model, perms[0]).sum(axis=0)
@@ -122,7 +123,7 @@ def test_birkhoff_blocks_match_per_step_reference(monkeypatch, block_steps):
     seeds = [int(s) for s in rng.integers(0, 2**63, size=3)]
 
     def streams():
-        return [ss.substream(s, WEIGHT_DOMAIN) for s in seeds]
+        return [reference_stream(s, WEIGHT_DOMAIN) for s in seeds]
 
     for n in range(1, 11):
         count = 1 + (n - 1) % 4
@@ -183,7 +184,7 @@ def test_column_stochasticity_identities():
     model = ss.birkhoff_model(4, (0.25, 0.5, 0.25))
     wbar = ss.mean_matrix(model)
     ones = np.ones(4)
-    for w in kernel_weight_draws(model, [ss.substream(5, 0)], 200)[0]:
+    for w in kernel_weight_draws(model, [reference_stream(5, 0)], 200)[0]:
         assert np.abs(ones @ (w - np.eye(4))).max() <= 1e-12
         assert np.abs(ones @ (w - wbar)).max() <= 1e-12
 
@@ -281,6 +282,6 @@ def test_sampled_matrices_always_doubly_stochastic(rng):
         n = int(rng.integers(2, 7))
         mats = [random_doubly_stochastic(rng, n) for _ in range(2)]
         model = ss.iid_model(mats, [0.3, 0.7], tau=1e-9)
-        picks = iid_picks(model, [ss.substream(int(rng.integers(0, 2**62)), 1)], 50)
+        picks = iid_picks(model, [reference_stream(int(rng.integers(0, 2**62)), 1)], 50)
         for k in picks[:, 0]:
             assert ss.validate_doubly_stochastic(model.support[k])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,12 @@ from hypothesis import strategies as st
 import socsamp as ss
 from socsamp.sampling import censor_threshold, draw_columns, policy_matrix
 
-from oracles import draw_messages, reference_inverse_cdf_draw, reference_policy_matrix
+from oracles import (
+    draw_messages,
+    reference_inverse_cdf_draw,
+    reference_policy_matrix,
+    reference_stream,
+)
 
 DIRECT = ss.SamplingPolicy("direct")
 
@@ -230,7 +237,7 @@ def test_stacked_censoring_bound_with_quadratic_floor(n, m, seed):
 
 
 def test_draw_message_deterministic():
-    rng = ss.substream(0, 0)
+    rng = reference_stream(0, 0)
     for _ in range(20):
         y = draw_messages(np.array([1.0, 0.0, 0.0]), rng.random(1))[0]
         np.testing.assert_array_equal(y, [1.0, 0.0, 0.0])
@@ -238,7 +245,7 @@ def test_draw_message_deterministic():
 
 def test_draw_message_frequencies():
     # binomial standard error sqrt(0.25 / 1e5), spec allows 4 sigma
-    rng = ss.substream(31337, 0)
+    rng = reference_stream(31337, 0)
     p = np.array([0.5, 0.5])
     n_draws = 100_000
     u = rng.random(n_draws)
@@ -249,7 +256,7 @@ def test_draw_message_frequencies():
 
 
 def test_draw_message_residual_mass_is_silent():
-    rng = ss.substream(4242, 0)
+    rng = reference_stream(4242, 0)
     p = np.array([0.4, 0.4])
     n_draws = 100_000
     y = draw_messages(np.tile(p, (n_draws, 1)), rng.random(n_draws))
@@ -258,14 +265,14 @@ def test_draw_message_residual_mass_is_silent():
 
 
 def test_draw_message_unbiased():
-    rng = ss.substream(7, 0)
+    rng = reference_stream(7, 0)
     p = np.array([0.1, 0.2, 0.3, 0.4])
     n_draws = 100_000
     y = draw_messages(np.tile(p, (n_draws, 1)), rng.random(n_draws))
     se = np.sqrt(p * (1 - p) / n_draws)
     assert (np.abs(y.mean(axis=0) - p) <= 4 * se).all()
     # a batch of matrices draws row by row with the same uniforms
-    u = ss.substream(7, 1).random(12)
+    u = reference_stream(7, 1).random(12)
     rows = np.tile(p, (12, 1))
     np.testing.assert_array_equal(
         draw_messages(rows.reshape(3, 4, 4), u.reshape(3, 4)).reshape(12, 4),
@@ -274,13 +281,13 @@ def test_draw_message_unbiased():
 
 
 def test_draw_message_rejects_negative():
-    rng = ss.substream(1, 0)
+    rng = reference_stream(1, 0)
     with pytest.raises(ValueError, match="negative"):
         draw_messages(np.array([-0.1, 1.1]), rng.random(1))
 
 
 def test_draw_message_rejects_super_stochastic():
-    rng = ss.substream(1, 0)
+    rng = reference_stream(1, 0)
     with pytest.raises(ValueError, match="more than 1"):
         draw_messages(np.array([0.7, 0.7]), rng.random(1))
 
@@ -358,6 +365,34 @@ def uniform_panel(seeds, n_agents, horizon):
     )
 
 
+STREAM_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, -3] + [
+    ss.derive_trial_seed(712, t) for t in range(50)
+]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [(ss.sampling.AGENT_DOMAIN, range(3)), (ss.sampling.WEIGHT_DOMAIN,),
+     (ss.sampling.INIT_DOMAIN,)],
+    ids=["agent", "weight", "init"],
+)
+def test_substreams_match_numpy_seed_sequence(path):
+    # the array-hashed streams are numpy's SeedSequence streams, bit for bit,
+    # in the product's order: seeds outermost
+    streams = ss.substreams(STREAM_SEEDS, *path)
+    addresses = list(itertools.product(STREAM_SEEDS, *[np.atleast_1d(k) for k in path]))
+    assert len(streams) == len(addresses)
+    for gen, (seed, *key) in zip(streams, addresses):
+        expected = reference_stream(seed, *(int(k) for k in key)).random(200)
+        np.testing.assert_array_equal(gen.random(200), expected)
+
+
+@pytest.mark.parametrize("key", [-1, 2**32, [0, 2**32]])
+def test_substreams_refuse_path_entries_beyond_one_word(key):
+    with pytest.raises(ValueError, match="path entries"):
+        ss.substreams([1], key)
+
+
 def test_reproducibility_per_agent_step(monkeypatch):
     # same (seed, agent, step) gives the same uniform, hence the same message
     a = uniform_panel([123], 4, 50)
@@ -378,7 +413,7 @@ def test_reproducibility_per_agent_step(monkeypatch):
     for i in range(4):
         np.testing.assert_array_equal(
             np.concatenate(blocks, axis=-1)[0, i],
-            ss.substream(7, ss.sampling.AGENT_DOMAIN, i).random(50),
+            reference_stream(7, ss.sampling.AGENT_DOMAIN, i).random(50),
         )
 
 
@@ -408,7 +443,7 @@ def test_message_covariance_limit_blocks():
 
 def test_per_component_variances_match_empirical():
     q = np.array([0.2, 0.3, 0.4, 0.1])
-    rng = ss.substream(2718, 0)
+    rng = reference_stream(2718, 0)
     n_draws = 100_000
     y = draw_messages(np.tile(q, (n_draws, 1)), rng.random(n_draws))
     dev = y - q
@@ -420,7 +455,7 @@ def test_per_component_variances_match_empirical():
 
 def test_categorical_covariance_matches_empirical_including_cross_terms():
     q = np.array([0.2, 0.3, 0.4, 0.1])
-    rng = ss.substream(999, 0)
+    rng = reference_stream(999, 0)
     n_draws = 100_000
     y = draw_messages(np.tile(q, (n_draws, 1)), rng.random(n_draws))
     dev = y - q
