@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.stats
 
-from .network import mean_matrix, spectral_gap
+from .network import mean_matrix, spectral_gap, step_mean_matrices
 from .sampling import categorical_covariance
 from .state import as_opinion_vector, network_average
 
@@ -255,13 +255,9 @@ def joint_stability_margin(model, basis):
     for the existence of the contraction constant used by the convergence
     argument.
     """
-    if model.kind == "switching-periodic":
-        mats = list(model.support)
-    else:
-        mats = [mean_matrix(model)]
     n = basis.n_agents
     acc = np.zeros((n - 1, n - 1))
-    for w in mats:
+    for w in step_mean_matrices(model):
         f = disagreement_rows(w, basis) @ basis.t1.T
         acc += f + f.T
     return float(np.linalg.eigvalsh(-acc)[0])

@@ -286,9 +286,9 @@ def run_chunk(cfg, trials):
 
     ``cfg`` is an experiment config; the kernel reads its protocol fields
     ``n_agents``, ``n_opinions``, ``initial_samples``, ``weight_model``,
-    ``b``, ``policy``, ``schedule``, ``horizon``, ``stride`` (the
-    checkpoints) and ``record_noise``.  ``trials`` holds
-    ``(trial_index, seed)`` pairs, one per trial of the chunk.
+    ``b``, ``policy``, ``schedule``, ``horizon`` and ``stride`` (the
+    checkpoints).  ``trials`` holds ``(trial_index, seed)`` pairs, one per
+    trial of the chunk.
 
     Step ``k`` (1-based) takes each trial's weight matrix, forms the
     sampling distributions from the current states, draws the messages
@@ -305,16 +305,16 @@ def run_chunk(cfg, trials):
     and the minimum of the new state.  That one nonnegativity test decides
     how much work the next step's map does: the direct policy passes a
     nonnegative state through without a call, the censored map skips its
-    search for negatives and writes into the stash of sampling
-    distributions, and a window whose every state passed skips its
-    negativity diagnostics.  The draw reads and writes column views of the
-    step buffers built once per chunk, and the step sizes of a window are
-    computed when it starts.  Once per window: its uniforms, copied out of
-    their block into a step-major buffer; the weight matrices of all its
-    steps (a broadcast
-    view of a fixed network, a stack of a switching network's matrices, the
-    picked support of an iid network, one :func:`birkhoff_weights` call for
-    a birkhoff one); the martingale noise of all its steps, in one
+    search for negatives, and a window whose every state passed skips its
+    negativity diagnostics.  The map writes each step's distributions into
+    that step's row of a window buffer, the stash.  The draw reads and
+    writes column views of the step buffers built once per chunk, and the
+    step sizes of a window are computed when it starts.  Once per window:
+    its uniforms, copied out of their block into a step-major buffer; the
+    weight matrices of all its steps (a broadcast view of a fixed network,
+    a stack of a switching network's matrices, the picked support of an iid
+    network, one :func:`birkhoff_weights` call for a birkhoff one); the
+    martingale noise of all its steps, in one
     :func:`_martingale_noise` call on the kept messages and sampling
     distributions; the diagnostics (silent messages, noise norms, sum
     drift, negativity, finiteness) and the snapshots at checkpoints.  Every
@@ -390,10 +390,9 @@ def run_chunk(cfg, trials):
     violations, silent, fallbacks, clamped = counts
     max_negative = np.zeros(chunk)
     # a window writes each step's squared martingale norm, squared projected
-    # noise norm (both 0 without noise recording) and sum drift into
-    # ``now``; one fmax.reduce folds them into ``maxima``.  sqrt is monotone
-    # and correctly rounded, so the root of the largest square is the
-    # largest root, bit for bit
+    # noise norm and sum drift into ``now``; one fmax.reduce folds them into
+    # ``maxima``.  sqrt is monotone and correctly rounded, so the root of the
+    # largest square is the largest root, bit for bit
     window = min(window_steps(max(chunk * n * m, weight_values)), horizon)
     maxima = np.zeros((3, chunk))
     now = np.zeros((3, window, chunk))
@@ -412,7 +411,6 @@ def run_chunk(cfg, trials):
             noise_norm_bound=bound,
         )
 
-    record_noise = cfg.record_noise and n >= 2
     # row 0 of ``states`` holds a window's starting state and row i the
     # state after its i-th step.  ``messages`` holds each step's messages,
     # then their differences from the sampling distributions, and then
@@ -421,19 +419,16 @@ def run_chunk(cfg, trials):
     # steps that run the sampling map.  On fixed and switching networks that
     # is ``noises`` itself, which no step reads and which the noise call
     # only writes; on random networks the noise reads the distributions
-    # apart from Y - P, so they get a buffer of their own.  Without noise
-    # recording it holds one step's distributions, in its row 0.
-    # ``scratch`` holds the b != 1 products and the products with W - Wbar
+    # apart from Y - P, so they get a buffer of their own.  ``scratch``
+    # holds the b != 1 products and the products with W - Wbar
     states = np.empty((window + 1, chunk, n, m))
     messages = np.empty((window, chunk, n, m))
-    noises = stash = np.empty_like(messages) if record_noise else None
-    if record_noise and random_weights:
+    noises = stash = np.empty_like(messages)
+    if random_weights:
         stash = np.empty_like(messages)
-    elif not record_noise:
-        stash = np.empty((1, chunk, n, m))
     scratch = step_scratch = None
-    if b_col is not None or (record_noise and random_weights):
-        scratch = np.empty((window if record_noise else 1, chunk, n, m))
+    if b_col is not None or random_weights:
+        scratch = np.empty_like(messages)
         step_scratch = scratch[0]
     # one step's increment, its messages' differences from its state (read
     # only when b != 1), and its draw work for draw_columns
@@ -498,21 +493,16 @@ def run_chunk(cfg, trials):
             q = states[0]
             clean = True  # every state of the window is nonnegative
             mapped = []  # the steps that ran the sampling map
+            counted = []  # the map's counts at those steps
             for i, delta in enumerate(deltas):
                 if direct and nonnegative:
                     p_columns = state_columns[i]
                 else:
-                    slot = i if record_noise else 0
-                    out = stash[slot]
-                    p, fell_back, clamps = policy_matrix(
-                        cfg.policy, q, delta, nonnegative=nonnegative, out=out
+                    counted.append(
+                        policy_matrix(cfg.policy, q, delta, stash[i], nonnegative)
                     )
-                    if p is not out:  # the hinted map counts nothing
-                        fallbacks += fell_back
-                        clamped += clamps
-                        np.copyto(out, p)
                     mapped.append(i)
-                    p_columns = stash_columns[slot]
+                    p_columns = stash_columns[i]
                 draw_columns(p_columns, uniform_rows[a + i], message_columns[i], work)
                 y = messages[i]
                 if ym_q is not None:
@@ -528,32 +518,36 @@ def run_chunk(cfg, trials):
             window_messages = messages[:steps]
             mart_sq, noise_sq, drift = now[:, :steps]
             silent += steps * n - _sent_counts(window_messages)
-            if record_noise:
-                # each step's sampling distributions: its state, or the stash
-                p_window = states[:steps]
-                if mapped:
-                    if len(mapped) < steps:
-                        passed = np.ones((steps, 1, 1, 1), dtype=bool)
-                        passed[mapped] = False
-                        np.copyto(stash[:steps], p_window, where=passed)
-                    p_window = stash[:steps]
-                ym_p = np.subtract(window_messages, p_window, out=window_messages)
-                mart = _martingale_noise(
-                    w_window, wbar_window, b_col, ym_p,
-                    p_window if random_weights else None, out=noises[:steps],
-                    scratch=None if scratch is None else scratch[:steps],
-                )
-                # the bits of mart.mean(axis=2); the batched matmul gives
-                # each step and trial the bits of col_mean @ col_mean,
-                # einsum rounds differently
-                col_mean = _agent_sums(mart, messages.reshape(-1))
-                col_mean /= n
-                cc = (col_mean[..., None, :] @ col_mean[..., :, None])[..., 0, 0]
-                mart *= mart  # the buffer is rewritten by the next window
-                np.add.reduce(mart.reshape(steps, chunk, -1), axis=2, out=mart_sq)
-                # the starting maximum 0 stands in for the clamp of a
-                # negative difference at 0
-                np.subtract(mart_sq, n * cc, out=noise_sq)
+            # each step's sampling distributions: its state, or the stash
+            p_window = states[:steps]
+            if mapped:
+                # the hinted map counts with the int 0, which Python's sum
+                # adds without a numpy call.  Two numpy adds a step made a
+                # random_censored chunk 3-5% slower (2-core x86_64)
+                fallbacks += sum(fell_back for fell_back, _ in counted)
+                clamped += sum(clamps for _, clamps in counted)
+                if len(mapped) < steps:
+                    passed = np.ones((steps, 1, 1, 1), dtype=bool)
+                    passed[mapped] = False
+                    np.copyto(stash[:steps], p_window, where=passed)
+                p_window = stash[:steps]
+            ym_p = np.subtract(window_messages, p_window, out=window_messages)
+            mart = _martingale_noise(
+                w_window, wbar_window, b_col, ym_p,
+                p_window if random_weights else None, out=noises[:steps],
+                scratch=None if scratch is None else scratch[:steps],
+            )
+            # the bits of mart.mean(axis=2); the batched matmul gives
+            # each step and trial the bits of col_mean @ col_mean,
+            # einsum rounds differently
+            col_mean = _agent_sums(mart, messages.reshape(-1))
+            col_mean /= n
+            cc = (col_mean[..., None, :] @ col_mean[..., :, None])[..., 0, 0]
+            mart *= mart  # the buffer is rewritten by the next window
+            np.add.reduce(mart.reshape(steps, chunk, -1), axis=2, out=mart_sq)
+            # the starting maximum 0 stands in for the clamp of a
+            # negative difference at 0
+            np.subtract(mart_sq, n * cc, out=noise_sq)
             # each row's |sum - 1|, in the messages buffer, which the window
             # has done with
             sums = messages.reshape(-1)[: steps * chunk * n].reshape(steps, chunk, n)

@@ -34,6 +34,10 @@ from .dynamics import (
     run_chunk,
 )
 from .network import (
+    BIRKHOFF,
+    FIXED,
+    IID,
+    SWITCHING,
     WeightMatrixModel,
     birkhoff_model,
     fixed_model,
@@ -103,7 +107,6 @@ class ExperimentConfig:
     threads: int = 1
     max_cov_rel_error: float = 0.20
     min_normality_pass: float = 0.90
-    record_noise: bool = True
 
     def __post_init__(self):
         n, m = self.n_agents, self.n_opinions
@@ -259,23 +262,23 @@ def _build_model(cp, n, base_dir):
         window = cp.getint("network", "window", fallback=0)
         if kind == "complete":
             return fixed_model(metropolis_complete(n), tau=tau, window=window)
-        if kind == "fixed":
+        if kind == FIXED:
             w = _parse_matrix(cp.get("network", "matrix"), n, base_dir, "network.matrix")
             return fixed_model(w, tau=tau, window=window)
-        if kind == "iid-finite-support":
+        if kind == IID:
             mats = [
                 _parse_matrix(part, n, base_dir, "network.support")
                 for part in cp.get("network", "support").split(";")
             ]
             probs = _parse_floats(cp.get("network", "probabilities"))
             return iid_model(mats, probs, tau=tau, window=window)
-        if kind == "switching-periodic":
+        if kind == SWITCHING:
             mats = [
                 _parse_matrix(part, n, base_dir, "network.support")
                 for part in cp.get("network", "support").split(";")
             ]
             return switching_model(mats, tau=tau, window=window)
-        if kind == "birkhoff-random":
+        if kind == BIRKHOFF:
             mixing = _parse_floats(cp.get("network", "mixing"))
             return birkhoff_model(n, mixing, tau=tau, window=window)
     raise ConfigError(f"network.kind: unknown kind {kind!r}")
@@ -349,7 +352,6 @@ def load_config(path, master_seed=None):
             threads=cp.getint("experiment", "threads", fallback=1),
             max_cov_rel_error=cp.getfloat("experiment", "max_cov_rel_error", fallback=0.20),
             min_normality_pass=cp.getfloat("experiment", "min_normality_pass", fallback=0.90),
-            record_noise=cp.getboolean("experiment", "record_noise", fallback=True),
         )
 
 
@@ -374,19 +376,18 @@ def serialize_config(cfg):
     out.write(f"threads = {cfg.threads}\n")
     out.write(f"max_cov_rel_error = {fmt(cfg.max_cov_rel_error)}\n")
     out.write(f"min_normality_pass = {fmt(cfg.min_normality_pass)}\n")
-    out.write(f"record_noise = {str(cfg.record_noise).lower()}\n")
     model = cfg.weight_model
     out.write("\n[network]\n")
     out.write(f"kind = {model.kind}\n")
     out.write(f"tau = {fmt(model.tau)}\n")
     out.write(f"window = {model.window}\n")
-    if model.kind == "fixed":
+    if model.kind == FIXED:
         out.write(f"matrix = {fmt_vector(model.support[0])}\n")
-    elif model.kind in ("iid-finite-support", "switching-periodic"):
+    elif model.kind in (IID, SWITCHING):
         out.write(
             "support = " + " ; ".join(fmt_vector(w) for w in model.support) + "\n"
         )
-        if model.kind == "iid-finite-support":
+        if model.kind == IID:
             out.write(f"probabilities = {fmt_vector(model.probabilities)}\n")
     else:
         out.write(f"mixing = {fmt_vector(model.mixing)}\n")
@@ -464,10 +465,23 @@ def _create_trace_files(out_dir, chunks):
                 os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
 
 
+def _remove_stale_traces(out_dir, replications):
+    """Delete the ``trace_<i>.csv`` files in ``out_dir`` with ``i`` at or
+    above ``replications``, which an earlier run with more trials left."""
+    for name in os.listdir(out_dir):
+        index = name[len("trace_"):-len(".csv")]
+        # only names that _trace_path gives: no sign and no leading zero
+        if index.isdecimal() and name == f"trace_{int(index)}.csv":
+            if int(index) >= replications:
+                os.unlink(os.path.join(out_dir, name))
+
+
 def run_trials(cfg):
     """All replications, stepped in chunks of trials.
 
-    Each chunk, in a worker process when ``cfg.threads`` > 1, writes the
+    Before any trial steps, the traces of trials ``cfg.replications`` and
+    up that an earlier run left in ``cfg.out_dir`` are deleted.  Each chunk,
+    in a worker process when ``cfg.threads`` > 1, writes the
     ``trace_<trial>.csv`` of its trials into ``cfg.out_dir``, truncating any
     file there; the traces returned hold the checkpoints, consensus errors,
     diagnostics and final states, and ``snapshots`` is None.  While the
@@ -485,6 +499,7 @@ def run_trials(cfg):
         )
     ]
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    _remove_stale_traces(cfg.out_dir, cfg.replications)
     results = []  # the traces of every chunk that finished
     failure = None
     if cfg.threads <= 1 or len(chunks) == 1:

@@ -131,9 +131,7 @@ class WeightMatrixModel:
 
         # A2 lower bound tau applies to the nonzero entries of every
         # per-step mean matrix.
-        period = len(self.support) if self.kind == SWITCHING else 1
-        for k in range(period):
-            wbar = step_mean_matrix(self, k)
+        for wbar in step_mean_matrices(self):
             nz = wbar[wbar > 0]
             if nz.size and nz.min() < self.tau:
                 raise ValueError(
@@ -247,11 +245,13 @@ def mean_matrix(model):
     return c0 * np.eye(model.n) + (1.0 - c0) * metropolis_complete(model.n)
 
 
-def step_mean_matrix(model, k):
-    """Mean of the step-``k`` matrix: per-period entry for switching models."""
+def step_mean_matrices(model):
+    """The per-step mean matrices of one period, step ``k``'s at index
+    ``k % period``: a switching model's support, for every other kind its
+    one mean."""
     if model.kind == SWITCHING:
-        return model.support[k % len(model.support)]
-    return mean_matrix(model)
+        return list(model.support)
+    return [mean_matrix(model)]
 
 
 def topology(w, tol=0.0):
@@ -295,9 +295,7 @@ def union_window_connected(mean_mats, window):
 
 def jointly_connected(model):
     """True iff every window of mean graphs of length ``window + 1`` connects."""
-    if model.kind == SWITCHING:
-        return union_window_connected(model.support, model.window)
-    return union_window_connected([mean_matrix(model)], model.window)
+    return union_window_connected(step_mean_matrices(model), model.window)
 
 
 def spectral_gap(wbar):

@@ -201,24 +201,15 @@ def censor_threshold(policy, delta_k):
     return policy.censor_floor_scale * delta_k ** policy.censor_exponent
 
 
-def _count(rows):
-    counts = np.add.reduce(rows, axis=-1)
-    return int(counts) if counts.ndim == 0 else counts
-
-
-def _no_count(q):
-    """What :func:`_count` gives for the rows of ``q`` with no row set."""
-    return 0 if q.ndim == 2 else np.zeros(q.shape[:-2], dtype=np.int64)
-
-
-def policy_matrix(policy, q, delta_k, nonnegative=False, out=None):
+def policy_matrix(policy, q, delta_k, out, nonnegative=False):
     """Per-agent sampling distributions for a state matrix or a batch of them.
 
-    ``q`` has shape ``(N, M)`` or ``(..., N, M)``, one estimate per row:
+    ``q`` is a float array of shape ``(N, M)`` or ``(..., N, M)``, one
+    estimate per row, and the distributions are written into ``out``, a
+    C-contiguous float array of ``q``'s shape that does not overlap it:
 
-    * ``direct`` returns ``q`` itself (same array) when no component is
-      negative.  A row with a negative in-flight component keeps its
-      positive part, scaled to sum 1 only when it exceeds 1.
+    * ``direct`` copies ``q``.  A row with a negative in-flight component
+      keeps its positive part, scaled to sum 1 only when it exceeds 1.
     * ``censored`` zeroes the components below :func:`censor_threshold`
       (negative ones always fall below it) and renormalizes the survivors.
       Without renormalization it scales a row only when its sum exceeds 1,
@@ -228,59 +219,61 @@ def policy_matrix(policy, q, delta_k, nonnegative=False, out=None):
     * A row falling back to its positive part with no positive mass at all
       becomes the uniform distribution.
 
-    Returns ``(p, uniform_fallbacks, clamped_agents)``, counting the rows
-    set to uniform and the rows with a negative component: ints for one
-    state, one count per state (an array over the leading axes) for a
-    batch.  Each row depends only on its own estimate, so a batch gives the
-    rows a single state would.
+    Returns ``(uniform_fallbacks, clamped_agents)``, counting the rows set
+    to uniform and the rows with a negative component per state: a number
+    for one state, an array over the leading axes for a batch, or 0 for
+    every state.  Each row depends only on its own estimate, so a batch
+    gives the rows a single state would.
 
     ``nonnegative`` says that no component of ``q`` is negative or NaN, as
     a caller that has taken ``q``'s minimum knows; it must not be set
     otherwise.  A renormalized ``censored`` map whose every row keeps mass
-    then skips the search for negative rows, divides the survivors straight
-    into ``out``, an array of ``q``'s shape, and returns it.  Every other
-    call returns ``q`` itself or a new array, so a caller that passes
-    ``out`` tells the two apart by identity; the hint changes no bit and no
-    count.  ``direct`` does not read it: a caller that knows ``q`` is
-    nonnegative can use ``q`` without the call.
+    then skips the search for negative rows and divides its survivors in
+    place; the hint changes no bit and no count.  ``direct`` does not read
+    it: a caller that knows ``q`` is nonnegative can use ``q`` without the
+    call.
     """
-    q = np.asarray(q, dtype=float)
     if policy.kind != "direct":
-        p = np.where(q >= censor_threshold(policy, delta_k), q, 0.0)
+        np.copyto(out, 0.0)
+        np.copyto(out, q, where=q >= censor_threshold(policy, delta_k))
         # the ufunc reductions without the ndarray methods' Python wrappers
-        totals = np.add.reduce(p, axis=-1, keepdims=True)
+        totals = np.add.reduce(out, axis=-1)
+        # each row divided by its total on the (M, rows) column views, which
+        # spares the buffer as large as ``q`` that numpy fills with a
+        # broadcast operand
+        columns, row_totals = out.reshape(-1, q.shape[-1]).T, totals.reshape(-1)
         if (
             nonnegative
             and policy.renormalize
             and np.minimum.reduce(totals, axis=None) > 0.0
         ):  # every row keeps mass, and no row has a negative component
-            none = _no_count(q)
-            return np.divide(p, totals, out=p if out is None else out), none, none
+            np.divide(columns, row_totals, out=columns, order="C")
+            return 0, 0
     neg_rows = np.logical_or.reduce(q < 0.0, axis=-1)
+    clamped = np.add.reduce(neg_rows, axis=-1)
     if policy.kind == "direct":
-        if not neg_rows.any():
-            return q, _no_count(q), _count(neg_rows)
+        np.copyto(out, q)
         # rows rebuilt from the positive part, and the sum it is scaled above
-        p, rebuilt, cap = q.copy(), neg_rows, 1.0
+        rebuilt, cap = neg_rows, 1.0
+    elif not policy.renormalize:  # nothing is rebuilt
+        np.divide(columns, row_totals, out=columns, where=row_totals > 1.0, order="C")
+        return 0, clamped
     else:
-        if not policy.renormalize:  # nothing is rebuilt
-            np.divide(p, totals, out=p, where=totals > 1.0)
-            return p, _no_count(q), _count(neg_rows)
         live = totals > 0.0
-        np.divide(p, totals, out=p, where=live)
-        rebuilt, cap = ~live[..., 0], 0.0
+        np.divide(columns, row_totals, out=columns, where=live.reshape(-1), order="C")
+        rebuilt, cap = ~live, 0.0
     if not np.logical_or.reduce(rebuilt, axis=None):  # the common censored call
-        return p, _no_count(q), _count(neg_rows)
+        return 0, clamped
     pos = np.clip(q[rebuilt], 0.0, None)
     totals = pos.sum(axis=-1)
     scaled = totals > cap
     pos[scaled] /= totals[scaled, None]
     empty = ~(totals > 0.0)
     pos[empty] = 1.0 / q.shape[-1]
-    p[rebuilt] = pos
+    out[rebuilt] = pos
     fallbacks = np.zeros_like(neg_rows)
     fallbacks[rebuilt] = empty
-    return p, _count(fallbacks), _count(neg_rows)
+    return np.add.reduce(fallbacks, axis=-1), clamped
 
 
 # rows from which draw_columns sums the CDF by whole components.  Under

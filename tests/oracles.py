@@ -196,38 +196,35 @@ def _reference_row(policy, q, delta_k):
     return np.full(q.size, 1.0 / q.size)
 
 
-def reference_policy_matrix(policy, q, delta_k):
-    """The sampling map one row at a time, with the library's return contract.
+def reference_policy_matrix(policy, q, delta_k, out):
+    """The sampling map one row at a time, with the library's contract.
 
-    ``policy_matrix`` must give the same bits, the same counts and the same
-    count types (ints for one state, arrays for a batch).
+    Writes the distributions into ``out`` and returns the per-state counts
+    ``(uniform_fallbacks, clamped_agents)``; ``policy_matrix`` must write
+    the same bits and give the same counts.
     """
     q = np.asarray(q, dtype=float)
     neg_rows = (q < 0.0).any(axis=-1)
-    if policy.kind == "direct" and not neg_rows.any():
-        none = 0 if q.ndim == 2 else np.zeros(q.shape[:-2], dtype=np.int64)
-        return q, none, none
-    p = q.copy()
     fallback_rows = np.zeros_like(neg_rows)
+    np.copyto(out, q)
     for i in np.ndindex(neg_rows.shape):
         pos = np.clip(q[i], 0.0, None)
         ptot = pos.sum()
         if policy.kind == "censored":
-            p[i] = _reference_row(policy, q[i], delta_k)
+            out[i] = _reference_row(policy, q[i], delta_k)
             fallback_rows[i] = policy.renormalize and ptot <= 0.0
         elif neg_rows[i]:
             if ptot > 0.0:
-                p[i] = pos / ptot if ptot > 1.0 else pos
+                out[i] = pos / ptot if ptot > 1.0 else pos
             else:
-                p[i] = 1.0 / q.shape[-1]
+                out[i] = 1.0 / q.shape[-1]
                 fallback_rows[i] = True
-    counts = [rows.sum(axis=-1) for rows in (fallback_rows, neg_rows)]
-    if q.ndim == 2:
-        counts = [int(c) for c in counts]
-    return (p, *counts)
+    return fallback_rows.sum(axis=-1), neg_rows.sum(axis=-1)
 
 
-def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_matrix):
+def per_trial_reference(
+    config, trial_index, seed, policy_map=reference_policy_matrix, record_noise=True
+):
     """One trial stepped alone, with scalar diagnostics: the reference loop.
 
     This is the per-trial step loop the batched kernel replaced, kept as the
@@ -238,7 +235,8 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
     and maps estimates with ``policy_map``.  The default map is
     :func:`reference_policy_matrix`; a check of something other than the map
     may pass the library's ``policy_matrix``, which gives the same bits in
-    half the time.
+    half the time.  A check that reads no noise diagnostic may pass
+    ``record_noise=False``, which leaves them 0 and steps faster.
 
     Returns ``(trace, mean_increments)``.  Row ``k - 1`` of the
     ``(horizon, M)`` series is step ``k``'s shift of the network average,
@@ -276,7 +274,6 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
 
     diag = TrialDiagnostics()
     diag.noise_norm_bound = noise_norm_bound(n, m)
-    record_noise = config.record_noise and n >= 2
     mean_increments = np.zeros((horizon, m))
     kept, snapshots, errs = [], [], []
 
@@ -300,9 +297,10 @@ def per_trial_reference(config, trial_index, seed, policy_map=reference_policy_m
         if config.policy.kind == "direct" and qmin >= 0.0:
             p = q
         else:
-            p, fallbacks, clamped = policy_map(config.policy, q, delta)
-            diag.uniform_fallbacks += fallbacks
-            diag.clamped_agents += clamped
+            p = np.empty((n, m))
+            fallbacks, clamped = policy_map(config.policy, q, delta, p)
+            diag.uniform_fallbacks += int(fallbacks)
+            diag.clamped_agents += int(clamped)
 
         cdf = np.cumsum(p, axis=1)
         u = uniforms[:, k - 1]

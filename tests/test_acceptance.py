@@ -18,7 +18,7 @@ from socsamp.network import (
     BIRKHOFF,
     birkhoff_permutation_blocks,
     birkhoff_weights,
-    step_mean_matrix,
+    step_mean_matrices,
 )
 from socsamp.sampling import policy_matrix
 
@@ -71,7 +71,7 @@ def test_criterion_1_conservation_laws():
             # noise: the reference loop's series of average shifts must sum
             # to the kernel's final average
             _, increments = per_trial_reference(
-                replace(tc, record_noise=False), *trial, policy_matrix
+                tc, *trial, policy_matrix, record_noise=False
             )
             running = initial_avg + increments.sum(axis=0)
             max_running_gap = max(
@@ -241,20 +241,22 @@ def _replay_martingale(tc, seed, freeze_k, n_replays, replay_seed):
     frozen = dict(zip(tr.checkpoints, tr.snapshots))[freeze_k]
     delta = tc.schedule.step_size(freeze_k + 1)
     model = tc.weight_model
-    wbar = step_mean_matrix(model, freeze_k + 1)
+    means = step_mean_matrices(model)
+    wbar = means[(freeze_k + 1) % len(means)]
     b = tc.b[:, None]
     rng = reference_stream(replay_seed, 99)
     n, m = tc.n_agents, tc.n_opinions
     basis = ss.build_projection(n)
     samples = np.empty((n_replays, n * m))
     max_eps = 0.0
+    p = np.empty_like(frozen)
+    policy_matrix(tc.policy, frozen, delta, p)
     for r in range(n_replays):
         if model.kind == BIRKHOFF:
             perms = next(birkhoff_permutation_blocks(model, [rng], 1))[0, 0]
             w = birkhoff_weights(model, perms)
         else:
             w = model.support[0]
-        p, _, _ = policy_matrix(tc.policy, frozen, delta)
         y = draw_messages(p, rng.random(n))
         mart = _martingale_noise(w, wbar, b, y - p, p)
         samples[r] = mart.reshape(-1)

@@ -150,7 +150,8 @@ def test_decompose_direct_policy_kills_censor_noise():
     q = rng.dirichlet(np.ones(3), size=4)
     w = ss.metropolis_complete(4)
     b = np.ones((4, 1))
-    p, _, _ = policy_matrix(ss.SamplingPolicy("direct"), q, 0.2)
+    p = np.empty_like(q)
+    policy_matrix(ss.SamplingPolicy("direct"), q, 0.2, p)
     censor = w @ (p - q) - b * (p - q)
     np.testing.assert_array_equal(censor, np.zeros((4, 3)))
 
@@ -313,7 +314,7 @@ def test_component_sums_hold_over_long_horizon():
     model = ss.fixed_model(ss.metropolis_complete(5))
     sched = ss.StepSchedule(1.0, 0.75, 0)
     tc = make_config(5, 3, (1, 2, 3, 1, 2), model, 0.7, ss.SamplingPolicy("direct"),
-                     sched, 100_000, record_noise=False)
+                     sched, 100_000)
     tr = run_seeded(tc, 13)
     assert tr.diagnostics.max_sum_drift <= 1e-9
 

@@ -185,11 +185,67 @@ def test_reject_missing_file(tmp_path):
         ss.load_config(tmp_path / "nope.cfg")
 
 
+ROUND_TRIP_CFG = """
+[experiment]
+agents = 4
+opinions = 3
+horizon = 300
+replications = 7
+master_seed = 99
+initial = samples:1,2,3,3
+out_dir = {out}
+stride = 1,5,10
+covariance = true
+normality = true
+connectivity_report = false
+threads = 3
+max_cov_rel_error = 0.35
+min_normality_pass = 0.75
+
+[network]
+kind = birkhoff-random
+mixing = 0.5,0.3,0.2
+tau = 1e-3
+window = 2
+
+[sampling]
+kind = censored
+c = 0.3
+exponent = 1.5
+renormalize = false
+
+[schedule]
+a = 0.8
+gamma = 0.9
+k0 = 2
+
+[mixing]
+b = 0.7,0.6,1.0,0.9
+"""
+
+
 def test_config_round_trip(tmp_path):
-    cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path)))
+    # every field is compared on its own: ``==`` compares the serialized
+    # text, so it cannot see a field that the serializer drops
+    cfg = ss.load_config(write_cfg(tmp_path, ROUND_TRIP_CFG.format(out=tmp_path)))
+    for f in dataclasses.fields(cfg):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(cfg, f.name) != f.default, f"{f.name} left at its default"
     path = tmp_path / "roundtrip.cfg"
     path.write_text(harness.serialize_config(cfg), encoding="utf-8")
     again = ss.load_config(path)
+    for f in dataclasses.fields(cfg):
+        got, want = getattr(again, f.name), getattr(cfg, f.name)
+        if dataclasses.is_dataclass(want):
+            for g in dataclasses.fields(want):
+                np.testing.assert_array_equal(
+                    getattr(got, g.name), getattr(want, g.name),
+                    err_msg=f"{f.name}.{g.name}",
+                )
+        elif isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want, err_msg=f.name)
+        else:
+            assert got == want, f.name
     assert cfg == again
     assert ss.config_digest(cfg) == ss.config_digest(again)
 
@@ -322,6 +378,28 @@ def test_rerun_into_the_same_directory_leaves_no_stale_trace_bytes(tmp_path, mon
         assert (tmp_path / "out" / name).read_bytes() == (
             tmp_path / "fresh" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rerun_with_fewer_trials_leaves_only_its_traces(tmp_path, threads):
+    # the traces of trials 3-5 from the first run are deleted, on the
+    # serial and on the pool path
+    cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")))
+    cfg = replace(cfg, threads=threads, horizon=50)
+    ss.run_experiment(replace(cfg, replications=6))
+    ss.run_experiment(replace(cfg, replications=3))
+    names = sorted(p.name for p in (tmp_path / "out").glob("trace_*.csv"))
+    assert names == ["trace_0.csv", "trace_1.csv", "trace_2.csv"]
+
+
+def test_stale_trace_removal_keeps_other_names(tmp_path):
+    names = ["trace_2.csv", "trace_3.csv", "trace_10.csv", "trace_03.csv",
+             "trace_x.csv", "trace_3.txt", "summary.txt"]
+    for name in names:
+        (tmp_path / name).write_text("")
+    harness._remove_stale_traces(tmp_path, 3)
+    kept = sorted(p.name for p in tmp_path.iterdir())
+    assert kept == sorted(set(names) - {"trace_3.csv", "trace_10.csv"})
 
 
 def test_trace_file_creation_keeps_written_bytes(tmp_path):

@@ -5,7 +5,10 @@ kernel replaced; the kernel must reproduce them byte for byte, whatever the
 worker count.  ``normality_n5``'s summary and report digests were re-recorded
 when the asymptotic covariance became Kronecker-factored: the report stores
 the factors, and the summary's ``lyapunov_residual`` and ``cov_rel_error``
-moved in their last digits.  ``PINNED`` holds the values the dense solve gave.
+moved in their last digits.  The three summary digests were re-recorded
+again when the config lost its ``record_noise`` field: the serialized config
+lost a line, so ``config_digest`` changed, and no other summary line did.
+``PINNED`` holds the values the dense solve gave.
 Within the kernel, a trial's trace must not depend on the chunk it is stepped
 in.
 """
@@ -34,7 +37,7 @@ GOLDEN = {
         "configs/normality_n5.cfg",
         20,
         {
-            "summary.txt": "50f30d57aea10a32d27911bf50b35b4fb1a3394033cfb9a0e246765abcdd81a7",
+            "summary.txt": "8e947f99eb521cb6b35b02efc7019a8bfa49f1e92d22d38fc2298e19e57ecb2d",
             "report.txt": "8f8182d58f14b7e1842ff10555127ea39df4ea00248e1291a4669a8beb15d5a1",
             "traces": "a58eab78cb80b8057e4ae31e4483ab278824f5f56444d4a3a3b82f5042f419c6",
         },
@@ -43,7 +46,7 @@ GOLDEN = {
         "perfbench/configs/random_censored.cfg",
         3,
         {
-            "summary.txt": "0caa3703e8bf63ddb35bdfb76e6058739c281a09b57ff70ea336a2ef2630a058",
+            "summary.txt": "874b1ac1694ad1ff9fb676fa356638f1aa78588f0474ae7e3e4bfd99db913221",
             "traces": "67495db6d40bfc961aa7880df63e2b2660882e46ef229481d0f20fced0850a13",
         },
     ),
@@ -51,7 +54,7 @@ GOLDEN = {
         "configs/consensus_n50.cfg",
         2,
         {
-            "summary.txt": "7c34a73a311432794a5b8189c7facb78b31c6b0acd4380f0b8c8d91dffe83250",
+            "summary.txt": "a85ba9543b5ab4889de3299586ec3d5ae04f2aafd0742aa3f2d6600e68b103b2",
             "traces": "60b600726dfd82f7fcfaf02a93d863c1ef370af6f5d0426b66ac812a72c9e8e4",
         },
     ),
@@ -196,6 +199,24 @@ def test_chunk_size_does_not_change_traces(renormalize):
     assert "birkhoff-random" in kinds
     if not renormalize:
         assert totals["silent_messages"]
+
+
+def test_one_agent_records_its_martingale_noise():
+    # a lone agent silenced at step 1 (floor 1.2 above its one-hot estimate)
+    # with b < 1 leaves its vertex, so its messages then differ from their
+    # distributions: the kernel records the noise (1 - b)(Y - P) as the
+    # reference loop does.  The projected noise of one agent is 0
+    cfg = ss.ExperimentConfig(
+        n_agents=1, n_opinions=3, horizon=200, replications=1, master_seed=0,
+        initial_samples=(2,), weight_model=ss.fixed_model([[1.0]]), b=0.9,
+        policy=ss.SamplingPolicy("censored", 1.2, 2.0, renormalize=False),
+        schedule=ss.StepSchedule(1.0, 0.75, 0),
+    )
+    trace = ss.run_chunk(cfg, [(0, 11)])[0]
+    assert_same_trace(per_trial_reference(cfg, 0, 11)[0], trace)
+    assert trace.diagnostics.silent_messages > 0
+    assert trace.diagnostics.max_martingale_norm > 0.0
+    assert trace.diagnostics.max_noise_norm == 0.0
 
 
 WINDOWS = pytest.mark.parametrize(

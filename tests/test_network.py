@@ -8,7 +8,7 @@ from socsamp.network import (
     birkhoff_permutation_blocks,
     birkhoff_weights,
     iid_picks,
-    step_mean_matrix,
+    step_mean_matrices,
 )
 from socsamp.sampling import WEIGHT_DOMAIN
 
@@ -147,7 +147,7 @@ def test_switching_model_mean_and_steps():
     wa, wb = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
     model = ss.switching_model([wa, wb], window=1)
     np.testing.assert_allclose(ss.mean_matrix(model), (wa + wb) / 2)
-    np.testing.assert_array_equal(step_mean_matrix(model, 1), wb)
+    np.testing.assert_array_equal(step_mean_matrices(model), [wa, wb])
     # run_chunk steps with support[k % period]: the swap at steps 1 and 3,
     # the identity at step 2.  One-hot estimates send themselves, and the
     # step sizes are 1/k
