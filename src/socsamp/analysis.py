@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from .network import mean_matrix, spectral_gap, step_mean_matrices
 from .sampling import categorical_covariance
@@ -198,6 +198,291 @@ def empirical_scaled_covariance(final_states, q_ref, basis, delta_k):
     return cov, samples
 
 
+# The two-sided one-sample Kolmogorov-Smirnov test against the standard
+# normal below is ported from SciPy 1.17.1 (``scipy/stats/_ksstats.py`` and
+# ``scipy.stats.ks_1samp``; BSD-3-Clause, "Copyright (c) 2001-2002 Enthought,
+# Inc. 2003, SciPy Developers"), trimmed to the survival function.  It
+# returns the same bits as ``scipy.stats.kstest(z, "norm").pvalue`` and keeps
+# ``scipy.stats`` (most of this package's import time) out of the import path.
+# The p-value is the exact distribution of Simard & L'Ecuyer (2011): Durbin's
+# matrix method as computed by Marsaglia, Tsang & Wang (2003), Pomeranz's
+# recursion (1974) and the Pelz-Good approximation (1976), chosen by n and d.
+
+_E128 = 128
+_EP128 = np.ldexp(np.longdouble(1), _E128)
+_EM128 = np.ldexp(np.longdouble(1), -_E128)
+
+_SQRT2PI = np.sqrt(2 * np.pi)
+_LOG_2PI = np.log(2 * np.pi)
+_MIN_LOG = -708
+_SQRT3 = np.sqrt(3)
+_PI_SQUARED = np.pi ** 2
+_PI_FOUR = np.pi ** 4
+_PI_SIX = np.pi ** 6
+
+# Stirling coefficients B_{2j}/(2j)/(2j-1) for j = 8, ..., 1
+_STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
+                    -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+                    -5.952380952380952381e-4, 7.9365079365079365079e-4,
+                    -2.7777777777777777778e-3, 8.3333333333333333333e-2]
+
+
+def _log_nfactorial_div_n_pow_n(n):
+    """``log(n! / n**n)`` by Stirling's series, with ``n log n`` taken out."""
+    rn = 1.0 / n
+    return np.log(n) / 2 - n + _LOG_2PI / 2 + rn * np.polyval(_STIRLING_COEFFS, rn / n)
+
+
+def _kolmogn_dmtw(n, d):
+    """``Pr(D_n <= d)`` by Durbin's matrix method as computed by Marsaglia,
+    Tsang & Wang, for ``0.5 < n d`` and ``d < 1``."""
+    # d = (k - h)/n with integer k and 0 <= h < 1; the answer is the k-th
+    # diagonal entry of (n!/n^n) H^n for an m-square H, m = 2k - 1, with the
+    # intermediate results rescaled by 2**128 (in long double) as needed
+    nd = n * d
+    k = int(np.ceil(nd))
+    h = k - nd
+    m = 2 * k - 1
+
+    H = np.zeros([m, m])
+    intm = np.arange(1, m + 1)
+    v = 1.0 - h ** intm
+    w = np.empty(m)
+    fac = 1.0
+    for j in intm:
+        w[j - 1] = fac
+        fac /= j  # may underflow, harmlessly
+        v[j - 1] *= fac
+    tt = max(2 * h - 1.0, 0) ** m - 2 * h ** m
+    v[-1] = (1.0 + tt) * fac
+
+    for i in range(1, m):
+        H[i - 1:, i] = w[:m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = np.flip(v, axis=0)
+
+    Hpwr = np.eye(np.shape(H)[0])
+    nn = n
+    expnt = 0  # scaling of Hpwr
+    Hexpnt = 0  # scaling of H
+    while nn > 0:
+        if nn % 2:
+            Hpwr = np.matmul(Hpwr, H)
+            expnt += Hexpnt
+        H = np.matmul(H, H)
+        Hexpnt *= 2
+        if np.abs(H[k - 1, k - 1]) > _EP128:
+            H /= _EP128
+            Hexpnt += _E128
+        nn = nn // 2
+
+    p = Hpwr[k - 1, k - 1]
+    for i in range(1, n + 1):  # times n!/n^n
+        p = i * p / n
+        if np.abs(p) < _EM128:
+            p *= _EP128
+            expnt -= _E128
+    if expnt != 0:
+        p = np.ldexp(p, expnt)
+    return np.clip(p, 0.0, 1.0)
+
+
+def _pomeranz_j1j2(i, n, ll, ceilf, roundf):
+    """Endpoints of the nonzero interval of row ``i`` of the recursion."""
+    if i == 0:
+        j1, j2 = -ll - ceilf - 1, ll + ceilf - 1
+    else:
+        ip1div2, ip1mod2 = divmod(i + 1, 2)
+        if ip1mod2 == 0:  # i is odd
+            if ip1div2 == n + 1:
+                j1, j2 = n - ll - ceilf - 1, n + ll + ceilf - 1
+            else:
+                j1, j2 = ip1div2 - 1 - ll - roundf - 1, ip1div2 + ll - 1 + ceilf - 1
+        else:
+            j1, j2 = ip1div2 - 1 - ll - 1, ip1div2 + ll + roundf - 1
+    return max(j1 + 2, 0), min(j2, n)
+
+
+def _kolmogn_pomeranz(n, x):
+    """``Pr(D_n <= x)`` by Pomeranz's recursion."""
+    # Each of the 2n + 1 rows convolves the previous one with one of three
+    # scaled Poisson weight sequences; only two rows, and only their nonzero
+    # stretch, are kept.  The answer is n! times the last entry.
+    t = n * x
+    ll = int(np.floor(t))
+    f = 1.0 * (t - ll)
+    g = min(f, 1.0 - f)
+    ceilf = (1 if f > 0 else 0)
+    roundf = (1 if f > 0.5 else 0)
+    npwrs = 2 * (ll + 1)
+    gpower = np.empty(npwrs)  # (g/n)^m/m!
+    twogpower = np.empty(npwrs)  # (2g/n)^m/m!
+    onem2gpower = np.empty(npwrs)  # ((1-2g)/n)^m/m!
+
+    gpower[0] = 1.0
+    twogpower[0] = 1.0
+    onem2gpower[0] = 1.0
+    expnt = 0
+    g_over_n, two_g_over_n, one_minus_two_g_over_n = g / n, 2 * g / n, (1 - 2 * g) / n
+    for m in range(1, npwrs):
+        gpower[m] = gpower[m - 1] * g_over_n / m
+        twogpower[m] = twogpower[m - 1] * two_g_over_n / m
+        onem2gpower[m] = onem2gpower[m - 1] * one_minus_two_g_over_n / m
+
+    V0 = np.zeros([npwrs])
+    V1 = np.zeros([npwrs])
+    V1[0] = 1
+    V0s, V1s = 0, 0  # start indices of the two rows
+
+    j1, j2 = _pomeranz_j1j2(0, n, ll, ceilf, roundf)
+    for i in range(1, 2 * n + 2):
+        k1 = j1
+        V0, V1 = V1, V0
+        V0s, V1s = V1s, V0s
+        V1.fill(0.0)
+        j1, j2 = _pomeranz_j1j2(i, n, ll, ceilf, roundf)
+        if i == 1 or i == 2 * n + 1:
+            pwrs = gpower
+        else:
+            pwrs = (twogpower if i % 2 else onem2gpower)
+        ln2 = j2 - k1 + 1
+        if ln2 > 0:
+            conv = np.convolve(V0[k1 - V0s:k1 - V0s + ln2], pwrs[:ln2])
+            conv_start = j1 - k1
+            conv_len = j2 - j1 + 1
+            V1[:conv_len] = conv[conv_start:conv_start + conv_len]
+            if 0 < np.max(V1) < _EM128:  # rescale against underflow
+                V1 *= _EP128
+                expnt -= _E128
+            V1s = V0s + j1 - k1
+
+    ans = V1[n - V1s]
+    for m in range(1, n + 1):  # times n!
+        if np.abs(ans) > _EP128:
+            ans *= _EM128
+            expnt += _E128
+        ans *= m
+    if expnt != 0:
+        ans = np.ldexp(ans, expnt)
+    return np.clip(ans, 0.0, 1.0)
+
+
+def _kolmogn_pelz_good(n, x):
+    """Pelz-Good approximation to ``Pr(D_n <= x)`` for ``0 < x < 1``: the
+    Li-Chien/Korolyuk series ``K0 + K1/sqrt(n) + K2/n + K3/n**1.5`` in
+    ``z = x sqrt(n)``, recast by Jacobi's theta identity for small z."""
+    z = np.sqrt(n) * x
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+
+    qlog = -_PI_SQUARED / 8 / zsquared
+    if qlog < _MIN_LOG:  # z ~ 0.041743441416853426
+        return 0.0
+
+    q = np.exp(qlog)
+
+    k1a = -zsquared
+    k1b = _PI_SQUARED / 4
+
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * _PI_SQUARED / 4
+    k2c = _PI_FOUR * (1 - 2 * zsquared) / 16
+
+    k3d = _PI_SIX * (5 - 30 * zsquared) / 64
+    k3c = _PI_FOUR * (-60 * zsquared + 212 * zfour) / 16
+    k3b = _PI_SQUARED * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+
+    # Horner scheme for sum c_i q^(i^2) over the odd integers
+    K0to3 = np.zeros(4)
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array([1.0,
+                           k1a + k1b * msquared,
+                           k2a + k2b * msquared + k2c * mfour,
+                           k3a + k3b * msquared + k3c * mfour + k3d * msix])
+        K0to3 *= qpower
+        K0to3 += coeffs
+    K0to3 *= q
+    K0to3 *= _SQRT2PI
+    K0to3 /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+
+    # the terms of K2 and K3 summed over all integers k, directly
+    q = np.exp(-_PI_SQUARED / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks ** 2
+    sqrt3z = _SQRT3 * z
+    kspi = np.pi * ks
+    qpwers = q ** ksquared
+    k2extra = np.sum(ksquared * qpwers)
+    k2extra *= _PI_SQUARED * _SQRT2PI / (-36 * zthree)
+    K0to3[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+    k3extra *= _PI_SQUARED * _SQRT2PI / (216 * zsix)
+    K0to3[3] += k3extra
+    powers_of_n = np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
+    K0to3 /= powers_of_n
+    return sum(K0to3)
+
+
+def _kolmogn_sf(n, x):
+    """``Pr(D_n > x)`` for ``0.5/n < x < 1``, by Simard & L'Ecuyer's choice of
+    method; ``x`` is a 0-d float64 array, as SciPy's loop passes it, so that
+    every operation takes the numpy path it takes there."""
+    t = n * x
+    if t <= 1.0:  # Ruben-Gambino: 1/2n <= x <= 1/n
+        if t <= 0.5:
+            return 1.0
+        if n <= 140:
+            prob = np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1))
+        else:
+            prob = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2 * t - 1))
+        return 1.0 - prob
+    if t >= n - 1:  # Ruben-Gambino
+        return 2 * (1.0 - x) ** n
+    if x >= 0.5:  # exact: 2 * smirnov
+        return 2 * scipy.special.smirnov(n, x)
+    nxsquared = t * x
+    if n <= 140:
+        if nxsquared <= 0.754693:
+            return 1.0 - _kolmogn_dmtw(n, x)
+        if nxsquared <= 4:
+            return 1.0 - _kolmogn_pomeranz(n, x)
+        return 2 * scipy.special.smirnov(n, x)  # Miller's approximation
+    if nxsquared >= 370.0:
+        return 0.0
+    if nxsquared >= 2.2:
+        return 2 * scipy.special.smirnov(n, x)
+    if n <= 100000 and n * x**1.5 <= 1.4:
+        return 1.0 - _kolmogn_dmtw(n, x)
+    return 1.0 - _kolmogn_pelz_good(n, x)
+
+
+def _kolmogorov_sf(d, n):
+    """``scipy.stats.kstwo.sf(d, n)``: the two-sided KS statistic of ``n``
+    draws exceeds ``d``.  NaN for NaN; 1 below the support, 0 above it."""
+    if np.isnan(d):
+        return math.nan
+    if d <= 0.5 / n:
+        return 1.0
+    if d >= 1.0:
+        return 0.0
+    p = _kolmogn_sf(n, np.asarray(d, dtype=np.float64))
+    return float(np.clip(np.float64(p), 0.0, 1.0))
+
+
+def _ks_normal_pvalue(z):
+    """``scipy.stats.kstest(z, "norm").pvalue``: the exact two-sided p-value."""
+    z = np.sort(np.asarray(z, dtype=float))
+    n = z.size
+    cdf = scipy.special.ndtr(z)
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    return _kolmogorov_sf(d_plus if d_plus > d_minus else d_minus, n)
+
+
 @dataclass
 class NormalityResult:
     p_values: np.ndarray
@@ -231,7 +516,7 @@ def normality_test(samples, predicted_variances, significance=0.01):
                 degenerate.append(j)
             continue
         z = samples[:, j] / math.sqrt(predicted[j])
-        p = float(scipy.stats.kstest(z, "norm").pvalue)
+        p = _ks_normal_pvalue(z)
         p_values[j] = p
         tested.append(j)
         if p >= significance:

@@ -146,27 +146,28 @@ def resolve_checkpoints(spec, horizon):
     return tuple(ks)
 
 
-def _increment(w, q, y, ym_q, b_col, out=None, scratch=None):
+def _increment(w, q, y, ym_q, b, out=None, scratch=None):
     """``(Q_{k+1} - Q_k) / d`` of one round, for one state or a batch.
 
-    ``b_col`` holds the ``b_ii`` as a column, and is None when every
-    ``b_ii`` is 1: the retained and the transmitted own estimate then
-    cancel, leaving ``W Y - Y``, and ``ym_q`` is not read.  Otherwise the
-    round is ``W Y - Q - B (Y - Q)``: ``a_ii = 1 - b_ii`` and, in floating
-    point, ``(1 - b) + b == 1`` for every ``b`` in [0, 1], so ``Q`` is
-    subtracted as it is, the bits of its product with ``A + B``.  The
-    increment is written into ``out`` and the ``b_ii`` products into
+    ``b`` holds the ``b_ii``, as a column or repeated to ``q``'s shape (a
+    column makes numpy allocate a broadcast buffer on every call), and is
+    None when every ``b_ii`` is 1: the retained and the transmitted own
+    estimate then cancel, leaving ``W Y - Y``, and ``ym_q`` is not read.
+    Otherwise the round is ``W Y - Q - B (Y - Q)``: ``a_ii = 1 - b_ii``
+    and, in floating point, ``(1 - b) + b == 1`` for every ``b`` in [0, 1],
+    so ``Q`` is subtracted as it is, the bits of its product with ``A + B``.
+    The increment is written into ``out`` and the ``b_ii`` products into
     ``scratch``, an array of ``q``'s shape, when given; no input is
     written.  The increment's rows sum to 0 when every message is one-hot
     and every estimate sums to 1.  A silent (all-zero) message carries no
     mass, so the agents that hear it lose component sum.
     """
     inc = np.matmul(w, y, out=out)
-    if b_col is None:
+    if b is None:
         inc -= y
     else:
         inc -= q
-        inc -= np.multiply(b_col, ym_q, out=scratch)
+        inc -= np.multiply(b, ym_q, out=scratch)
     return inc
 
 
@@ -344,6 +345,10 @@ def run_chunk(cfg, trials):
     q0 = initial_state(cfg.initial_samples, m)
     initial_avg = q0.mean(axis=0)
     b_col = None if np.all(cfg.b == 1.0) else cfg.b[:, None]
+    # the b_ii of every entry of a step's (chunk, N, M) state
+    b_state = None
+    if b_col is not None:
+        b_state = np.tile(np.repeat(cfg.b, m), chunk).reshape(chunk, n, m)
 
     random_weights = model.kind in (IID, BIRKHOFF)
     if model.kind == SWITCHING:
@@ -507,7 +512,7 @@ def run_chunk(cfg, trials):
                 y = messages[i]
                 if ym_q is not None:
                     np.subtract(y, q, out=ym_q)
-                _increment(ws[i], q, y, ym_q, b_col, out=inc, scratch=step_scratch)
+                _increment(ws[i], q, y, ym_q, b_state, out=inc, scratch=step_scratch)
                 inc *= delta
                 q = np.add(q, inc, out=states[i + 1])
                 # one reduction over the chunk; a NaN fails it too

@@ -284,6 +284,32 @@ def _build_model(cp, n, base_dir):
     raise ConfigError(f"network.kind: unknown kind {kind!r}")
 
 
+# every key load_config reads, by section
+_CONFIG_KEYS = {
+    "experiment": {
+        "agents", "opinions", "horizon", "replications", "master_seed",
+        "initial", "out_dir", "stride", "covariance", "normality",
+        "connectivity_report", "threads", "max_cov_rel_error",
+        "min_normality_pass",
+    },
+    "network": {"kind", "tau", "window", "matrix", "support", "probabilities", "mixing"},
+    "sampling": {"kind", "c", "exponent", "renormalize"},
+    "schedule": {"a", "gamma", "k0"},
+    "mixing": {"b"},
+}
+
+
+def _refuse_unknown_keys(cp):
+    """Refuse a section or key that :func:`load_config` does not read,
+    which would otherwise be ignored without a word, a misspelling say."""
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"{section}: unknown section")
+        for key in cp.options(section):
+            if key not in _CONFIG_KEYS[section]:
+                raise ConfigError(f"{section}.{key}: unknown key")
+
+
 def load_config(path, master_seed=None):
     """Parse and fully validate an experiment config file.
 
@@ -297,6 +323,7 @@ def load_config(path, master_seed=None):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with _malformed("config file"):
         cp.read(path, encoding="utf-8")
+    _refuse_unknown_keys(cp)
     base_dir = path.parent
     with _malformed("experiment"):
         n = cp.getint("experiment", "agents")

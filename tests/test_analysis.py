@@ -1,11 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import socsamp as ss
-from socsamp.analysis import StabilityError, lyapunov_residual, normality_test
+from socsamp.analysis import (
+    StabilityError,
+    _kolmogorov_sf,
+    _ks_normal_pvalue,
+    lyapunov_residual,
+    normality_test,
+)
 
 from oracles import (
     dense_asymptotic_covariance,
@@ -347,6 +357,107 @@ def test_normality_flags_anomalous_components():
     res = normality_test(samples, np.array([1.0, 0.0]))
     assert res.anomalies == [1]
     assert res.pass_fraction == pytest.approx(0.5)
+
+
+# The in-package KS p-value must reproduce scipy's exact test bit for bit;
+# scipy.stats is imported here only as the oracle.
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 139, 140, 141, 1000, 2000])
+def test_ks_pvalue_matches_scipy_kstest(n):
+    import scipy.stats
+
+    rng = np.random.default_rng(n)
+    draws = [
+        rng.normal(size=n),
+        rng.normal(size=n) + 0.3,  # shifted
+        1.5 * rng.normal(size=n),  # scaled
+        rng.standard_t(2, size=n),  # heavy tails
+    ]
+    for z in draws:
+        assert _ks_normal_pvalue(z) == float(scipy.stats.kstest(z, "norm").pvalue)
+
+
+def _kolmogorov_branch(n, d):
+    """The method Simard & L'Ecuyer's dispatch picks for ``Pr(D_n > d)``."""
+    t, nx2 = n * d, n * d * d
+    if d <= 0.5 / n or d >= 1:
+        return "support edge"
+    if t <= 1:
+        if t <= 0.5:
+            return "t <= 0.5"
+        return "Ruben-Gambino, n <= 140" if n <= 140 else "Ruben-Gambino, n > 140"
+    if t >= n - 1:
+        return "t >= n - 1"
+    if d >= 0.5:
+        return "x >= 0.5"
+    if n <= 140:
+        if nx2 <= 0.754693:
+            return "DMTW, n <= 140"
+        return "Pomeranz" if nx2 <= 4 else "2 smirnov, n <= 140"
+    if nx2 >= 370:
+        return "nx^2 >= 370"
+    if nx2 >= 2.2:
+        return "2 smirnov, n > 140"
+    if n <= 100000 and n * d**1.5 <= 1.4:
+        return "DMTW, n > 140"
+    return "Pelz-Good"
+
+
+def _kolmogorov_grid():
+    """(n, d) points on both sides of every threshold of the dispatch."""
+    # at n = 100001 only 2 smirnov still reads above 0 just below nx^2 = 370;
+    # d = 2e-5 takes Pelz-Good below z = 0.0417, where it is 0
+    points = [(100000, 5e-4), (100001, 5e-4), (100001, 2e-5)]
+    for n in (1, 2, 3, 5, 20, 139, 140, 141, 1000, 2000, 100001):
+        ds = list(np.linspace(0.0, 1.0, 41))
+        ds += [0.5 / n, np.nextafter(0.5 / n, 1.0), 0.75 / n, 1.0 / n, 1.5 / n,
+               (n - 1) / n, np.nextafter((n - 1) / n, 0.0), 0.5,
+               np.nextafter(0.5, 0.0)]
+        for c in (0.754693, 2.2, 4.0, 370.0):
+            ds += [math.sqrt(c / n) * (1 - 2e-3), math.sqrt(c / n) * (1 + 2e-3)]
+        knee = (1.4 / n) ** (2 / 3)  # n d**1.5 = 1.4
+        ds += [knee * (1 - 2e-3), knee * (1 + 2e-3), 2 * knee]
+        points += [(n, float(d)) for d in ds if 0.0 <= d <= 1.0]
+    return points
+
+
+def test_kolmogorov_sf_matches_scipy_kstwo_on_every_branch():
+    import scipy.stats
+
+    grid = _kolmogorov_grid()
+    assert {_kolmogorov_branch(n, d) for n, d in grid} == {
+        "support edge", "t <= 0.5", "Ruben-Gambino, n <= 140",
+        "Ruben-Gambino, n > 140", "t >= n - 1", "x >= 0.5", "DMTW, n <= 140",
+        "Pomeranz", "2 smirnov, n <= 140", "nx^2 >= 370", "2 smirnov, n > 140",
+        "DMTW, n > 140", "Pelz-Good",
+    }
+    for n, d in grid:
+        expected = float(scipy.stats.kstwo.sf(d, n))
+        assert _kolmogorov_sf(np.float64(d), n) == expected, (n, d)
+
+
+def test_ks_pvalue_of_a_sample_with_nan_is_nan():
+    rng = np.random.default_rng(7)
+    for n in (3, 200):  # 200 would reach Pelz-Good with a NaN statistic
+        z = rng.normal(size=n)
+        z[1] = np.nan
+        assert math.isnan(_ks_normal_pvalue(z))
+    res = normality_test(np.array([[0.1], [np.nan], [0.3]]), np.array([1.0]))
+    assert math.isnan(res.p_values[0]) and res.pass_fraction == 0.0
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats is most of the package's import time; nothing may bring
+    # it back onto the path that every socsamp process takes
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import socsamp.cli, sys; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------- diagnostics

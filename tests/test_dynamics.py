@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,30 @@ def test_update_preserves_component_sums(n, m, seed):
     inc = _increment(w, q, y, y - q, b[:, None])
     out = q + float(rng.uniform(0.01, 1.0)) * inc
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_increment_on_the_kernel_b_layout_allocates_no_buffer():
+    # run_chunk repeats the b_ii to a step's (chunk, N, M) state once per
+    # chunk; a b_ii column made numpy allocate a broadcast buffer of up to
+    # 64 kB on every b != 1 step
+    rng = np.random.default_rng(6)
+    chunk, n, m = 82, 50, 4
+    b = rng.uniform(0, 1, size=n)
+    b_state = np.tile(np.repeat(b, m), chunk).reshape(chunk, n, m)
+    q = rng.dirichlet(np.ones(m), size=(chunk, n))
+    y = np.eye(m)[rng.integers(0, m, size=(chunk, n))]
+    w = random_doubly_stochastic(rng, n)
+    want = _increment(w, q, y, y - q, b[:, None])
+    ym_q, out, scratch = y - q, np.empty_like(q), np.empty_like(q)
+    _increment(w, q, y, ym_q, b_state, out=out, scratch=scratch)  # warm up
+    tracemalloc.start()
+    try:
+        _increment(w, q, y, ym_q, b_state, out=out, scratch=scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    assert out.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- noise split

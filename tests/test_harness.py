@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import socsamp as ss
+import socsamp.cli as cli
 import socsamp.harness as harness
 from socsamp.cli import main as cli_main
 from socsamp.dynamics import TrialDiagnostics
@@ -730,6 +732,13 @@ DIVERGING = {
          "config error: experiment.min_normality_pass: must lie in [0, 1]"),
         ("simulate", {"threads = 1": "threads = 1\nmin_normality_pass = -0.1"}, [],
          "config error: experiment.min_normality_pass: must lie in [0, 1]"),
+        # keys and sections the parser does not read
+        ("check", {"threads = 1": "threads = 1\nrecord_nosie = false"}, [],
+         "config error: experiment.record_nosie: unknown key\n"),
+        ("check", {"threads = 1": "threads = 1\nrecord_noise = false"}, [],
+         "config error: experiment.record_noise: unknown key\n"),
+        ("check", {"[mixing]": "[mixng]"}, [],
+         "config error: mixng: unknown section\n"),
     ],
     ids=["replications-0", "stride-past-horizon", "horizon-0", "replay-out-of-range",
          "simulate-diverges", "replay-diverges", "initial-not-int", "b-not-float",
@@ -741,7 +750,8 @@ DIVERGING = {
          "duplicate-option", "duplicate-section", "no-section-header", "line-without-equals",
          "max-cov-rel-error-nan", "max-cov-rel-error-inf", "max-cov-rel-error-negative",
          "min-normality-pass-nan", "min-normality-pass-above-1",
-         "min-normality-pass-negative"],
+         "min-normality-pass-negative", "misspelled-key", "removed-record-noise",
+         "unknown-section"],
 )
 def test_cli_refusals_exit_2_with_one_line(
     tmp_path, capsys, command, edits, flags, prefix
@@ -759,6 +769,21 @@ def test_cli_refusals_exit_2_with_one_line(
     assert captured.err.startswith(prefix)
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not any((tmp_path / "out").rglob("*"))
+
+
+def test_cli_freezes_the_objects_alive_at_start_for_its_run_only(tmp_path, monkeypatch):
+    seen = []
+    run = cli._run
+
+    def counting_run(args, cfg):
+        seen.append(gc.get_freeze_count())
+        return run(args, cfg)
+
+    monkeypatch.setattr(cli, "_run", counting_run)
+    path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out"))
+    assert gc.get_freeze_count() == 0
+    assert cli_main(["check", str(path)]) == 0
+    assert seen[0] > 0 and gc.get_freeze_count() == 0
 
 
 def test_write_trace_layout(tmp_path):
