@@ -135,7 +135,7 @@ def _run(args, cfg):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"replay_trial_{args.trial}.csv"
-    write_trace(trace, path)
+    write_trace([trace], path)
     print(f"trace written to {path}")
     return 0
 

@@ -15,7 +15,6 @@ import configparser
 import functools
 import hashlib
 import io
-import itertools
 import math
 import os
 import time
@@ -123,13 +122,21 @@ class ExperimentConfig:
         for i, x in enumerate(self.initial_samples):
             if not 1 <= x <= m:
                 raise ConfigError(f"experiment.initial: sample {i} out of range 1..{m}")
-        if (self.covariance or self.normality) and len(set(self.initial_samples)) == 1:
+        if self.covariance or self.normality:
             key = "covariance" if self.covariance else "normality"
-            raise ConfigError(
-                f"experiment.{key}: every initial sample is "
-                f"{self.initial_samples[0]}, so the limit q* is a vertex and its "
-                f"predicted covariance is zero: there is nothing to check"
-            )
+            if len(set(self.initial_samples)) == 1:
+                raise ConfigError(
+                    f"experiment.{key}: every initial sample is "
+                    f"{self.initial_samples[0]}, so the limit q* is a vertex and "
+                    f"its predicted covariance is zero: there is nothing to check"
+                )
+            p = self.policy
+            if p.kind == "censored" and p.censor_floor_scale > 0 and p.censor_exponent < 2:
+                raise ConfigError(
+                    f"experiment.{key}: censored sampling with exponent "
+                    f"{fmt(p.censor_exponent)} < 2 is outside the regime of the "
+                    f"asymptotic normality result: there is no prediction to check"
+                )
         if self.threads < 1:
             raise ConfigError("experiment.threads: must be at least 1")
         # a NaN fails each comparison
@@ -462,62 +469,37 @@ def trial_chunks(replications, n_agents, workers):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _trace_path(out_dir, trial_index):
-    return Path(out_dir) / f"trace_{trial_index}.csv"
+TRACE_HEADER = "trial,k,agent,component,value\n"
 
 
-def _write_chunk(cfg, trials):
-    """Step one chunk and write its traces into ``cfg.out_dir``.
+def _part_paths(cfg):
+    """The part file of each chunk of :func:`trial_chunks`, in chunk order."""
+    count = len(trial_chunks(cfg.replications, cfg.n_agents, cfg.threads))
+    return [Path(cfg.out_dir) / f"traces.csv.part{j}" for j in range(count)]
+
+
+def _write_chunk(cfg, trials, part):
+    """Step one chunk and write its trials' trace rows to ``part``.
 
     Returns the traces without their snapshots, so only the consensus
     errors, diagnostics and final states go back to the parent.
     """
     traces = run_chunk(cfg, trials)
-    for tr in traces:
-        write_trace(tr, _trace_path(cfg.out_dir, tr.trial_index))
+    write_trace(traces, part)
     return [replace(tr, snapshots=None) for tr in traces]
-
-
-def _create_trace_files(out_dir, chunks):
-    """Create the trace file of every trial of ``chunks`` that does not exist.
-
-    No file is truncated, so one that a chunk has written keeps its bytes.
-    Files go in the order the chunks write them, position j of every chunk
-    before position j + 1, so the creations stay ahead of the writes.
-    """
-    for position in itertools.zip_longest(*chunks):
-        for trial in position:
-            if trial is not None:
-                path = _trace_path(out_dir, trial[0])
-                os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
-
-
-def _remove_stale_traces(out_dir, replications):
-    """Delete the ``trace_<i>.csv`` files in ``out_dir`` with ``i`` at or
-    above ``replications``, which an earlier run with more trials left."""
-    for name in os.listdir(out_dir):
-        index = name[len("trace_"):-len(".csv")]
-        # only names that _trace_path gives: no sign and no leading zero
-        if index.isdecimal() and name == f"trace_{int(index)}.csv":
-            if int(index) >= replications:
-                os.unlink(os.path.join(out_dir, name))
 
 
 def run_trials(cfg):
     """All replications, stepped in chunks of trials.
 
-    Before any trial steps, the traces of trials ``cfg.replications`` and
-    up that an earlier run left in ``cfg.out_dir`` are deleted.  Each chunk,
-    in a worker process when ``cfg.threads`` > 1, writes the
-    ``trace_<trial>.csv`` of its trials into ``cfg.out_dir``, truncating any
-    file there; the traces returned hold the checkpoints, consensus errors,
-    diagnostics and final states, and ``snapshots`` is None.  While the
-    workers step, the parent, otherwise idle, creates the trace files they
-    will write, so the cost of making a new file leaves the workers' path.
-    When a chunk fails, every chunk is waited for, the trace file of every
-    trial is deleted, and the first failure in chunk order is raised.  Trial
-    results and trace bytes do not depend on the worker count or the chunk
-    sizes.
+    Each chunk, in a worker process when ``cfg.threads`` > 1, writes the
+    trace rows of its trials to its own part file in ``cfg.out_dir``, which
+    :func:`join_traces` joins into ``traces.csv``; the traces returned hold
+    the checkpoints, consensus errors, diagnostics and final states, and
+    ``snapshots`` is None.  When a chunk fails, every chunk is waited for,
+    every part file is deleted, and the first failure in chunk order is
+    raised.  Trial results and trace bytes do not depend on the worker
+    count or the chunk sizes.
     """
     chunks = [
         [(i, derive_trial_seed(cfg.master_seed, i)) for i in range(start, stop)]
@@ -525,38 +507,47 @@ def run_trials(cfg):
             cfg.replications, cfg.n_agents, cfg.threads
         )
     ]
+    parts = _part_paths(cfg)
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    _remove_stale_traces(cfg.out_dir, cfg.replications)
-    results = []  # the traces of every chunk that finished
-    failure = None
-    if cfg.threads <= 1 or len(chunks) == 1:
-        for trials in chunks:
-            try:
-                results.append(_write_chunk(cfg, trials))
-            except Exception as e:
-                failure = e
-                break
-    else:
-        # a forked pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(chunks))) as pool:
-            futures = [pool.submit(_write_chunk, cfg, trials) for trials in chunks]
-            try:
-                _create_trace_files(cfg.out_dir, chunks)
-            except OSError as e:
-                failure = e
-        # leaving the pool waited for every chunk
-        for future in futures:
-            error = future.exception()
-            if error is None:
-                results.append(future.result())
-            elif failure is None:
-                failure = error
-    if failure is not None:
-        for trials in chunks:
-            for index, _ in trials:
-                _trace_path(cfg.out_dir, index).unlink(missing_ok=True)
-        raise failure
+    try:
+        if cfg.threads <= 1 or len(chunks) == 1:
+            results = [_write_chunk(cfg, *job) for job in zip(chunks, parts)]
+        else:
+            # a forked pool starts all its workers at the first submit, and
+            # leaving it waits for every chunk
+            with ProcessPoolExecutor(max_workers=min(cfg.threads, len(chunks))) as pool:
+                futures = [pool.submit(_write_chunk, cfg, *job) for job in zip(chunks, parts)]
+            results = [future.result() for future in futures]
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
     return [trace for traces in results for trace in traces]
+
+
+def join_traces(cfg):
+    """Join the part files of :func:`run_trials` into ``traces.csv``.
+
+    The rows of every later part, without its header, are appended to the
+    first part in chunk order, which then replaces ``traces.csv`` whole, so
+    the file holds one complete run or is left as it was.  ``os.sendfile``
+    copies the rows in the operating system; they never pass through this
+    process.  The part files are deleted, whether the join succeeds or not.
+    """
+    first, *rest = parts = _part_paths(cfg)
+    try:
+        # r+ and a seek, not append mode, which sendfile refuses
+        with open(first, "r+b") as dst:
+            dst.seek(0, os.SEEK_END)
+            for part in rest:
+                with open(part, "rb") as src:
+                    offset = len(TRACE_HEADER)
+                    while sent := os.sendfile(dst.fileno(), src.fileno(), offset, 1 << 30):
+                        offset += sent
+        os.replace(first, Path(cfg.out_dir) / "traces.csv")
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def audit_assumptions(cfg):
@@ -617,30 +608,39 @@ def _aggregate_diagnostics(traces):
 
 @functools.lru_cache(maxsize=1)
 def _trace_template(checkpoints, n_agents, n_opinions):
-    """A trace file as one ``%`` template: the header, then a line per value
-    with its checkpoint, agent and component filled in.
+    """One trial's trace rows as one ``%`` template: a line per value with
+    its checkpoint, agent and component filled in, after ``\0``, the slot
+    of the trial index.
 
     Every trial of a run shares it, so it is built once per process.  Each
-    checkpoint's lines are one ``join`` of the checkpoint over the line ends
-    that follow it, which every checkpoint shares.
+    checkpoint's lines are one ``join`` of the slot and the checkpoint over
+    the line ends that follow it, which every checkpoint shares.
     """
     ends = [""] + [
         f",{i},{c},%.17g\n"
         for i in range(1, n_agents + 1)
         for c in range(1, n_opinions + 1)
     ]
-    return "k,agent,component,value\n" + "".join(str(k).join(ends) for k in checkpoints)
+    return "".join(f"\0,{k}".join(ends) for k in checkpoints)
 
 
-def write_trace(trace, path):
-    """``k,agent,component,value`` lines, checkpoint-, agent-, then
-    component-major; values as :func:`fmt` writes them."""
-    snapshots = np.asarray(trace.snapshots, dtype=float)
-    _, n, m = snapshots.shape
-    template = _trace_template(tuple(trace.checkpoints), n, m)
-    # + 0.0 folds negative zero, as fmt does
-    text = template % tuple((snapshots + 0.0).ravel().tolist())
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+def write_trace(traces, path):
+    """Write the traces to ``path``: the ``trial,k,agent,component,value``
+    header, then lines trial-, checkpoint-, agent-, then component-major;
+    values as :func:`fmt` writes them.
+
+    Each trial's lines are formatted by one ``%`` over the shared template
+    with the trial index filled in, and written as they are made.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(TRACE_HEADER)
+        for trace in traces:
+            snapshots = np.asarray(trace.snapshots, dtype=float)
+            _, n, m = snapshots.shape
+            template = _trace_template(tuple(trace.checkpoints), n, m)
+            # + 0.0 folds negative zero, as fmt does
+            values = tuple((snapshots + 0.0).ravel().tolist())
+            fh.write(template.replace("\0", str(trace.trial_index)) % values)
 
 
 def _matrix_lines(name, mat):
@@ -707,25 +707,25 @@ def run_experiment(cfg, out_dir=None):
 
     The summary is reproducible byte-for-byte for identical config and master
     seed; the exit predicate fails when an enabled analysis check misses its
-    threshold or the assumption audit fails.
+    threshold or the assumption audit fails.  ``timing.txt`` gives the wall
+    time and the seconds of each phase: the trials with their part files,
+    the join into ``traces.csv``, the audit, the theory and the outputs.
     """
-    t0 = time.perf_counter()
+    marks = [time.perf_counter()]
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    # run_trials makes the directory and writes the traces into it
-    traces = run_trials(replace(cfg, out_dir=str(out)))
-
-    checkpoints = tuple(traces[0].checkpoints)
-    errs = np.asarray([tr.consensus_errors for tr in traces])
-    err_min = errs.min(axis=0)
-    err_med = np.median(errs, axis=0)
-    err_max = errs.max(axis=0)
-    diagnostics = _aggregate_diagnostics(traces)
+    cfg = replace(cfg, out_dir=str(out))
+    # run_trials makes the directory and writes the part files into it
+    traces = run_trials(cfg)
+    marks.append(time.perf_counter())
+    join_traces(cfg)
+    marks.append(time.perf_counter())
 
     failures = []
     audit = audit_assumptions(cfg) if cfg.connectivity_report else []
     for name, ok, detail in audit:
         if not ok:
             failures.append(f"assumption {name} failed: {detail}")
+    marks.append(time.perf_counter())
 
     report = None
     if cfg.covariance or cfg.normality:
@@ -746,7 +746,12 @@ def run_experiment(cfg, out_dir=None):
                     f"normality: pass fraction {fmt(report.normality_pass_fraction)} "
                     f"< {fmt(cfg.min_normality_pass)}"
                 )
+    marks.append(time.perf_counter())
 
+    checkpoints = tuple(traces[0].checkpoints)
+    errs = np.asarray([tr.consensus_errors for tr in traces])
+    err_med = np.median(errs, axis=0)
+    diagnostics = _aggregate_diagnostics(traces)
     lines = [
         f"config_digest = {config_digest(cfg)}",
         f"agents = {cfg.n_agents}",
@@ -755,9 +760,9 @@ def run_experiment(cfg, out_dir=None):
         f"replications = {cfg.replications}",
         f"master_seed = {cfg.master_seed}",
         f"checkpoints = {','.join(str(k) for k in checkpoints)}",
-        f"consensus_error_min = {fmt_vector(err_min)}",
+        f"consensus_error_min = {fmt_vector(errs.min(axis=0))}",
         f"consensus_error_median = {fmt_vector(err_med)}",
-        f"consensus_error_max = {fmt_vector(err_max)}",
+        f"consensus_error_max = {fmt_vector(errs.max(axis=0))}",
     ]
     for key in sorted(diagnostics):
         lines.append(f"diag_{key} = {diagnostics[key]}")
@@ -777,8 +782,13 @@ def run_experiment(cfg, out_dir=None):
     (out / "summary.txt").write_text(summary_text, encoding="utf-8", newline="\n")
     if report is not None:
         write_report(report, out)
-    wall = time.perf_counter() - t0
-    (out / "timing.txt").write_text(f"wall_clock_seconds = {wall:.3f}\n", encoding="utf-8")
+    marks.append(time.perf_counter())
+    seconds = [marks[-1] - marks[0], *np.diff(marks)]
+    phases = ("wall_clock", "trials", "join", "audit", "theory", "outputs")
+    (out / "timing.txt").write_text(
+        "".join(f"{p}_seconds = {t:.3f}\n" for p, t in zip(phases, seconds)),
+        encoding="utf-8",
+    )
 
     return RunSummary(
         checkpoints=checkpoints,

@@ -355,11 +355,13 @@ def reference_fmt_vector(v):
     return ",".join(reference_fmt(x) for x in np.asarray(v, dtype=float).reshape(-1))
 
 
-def reference_trace_text(checkpoints, snapshots):
+def reference_trace_text(traces):
     """A trace file's text built one line and one value at a time."""
-    lines = ["k,agent,component,value"]
-    for k, snap in zip(checkpoints, snapshots):
-        for i in range(snap.shape[0]):
-            for mcomp in range(snap.shape[1]):
-                lines.append(f"{k},{i + 1},{mcomp + 1},{reference_fmt(snap[i, mcomp])}")
+    lines = ["trial,k,agent,component,value"]
+    for trace in traces:
+        for k, snap in zip(trace.checkpoints, trace.snapshots):
+            for i in range(snap.shape[0]):
+                for mcomp in range(snap.shape[1]):
+                    value = reference_fmt(snap[i, mcomp])
+                    lines.append(f"{trace.trial_index},{k},{i + 1},{mcomp + 1},{value}")
     return "\n".join(lines) + "\n"

@@ -432,11 +432,9 @@ def test_criterion_8_determinism_across_thread_counts(fullscale_run, tmp_path):
     threaded = replace(cfg, threads=2, out_dir=str(tmp_path / "threaded"))
     summary2 = ss.run_experiment(threaded)
     same = summary.summary_text == summary2.summary_text
-    trace_same = True
-    for i in range(cfg.replications):
-        a = (Path(summary.out_dir) / f"trace_{i}.csv").read_bytes()
-        b = (Path(summary2.out_dir) / f"trace_{i}.csv").read_bytes()
-        trace_same = trace_same and a == b
+    trace_same = (Path(summary.out_dir) / "traces.csv").read_bytes() == (
+        Path(summary2.out_dir) / "traces.csv"
+    ).read_bytes()
     report(
         8,
         "determinism across thread counts",

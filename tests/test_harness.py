@@ -143,6 +143,16 @@ INVALID_FIELDS = {
         {"initial_samples": (3, 3, 3, 3), "normality": True},
         r"experiment\.normality: every initial sample is 3,",
     ),
+    "covariance with censoring of order the step size": (
+        {"covariance": True,
+         "policy": ss.SamplingPolicy("censored", censor_floor_scale=0.5, censor_exponent=1.0)},
+        r"experiment\.covariance: censored sampling with exponent 1 < 2 ",
+    ),
+    "normality with censoring below exponent 2": (
+        {"normality": True,
+         "policy": ss.SamplingPolicy("censored", censor_floor_scale=0.5, censor_exponent=1.5)},
+        r"experiment\.normality: censored sampling with exponent 1\.5 < 2 ",
+    ),
     "nan covariance threshold": (
         {"max_cov_rel_error": np.nan},
         "experiment.max_cov_rel_error: must be finite and nonnegative",
@@ -213,7 +223,7 @@ window = 2
 [sampling]
 kind = censored
 c = 0.3
-exponent = 1.5
+exponent = 2.5
 renormalize = false
 
 [schedule]
@@ -263,11 +273,19 @@ def test_run_experiment_outputs(tmp_path):
     summary = ss.run_experiment(cfg)
     out = Path(summary.out_dir)
     assert (out / "summary.txt").exists()
-    assert (out / "timing.txt").exists()
-    for i in range(cfg.replications):
-        assert (out / f"trace_{i}.csv").exists()
-    header = (out / f"trace_0.csv").read_text().splitlines()[0]
-    assert header == "k,agent,component,value"
+    timing = (out / "timing.txt").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in timing] == [
+        "wall_clock_seconds", "trials_seconds", "join_seconds", "audit_seconds",
+        "theory_seconds", "outputs_seconds",
+    ]
+    assert all(float(line.split(" = ")[1]) >= 0.0 for line in timing)
+    # one trace file, and no part file left beside it
+    assert sorted(p.name for p in out.iterdir()) == [
+        "summary.txt", "timing.txt", "traces.csv",
+    ]
+    rows = (out / "traces.csv").read_text().splitlines()
+    assert rows[0] == "trial,k,agent,component,value"
+    assert {row.split(",")[0] for row in rows[1:]} == {"0", "1", "2"}
     assert summary.passed
     assert "config_digest" in summary.summary_text
 
@@ -277,8 +295,8 @@ def test_run_experiment_determinism_and_trace_format(tmp_path):
     s1 = ss.run_experiment(cfg)
     s2 = ss.run_experiment(cfg, out_dir=tmp_path / "b")
     assert s1.summary_text == s2.summary_text
-    t1 = (tmp_path / "a" / "trace_1.csv").read_bytes()
-    t2 = (tmp_path / "b" / "trace_1.csv").read_bytes()
+    t1 = (tmp_path / "a" / "traces.csv").read_bytes()
+    t2 = (tmp_path / "b" / "traces.csv").read_bytes()
     assert t1 == t2
     # 17 significant digit decimals in values
     line = t1.decode().splitlines()[1]
@@ -295,21 +313,27 @@ def test_null_config_constant_trace(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, text))
     summary = ss.run_experiment(cfg)
     assert summary.passed
-    trace = (Path(summary.out_dir) / "trace_0.csv").read_text().splitlines()[1:]
+    trace = (Path(summary.out_dir) / "traces.csv").read_text().splitlines()[1:]
     q0 = ss.initial_state(cfg.initial_samples, cfg.n_opinions)
     for row in trace:
-        k, agent, comp, value = row.split(",")
+        trial, k, agent, comp, value = row.split(",")
+        assert trial == "0"
         assert float(value) == q0[int(agent) - 1, int(comp) - 1]
 
 
 def test_replay_matches_original_checkpoints(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "r")))
     traces = ss.run_trials(cfg)
+    harness.join_traces(cfg)
     rerun = ss.replay_trial(cfg, 1, stride="all")
     lookup = dict(zip(rerun.checkpoints, rerun.snapshots))
-    # the run keeps no snapshots, so compare with the trace it wrote; %.17g
-    # round-trips, so the comparison stays exact
-    rows = (tmp_path / "r" / "trace_1.csv").read_text().splitlines()[1:]
+    # the run keeps no snapshots, so compare with trial 1's rows of the
+    # traces it wrote; %.17g round-trips, so the comparison stays exact
+    rows = [
+        row.split(",", 1)[1]
+        for row in (tmp_path / "r" / "traces.csv").read_text().splitlines()[1:]
+        if row.startswith("1,")
+    ]
     assert len(rows) == len(traces[1].checkpoints) * cfg.n_agents * cfg.n_opinions
     assert {int(row.split(",")[0]) for row in rows} == set(traces[1].checkpoints)
     for row in rows:
@@ -324,6 +348,7 @@ def test_run_trials_writes_traces_and_keeps_no_snapshots(tmp_path, threads):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "r")))
     cfg = replace(cfg, threads=threads)
     traces = ss.run_trials(cfg)
+    harness.join_traces(cfg)
     trials = [(i, ss.derive_trial_seed(cfg.master_seed, i)) for i in range(3)]
     full = ss.run_chunk(cfg, trials)
     assert [tr.trial_index for tr in traces] == [0, 1, 2]
@@ -337,16 +362,20 @@ def test_run_trials_writes_traces_and_keeps_no_snapshots(tmp_path, threads):
         assert tr.consensus_errors == ref.consensus_errors
         assert asdict(tr.diagnostics) == asdict(ref.diagnostics)
         np.testing.assert_array_equal(tr.final_state, ref.final_state)
-        written = (tmp_path / "r" / f"trace_{tr.trial_index}.csv").read_text()
-        assert written == reference_trace_text(ref.checkpoints, ref.snapshots)
+    written = (tmp_path / "r" / "traces.csv").read_text()
+    assert written == reference_trace_text(full)
+    assert [p.name for p in (tmp_path / "r").iterdir()] == ["traces.csv"]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_aborted_run_leaves_no_output_files(tmp_path, monkeypatch, threads):
     # one trial per chunk, and only the last chunk aborts: the chunks before
-    # it have written their traces, which the run must delete
+    # it have written their part files, which the run must delete
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")))
     cfg = replace(cfg, threads=threads)
+    monkeypatch.setattr(harness, "CHUNK_ROWS", cfg.n_agents)
+    ss.run_experiment(cfg, out_dir=tmp_path / "earlier")
+    earlier = (tmp_path / "earlier" / "traces.csv").read_bytes()
     last = cfg.replications - 1
     stepped = harness.run_chunk
 
@@ -356,62 +385,68 @@ def test_aborted_run_leaves_no_output_files(tmp_path, monkeypatch, threads):
             raise ss.TrialAborted(2, TrialDiagnostics(), index, seed)
         return stepped(cfg, trials)
 
-    monkeypatch.setattr(harness, "CHUNK_ROWS", cfg.n_agents)
     monkeypatch.setattr(harness, "run_chunk", run_chunk)
     with pytest.raises(ss.TrialAborted, match=rf"^trial {last} \(seed "):
         ss.run_experiment(cfg)
-    assert list((tmp_path / "out").glob("trace_*.csv")) == []
-    assert not (tmp_path / "out" / "summary.txt").exists()
+    assert list((tmp_path / "out").iterdir()) == []
+    # the traces of an earlier complete run are replaced only by a complete run
+    with pytest.raises(ss.TrialAborted):
+        ss.run_experiment(cfg, out_dir=tmp_path / "earlier")
+    assert sorted(p.name for p in (tmp_path / "earlier").iterdir()) == [
+        "summary.txt", "timing.txt", "traces.csv",
+    ]
+    assert (tmp_path / "earlier" / "traces.csv").read_bytes() == earlier
 
 
 def test_rerun_into_the_same_directory_leaves_no_stale_trace_bytes(tmp_path, monkeypatch):
-    # the parent creates the trace files while the chunks step and write
-    # them; a longer file left by an earlier run is cut to the new bytes
+    # a rerun replaces traces.csv whole: the longer file of an earlier run
+    # leaves no bytes behind, and the file is the one a fresh directory gets
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")))
     cfg = replace(cfg, threads=2, replications=6)
     monkeypatch.setattr(harness, "CHUNK_ROWS", 2 * cfg.n_agents)
     ss.run_experiment(replace(cfg, horizon=500))
     ss.run_experiment(replace(cfg, horizon=50))
     ss.run_experiment(replace(cfg, horizon=50), out_dir=tmp_path / "fresh")
-    names = sorted(p.name for p in (tmp_path / "fresh").glob("trace_*.csv"))
-    assert len(names) == cfg.replications
-    assert sorted(p.name for p in (tmp_path / "out").glob("trace_*.csv")) == names
-    for name in names:
-        assert (tmp_path / "out" / name).read_bytes() == (
-            tmp_path / "fresh" / name
-        ).read_bytes()
+    assert (tmp_path / "out" / "traces.csv").read_bytes() == (
+        tmp_path / "fresh" / "traces.csv"
+    ).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "summary.txt", "timing.txt", "traces.csv",
+    ]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_rerun_with_fewer_trials_leaves_only_its_traces(tmp_path, threads):
-    # the traces of trials 3-5 from the first run are deleted, on the
-    # serial and on the pool path
+def test_rerun_with_fewer_trials_leaves_only_its_traces(tmp_path, monkeypatch, threads):
+    # a rerun replaces traces.csv whole: the rows of trials 3-5 of the first
+    # run are gone, on the serial and on the pool path, and the file is the
+    # one a fresh directory gets
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")))
     cfg = replace(cfg, threads=threads, horizon=50)
+    monkeypatch.setattr(harness, "CHUNK_ROWS", 2 * cfg.n_agents)
     ss.run_experiment(replace(cfg, replications=6))
     ss.run_experiment(replace(cfg, replications=3))
-    names = sorted(p.name for p in (tmp_path / "out").glob("trace_*.csv"))
-    assert names == ["trace_0.csv", "trace_1.csv", "trace_2.csv"]
+    ss.run_experiment(replace(cfg, replications=3), out_dir=tmp_path / "fresh")
+    rows = (tmp_path / "out" / "traces.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"0", "1", "2"}
+    assert (tmp_path / "out" / "traces.csv").read_bytes() == (
+        tmp_path / "fresh" / "traces.csv"
+    ).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "summary.txt", "timing.txt", "traces.csv",
+    ]
 
 
-def test_stale_trace_removal_keeps_other_names(tmp_path):
-    names = ["trace_2.csv", "trace_3.csv", "trace_10.csv", "trace_03.csv",
-             "trace_x.csv", "trace_3.txt", "summary.txt"]
-    for name in names:
-        (tmp_path / name).write_text("")
-    harness._remove_stale_traces(tmp_path, 3)
-    kept = sorted(p.name for p in tmp_path.iterdir())
-    assert kept == sorted(set(names) - {"trace_3.csv", "trace_10.csv"})
-
-
-def test_trace_file_creation_keeps_written_bytes(tmp_path):
-    # the parent may create a trace file after its chunk wrote it: the file
-    # keeps its bytes, and the missing ones are made empty
-    (tmp_path / "trace_1.csv").write_text("k,agent,component,value\n")
-    harness._create_trace_files(tmp_path, [[(0, 5), (1, 6)], [(2, 7)]])
-    assert (tmp_path / "trace_1.csv").read_text() == "k,agent,component,value\n"
-    for i in (0, 2):
-        assert (tmp_path / f"trace_{i}.csv").read_bytes() == b""
+def test_traces_do_not_depend_on_workers_or_chunk_size(tmp_path, monkeypatch):
+    cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path)))
+    cfg = replace(cfg, replications=5, horizon=100)
+    written = {}
+    for rows in (harness.CHUNK_ROWS, cfg.n_agents):  # one trial per chunk
+        monkeypatch.setattr(harness, "CHUNK_ROWS", rows)
+        for threads in (1, 2):
+            out = tmp_path / f"{rows}_{threads}"
+            ss.run_experiment(replace(cfg, threads=threads), out_dir=out)
+            written[rows, threads] = (out / "traces.csv").read_bytes()
+    assert len(set(written.values())) == 1
 
 
 def test_run_trials_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
@@ -559,14 +594,18 @@ def test_cli_simulate_and_replay(tmp_path, capsys):
     assert cli_main(["simulate", str(path)]) == 0
     assert cli_main(["replay", str(path), "--trial", "1", "--out", str(tmp_path / "sim")]) == 0
     capsys.readouterr()
-    original = (tmp_path / "sim" / "trace_1.csv").read_text().splitlines()[1:]
-    replay = (tmp_path / "sim" / "replay_trial_1.csv").read_text().splitlines()[1:]
+    original = (tmp_path / "sim" / "traces.csv").read_text().splitlines()
+    replay = (tmp_path / "sim" / "replay_trial_1.csv").read_text().splitlines()
+    assert replay[0] == original[0] == "trial,k,agent,component,value"
     replay_map = {}
-    for row in replay:
-        k, agent, comp, value = row.split(",")
+    for row in replay[1:]:
+        trial, k, agent, comp, value = row.split(",")
+        assert trial == "1"
         replay_map[(k, agent, comp)] = value
-    for row in original:
-        k, agent, comp, value = row.split(",")
+    ones = [row for row in original[1:] if row.startswith("1,")]
+    assert ones
+    for row in ones:
+        trial, k, agent, comp, value = row.split(",")
         assert replay_map[(k, agent, comp)] == value
 
 
@@ -577,7 +616,7 @@ def test_cli_replay_stride(tmp_path, capsys):
     for flags in ([], ["--stride", "50,100"]):
         assert cli_main(["replay", str(path), "--trial", "0", *flags]) == 0
         rows = (tmp_path / "rep" / "replay_trial_0.csv").read_text().splitlines()[1:]
-        written[bool(flags)] = {int(row.split(",")[0]) for row in rows}
+        written[bool(flags)] = {int(row.split(",")[1]) for row in rows}
     capsys.readouterr()
     assert written[False] == set(range(301))
     assert written[True] == {50, 100, 300}
@@ -594,7 +633,8 @@ def test_cli_flag_overrides(tmp_path):
     assert "replications = 2" in summary
     assert "master_seed = 99" in summary
     assert "checkpoints = 50,100,300" in summary
-    assert not (out / "trace_2.csv").exists()
+    rows = (out / "traces.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"0", "1"}
 
 
 def test_cli_seed_redraws_random_initial_opinions(tmp_path, capsys):
@@ -679,6 +719,14 @@ DIVERGING = {
         ("simulate", {"opinions = 3": "opinions = 1", "samples:1,2,3,3": "samples:1,1,1,1",
                       "normality = false": "normality = true"}, [],
          "config error: experiment.normality: every initial sample is 1,"),
+        # censoring of order the step size keeps the limit out of the
+        # asymptotic normality regime, so no prediction is checked
+        ("simulate", {"kind = direct": "kind = censored\nc = 0.5\nexponent = 1.0",
+                      "covariance = false": "covariance = true"}, [],
+         "config error: experiment.covariance: censored sampling with exponent 1 < 2 "),
+        ("analyze", {"kind = direct": "kind = censored\nc = 0.5\nexponent = 1.99",
+                     "normality = false": "normality = true"}, [],
+         "config error: experiment.normality: censored sampling with exponent 1.99 < 2 "),
         # b outside [0, 1], NaN among them, and a wrong count
         ("simulate", {"b = 1.0": "b = nan"}, [],
          "config error: mixing.b: A4 violated: b_ii must lie in [0, 1], got nan at i=1"),
@@ -744,6 +792,7 @@ DIVERGING = {
          "simulate-diverges", "replay-diverges", "initial-not-int", "b-not-float",
          "b-empty", "threads-not-int", "covariance-not-bool", "threads-0",
          "threads-flag-negative", "covariance-at-vertex", "normality-one-opinion",
+         "covariance-censored-exponent-1", "normality-censored-exponent-1.99",
          "b-nan", "b-negative", "b-above-1", "b-wrong-count",
          "c-nan", "c-inf", "exponent-nan", "exponent-inf", "a-nan", "a-inf",
          "tau-nan", "birkhoff-mixing-nan", "iid-probabilities-nan",
@@ -790,12 +839,12 @@ def test_write_trace_layout(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path)))
     trace = ss.run_chunk(cfg, [(0, ss.derive_trial_seed(cfg.master_seed, 0))])[0]
     path = tmp_path / "t.csv"
-    write_trace(trace, path)
+    write_trace([trace], path)
     rows = path.read_text().splitlines()
     n_rows = len(trace.checkpoints) * cfg.n_agents * cfg.n_opinions
     assert len(rows) == n_rows + 1
-    first = rows[1].split(",")
-    assert first[0] == "0" and first[1] == "1" and first[2] == "1"
+    assert rows[0] == "trial,k,agent,component,value"
+    assert rows[1].split(",")[:4] == ["0", "0", "1", "1"]
 
 
 def test_formatters_match_per_value_reference(tmp_path):
@@ -812,26 +861,28 @@ def test_formatters_match_per_value_reference(tmp_path):
     for v in (values, values[:12].reshape(3, 4), [], [np.nan, np.inf, -np.inf],
               repeats, [-0.0, 0.0, np.nan, -0.0, np.nan, 1.0]):
         assert fmt_vector(v) == reference_fmt_vector(v)
-    # traces of assorted shapes, so the cached template is rebuilt and reused
+    # traces of assorted shapes, so the cached template is rebuilt and reused:
+    # one file of a trial, then one of three trials sharing the template
     path, start = tmp_path / "t.csv", 0
     while start < len(values):
         c, n, m = (int(x) for x in rng.integers(1, 7, size=3))
-        block = np.resize(np.roll(values, -start), (c, n, m))
-        trace = SimpleNamespace(
-            checkpoints=sorted(int(k) for k in rng.choice(10_000, c, replace=False)),
-            snapshots=list(block),
-        )
-        for _ in range(2):
-            write_trace(trace, path)
-            assert path.read_bytes() == reference_trace_text(
-                trace.checkpoints, trace.snapshots
-            ).encode()
+        checkpoints = sorted(int(k) for k in rng.choice(10_000, c, replace=False))
+        traces = [
+            SimpleNamespace(
+                trial_index=int(rng.integers(0, 10_000)), checkpoints=checkpoints,
+                snapshots=list(np.resize(np.roll(values, -start - j * c * n * m),
+                                         (c, n, m))),
+            )
+            for j in range(3)
+        ]
+        for group in (traces[:1], traces):
+            write_trace(group, path)
+            assert path.read_bytes() == reference_trace_text(group).encode()
         start += c * n * m
     # a dense stride, as replay writes it: every step from 0 to the horizon
     trace = SimpleNamespace(
-        checkpoints=list(range(201)), snapshots=list(np.resize(values, (201, 3, 4)))
+        trial_index=7, checkpoints=list(range(201)),
+        snapshots=list(np.resize(values, (201, 3, 4))),
     )
-    write_trace(trace, path)
-    assert path.read_bytes() == reference_trace_text(
-        trace.checkpoints, trace.snapshots
-    ).encode()
+    write_trace([trace], path)
+    assert path.read_bytes() == reference_trace_text([trace]).encode()

@@ -2,7 +2,8 @@
 
 The trace digests below were recorded from the per-trial step loop that the
 kernel replaced; the kernel must reproduce them byte for byte, whatever the
-worker count.  ``normality_n5``'s summary and report digests were re-recorded
+worker count.  That loop wrote one ``trace_<i>.csv`` per trial, so the
+digest is taken over those files as rebuilt from ``traces.csv``.  ``normality_n5``'s summary and report digests were re-recorded
 when the asymptotic covariance became Kronecker-factored: the report stores
 the factors, and the summary's ``lyapunov_residual`` and ``cov_rel_error``
 moved in their last digits.  The three summary digests were re-recorded
@@ -70,19 +71,34 @@ PINNED = {
 
 
 def output_digests(out):
-    """sha256 of summary.txt, report.txt and of all traces in trial order."""
+    """sha256 of summary.txt, report.txt and of all traces in trial order.
+
+    The ``traces`` digest hashes each trial's trace as the per-trial loop
+    wrote it, a ``trace_<i>.csv`` file with a ``k,agent,component,value``
+    header: the trial's rows of ``traces.csv`` without the trial column.
+    """
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("summary.txt", "report.txt")
         if (out / name).exists()
     }
-    traces = sorted(out.glob("trace_*.csv"), key=lambda p: int(p.stem.split("_")[1]))
+    header, *rows = (out / "traces.csv").read_text().splitlines(keepends=True)
+    assert header == "trial,k,agent,component,value\n"
+    per_trial = {}
+    for row in rows:
+        trial, rest = row.split(",", 1)
+        per_trial.setdefault(int(trial), []).append(rest)
+    # the trial column runs 0..R-1, one block per trial, in order
+    assert list(per_trial) == list(range(len(per_trial)))
+    assert [row.split(",", 1)[0] for row in rows] == [
+        str(trial) for trial, lines in per_trial.items() for _ in lines
+    ]
     h = hashlib.sha256()
-    for path in traces:
-        h.update(path.name.encode())
-        h.update(path.read_bytes())
+    for trial, lines in per_trial.items():
+        h.update(f"trace_{trial}.csv".encode())
+        h.update(("k,agent,component,value\n" + "".join(lines)).encode())
     digests["traces"] = h.hexdigest()
-    return digests, len(traces)
+    return digests, len(per_trial)
 
 
 @pytest.mark.parametrize(
