@@ -18,14 +18,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .network import mean_matrix, spectral_gap, step_mean_matrices
 from .sampling import categorical_covariance
 from .state import as_opinion_vector, network_average
 
 DEGENERATE_VARIANCE = 1e-12
+
+
+def import_theory_modules():
+    """Load the scipy modules of the theory now, not at their first use."""
+    import scipy.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
 
 
 class StabilityError(ValueError):
@@ -133,6 +137,7 @@ def lyapunov_solve(a, s0, residual_tol=1e-10):
     Equals the integral of ``expm(a t) s0 expm(a.T t)`` over t >= 0, which
     exists because all eigenvalues of ``a`` must have negative real part.
     """
+    import scipy.linalg
     a = np.atleast_2d(np.asarray(a, dtype=float))
     s0 = np.atleast_2d(np.asarray(s0, dtype=float))
     eigs = np.linalg.eigvals(a)
@@ -431,6 +436,7 @@ def _kolmogn_sf(n, x):
     """``Pr(D_n > x)`` for ``0.5/n < x < 1``, by Simard & L'Ecuyer's choice of
     method; ``x`` is a 0-d float64 array, as SciPy's loop passes it, so that
     every operation takes the numpy path it takes there."""
+    import scipy.special
     t = n * x
     if t <= 1.0:  # Ruben-Gambino: 1/2n <= x <= 1/n
         if t <= 0.5:
@@ -475,6 +481,7 @@ def _kolmogorov_sf(d, n):
 
 def _ks_normal_pvalue(z):
     """``scipy.stats.kstest(z, "norm").pvalue``: the exact two-sided p-value."""
+    import scipy.special
     z = np.sort(np.asarray(z, dtype=float))
     n = z.size
     cdf = scipy.special.ndtr(z)

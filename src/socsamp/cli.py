@@ -73,17 +73,16 @@ def main(argv=None):
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    # What is alive when the command starts, the imported modules above
-    # all, outlives it.  Frozen, it is skipped by the collector's full
-    # passes, and a forked pool worker's passes do not write to (and so
-    # copy) its pages.  Unfrozen, how close the imports left the collector
-    # to its next full pass decides whether a run pays one: 25-45 ms in a
-    # forked normality_n5 or consensus_n50 run (2-core x86_64).
     frozen = gc.get_freeze_count()
-    gc.freeze()
     try:
         # the seed is read with the file: random initial opinions derive from it
         cfg = load_config(args.config, master_seed=getattr(args, "seed", None))
+        # What is alive once the config (a theory config's scipy with it) is
+        # loaded outlives the command.  Frozen, the collector's full passes
+        # skip it, and a forked pool worker's do not write to (and so copy) its
+        # pages.  Unfrozen, how close the imports left the collector to its next
+        # full pass decides whether a run pays one: 25-45 ms (2-core x86_64).
+        gc.freeze()
         if args.command != "check":
             cfg = _apply_overrides(cfg, args)
         return _run(args, cfg)

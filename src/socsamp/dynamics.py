@@ -171,19 +171,19 @@ def _increment(w, q, y, ym_q, b, out=None, scratch=None):
     return inc
 
 
-def _martingale_noise(w, wbar, b_col, ym_p, p, out=None, scratch=None):
+def _martingale_noise(w, wbar, b_col, ym_p, p, out=None, scratch=None, diff=None):
     """``(W - B)(Y - P) + (W - Wbar) P`` for one state or a batch.
 
     ``b_col`` is None when every ``b_ii`` is 1, where ``B (Y - P)`` is
     ``Y - P`` exactly.  The second term is left out when ``w is wbar``, where
-    it is zero, and ``p`` is not read.  The noise is written into ``out``,
-    and ``B (Y - P)`` and then ``(W - Wbar) P`` into ``scratch``, an array
-    of ``ym_p``'s shape, when given; no input is written.
+    it is zero, and ``p`` is not read.  When given, ``out`` takes the noise,
+    ``scratch`` (``ym_p``'s shape) ``B (Y - P)`` and then ``(W - Wbar) P``,
+    and ``diff`` ``W - Wbar``; no input is written.
     """
     mart = np.matmul(w, ym_p, out=out)
     mart -= ym_p if b_col is None else np.multiply(b_col, ym_p, out=scratch)
     if wbar is not w:
-        mart += np.matmul(w - wbar, p, out=scratch)
+        mart += np.matmul(np.subtract(w, wbar, out=diff), p, out=scratch)
     return mart
 
 
@@ -376,11 +376,12 @@ def run_chunk(cfg, trials):
         """The weight matrices of steps ``first + a + 1 .. first + b``, one
         per step, and ``(w, wbar)`` of those steps, shaped to broadcast
         against their ``(steps, chunk, N, M)`` states."""
-        if model.kind == IID:
-            ws = support[picks[first + a : first + b]]
-            return ws, ws, wbar_static
-        if model.kind == BIRKHOFF:
-            ws = birkhoff_weights(model, perms[a:b])
+        if random_weights:
+            out = weights[0, : b - a]
+            if model.kind == IID:  # picks are in range; mode "raise" copies out
+                ws = np.take(support, picks[first + a : first + b], 0, out, "wrap")
+            else:
+                ws = birkhoff_weights(model, perms[a:b], out=out)
             return ws, ws, wbar_static
         if model.kind == FIXED:
             ws = np.broadcast_to(model.support[0], (b - a, n, n))
@@ -401,6 +402,8 @@ def run_chunk(cfg, trials):
     window = min(window_steps(max(chunk * n * m, weight_values)), horizon)
     maxima = np.zeros((3, chunk))
     now = np.zeros((3, window, chunk))
+    # a window's weight matrices on a random network, then their differences
+    weights = np.empty((2, window, chunk, n, n)) if random_weights else None
     bound = noise_norm_bound(n, m)
 
     def diagnostics(r):
@@ -541,6 +544,7 @@ def run_chunk(cfg, trials):
                 w_window, wbar_window, b_col, ym_p,
                 p_window if random_weights else None, out=noises[:steps],
                 scratch=None if scratch is None else scratch[:steps],
+                diff=None if weights is None else weights[1, :steps],
             )
             # the bits of mart.mean(axis=2); the batched matmul gives
             # each step and trial the bits of col_mean @ col_mean,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import asymptotic_report, q_star_prediction
+from .analysis import asymptotic_report, import_theory_modules, q_star_prediction
 from .dynamics import (
     StepSchedule,
     TrialDiagnostics,
@@ -137,6 +137,10 @@ class ExperimentConfig:
                     f"{fmt(p.censor_exponent)} < 2 is outside the regime of the "
                     f"asymptotic normality result: there is no prediction to check"
                 )
+            try:
+                import_theory_modules()
+            except ImportError as e:
+                raise ConfigError(f"experiment.{key}: the theory needs scipy: {e}") from None
         if self.threads < 1:
             raise ConfigError("experiment.threads: must be at least 1")
         # a NaN fails each comparison
@@ -606,6 +610,16 @@ def _aggregate_diagnostics(traces):
     return out
 
 
+def _column_median(a):
+    """``np.median(a, axis=0)`` bit for bit, by its partition (NaNs last) and
+    its NaN rule, without the ``numpy.ma`` import it makes on first call."""
+    r = len(a)
+    kth = [r // 2] if r % 2 else [r // 2 - 1, r // 2]
+    part = np.partition(a, [*kth, -1], axis=0)
+    mid = part[r // 2] if r % 2 else (part[r // 2 - 1] + part[r // 2]) / 2.0
+    return np.where(np.isnan(part[-1]), part[-1], mid)
+
+
 @functools.lru_cache(maxsize=1)
 def _trace_template(checkpoints, n_agents, n_opinions):
     """One trial's trace rows as one ``%`` template: a line per value with
@@ -750,7 +764,7 @@ def run_experiment(cfg, out_dir=None):
 
     checkpoints = tuple(traces[0].checkpoints)
     errs = np.asarray([tr.consensus_errors for tr in traces])
-    err_med = np.median(errs, axis=0)
+    err_med = _column_median(errs)
     diagnostics = _aggregate_diagnostics(traces)
     lines = [
         f"config_digest = {config_digest(cfg)}",

@@ -204,18 +204,19 @@ def birkhoff_permutation_blocks(model, rngs, horizon):
         yield block.reshape(len(rngs), steps, count, n)
 
 
-def birkhoff_weights(model, perms):
+def birkhoff_weights(model, perms, out=None):
     """Birkhoff weight matrices of a batch of permutation draws.
 
     ``perms`` has shape ``(..., permutation_count, n)``; row ``j`` of a draw
     is the permutation weighted by ``mixing[j + 1]``.  Returns the
     ``(..., n, n)`` matrices ``mixing[0] * I + sum_j mixing[j + 1] * P_j``
-    with ``P_j[i, perms[j, i]] = 1``.  Every entry is summed in the order
-    ``mixing[0], mixing[1], ...``, so a batch holds the bits of its draws
-    built one at a time.
+    with ``P_j[i, perms[j, i]] = 1``, in ``out`` (C-contiguous) when given.
+    Every entry is summed in the order ``mixing[0], mixing[1], ...``, so a
+    batch holds the bits of its draws built one at a time.
     """
     *lead, _, n = perms.shape
-    w = np.zeros((*lead, n, n))
+    w = np.empty((*lead, n, n)) if out is None else out
+    w.fill(0.0)
     flat = w.reshape(-1)
     flat.reshape(-1, n * n)[:, :: n + 1] = model.mixing[0]
     # flat offset of each matrix row, one row of offsets per draw

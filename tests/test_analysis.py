@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from socsamp.analysis import (
     lyapunov_residual,
     normality_test,
 )
+from socsamp.harness import load_config, theory_report, write_report
 
 from oracles import (
     dense_asymptotic_covariance,
@@ -447,17 +449,67 @@ def test_ks_pvalue_of_a_sample_with_nan_is_nan():
     assert math.isnan(res.p_values[0]) and res.pass_fraction == 0.0
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats is most of the package's import time; nothing may bring
-    # it back onto the path that every socsamp process takes
-    src = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+
+# after each command, prints "modules" and a JSON pair: its exit code and
+# the scipy and numpy.ma modules loaded so far
+SCIPY_BOUNDARY_SCRIPT = """
+import json, sys
+from socsamp.cli import main
+from socsamp.harness import load_config
+
+def report(code):
+    mods = [m for m in sys.modules if m.partition(".")[0] == "scipy"
+            or m == "numpy.ma" or m.startswith("numpy.ma.")]
+    print("modules", json.dumps([code, sorted(mods)]))
+
+consensus, censored, normality, out = sys.argv[1:]
+report(None)
+report(main(["check", consensus]))
+report(main(["simulate", censored, "--replications", "1", "--out", out]))
+report(main(["replay", censored, "--trial", "0", "--stride", "log", "--out", out]))
+load_config(normality)
+report(None)
+"""
+
+
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    # scipy loads only for configs that ask for theory: importing the CLI
+    # and checking, simulating or replaying a config without covariance or
+    # normality loads no scipy module (nor numpy.ma), and loading a theory
+    # config loads the two modules its theory uses.  scipy.stats, most of
+    # scipy's import time, stays out in every case.
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import socsamp.cli, sys; print('scipy.stats' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-c", SCIPY_BOUNDARY_SCRIPT,
+         str(ROOT / "configs" / "consensus_n50.cfg"),
+         str(ROOT / "perfbench" / "configs" / "random_censored.cfg"),
+         str(ROOT / "configs" / "normality_n5.cfg"),
+         str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    steps = [json.loads(line.removeprefix("modules "))
+             for line in out.stdout.splitlines() if line.startswith("modules ")]
+    assert steps[:4] == [[None, []], [0, []], [0, []], [0, []]]
+    theory = set(steps[4][1])
+    assert {"scipy.linalg", "scipy.special"} <= theory
+    assert "scipy.stats" not in theory  # scipy itself loads numpy.ma
+
+
+def test_cli_analyze_without_theory_checks_writes_the_in_process_report(tmp_path):
+    # consensus_n50 asks for neither covariance nor normality, so a fresh
+    # process loads scipy.linalg only when analyze reaches the Lyapunov solve
+    config = ROOT / "configs" / "consensus_n50.cfg"
+    subprocess.run(
+        [sys.executable, "-m", "socsamp.cli", "analyze", str(config),
+         "--out", str(tmp_path / "cli")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    cfg = load_config(config)
+    assert not (cfg.covariance or cfg.normality)
+    expected = write_report(theory_report(cfg), tmp_path / "api")
+    assert (tmp_path / "cli" / "report.txt").read_bytes() == expected.read_bytes()
 
 
 # ------------------------------------------------------------- diagnostics

@@ -1,5 +1,8 @@
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -818,6 +821,51 @@ def test_cli_refusals_exit_2_with_one_line(
     assert captured.err.startswith(prefix)
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not any((tmp_path / "out").rglob("*"))
+
+
+# runs the CLI with scipy.special unimportable, as if scipy were missing
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy.special"] = None
+from socsamp.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "key, edits",
+    [("covariance", {"covariance = false": "covariance = true"}),
+     ("normality", {"normality = false": "normality = true"})],
+)
+def test_theory_config_without_scipy_is_refused_before_any_trial(tmp_path, key, edits):
+    text = SMALL_CFG.format(out=tmp_path / "out")
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = write_cfg(tmp_path, text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, "simulate", str(path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"config error: experiment.{key}: the theory needs scipy")
+    assert out.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("replications", [1, 2, 7, 1000])
+def test_column_median_equals_np_median_bit_for_bit(replications):
+    rng = np.random.default_rng(replications)
+    errs = rng.exponential(size=(replications, 9))
+    errs[:, 1] = 0.0  # ties
+    errs[: replications // 2, 2] = np.inf
+    assert harness._column_median(errs).tobytes() == np.median(errs, axis=0).tobytes()
+    errs[replications // 3, 4] = np.nan
+    errs[:, 5] = -np.nan  # NaN keeps its sign bit, as np.median returns it
+    got = harness._column_median(errs)
+    assert got.tobytes() == np.median(errs, axis=0).tobytes()
+    assert np.isnan(got[[4, 5]]).all() and not np.isnan(got[[0, 1, 2, 3]]).any()
 
 
 def test_cli_freezes_the_objects_alive_at_start_for_its_run_only(tmp_path, monkeypatch):
