@@ -23,7 +23,7 @@ from .analysis import (
 from .dynamics import (
     StepSchedule,
     TrialAborted,
-    TrialTrace,
+    TrialResults,
     default_checkpoints,
     noise_norm_bound,
     run_chunk,

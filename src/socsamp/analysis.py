@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import mean_matrix, spectral_gap, step_mean_matrices
+from .network import (
+    BIRKHOFF,
+    FIXED,
+    IID,
+    mean_matrix,
+    metropolis_complete,
+    spectral_gap,
+    step_mean_matrices,
+)
 from .sampling import categorical_covariance
 from .state import as_opinion_vector, network_average
 
@@ -119,15 +127,45 @@ def reduced_drift(wbar, basis, delta):
     return ReducedDrift(fbar=fbar, shifted=shifted, lambda2=lam2, delta=delta)
 
 
-def s0_matrix(wbar, basis):
-    """Agent-space factor ``g = L L.T`` of the reduced driving noise, where
-    ``L`` is :func:`disagreement_rows` of the mean matrix ``wbar``.
+def weight_noise_moment(model, b):
+    """``E[(W - B)(W - B).T]`` of one step's weights ``W``, ``B = diag(b)``.
 
-    Every agent's message has the same limit covariance ``c``, so the
-    driving noise is ``kron(L, I) kron(I_N, c) kron(L, I).T = kron(g, c)``.
+    A switching network averages the product over one period, an iid one
+    over its support.  A birkhoff weight ``c0 I + sum_j c_j P_j`` with
+    independent uniform permutations has ``E[P] = E[P_i P_j.T] = J/n`` and
+    ``P P.T = I``, so ``E[W W.T] = s I + (1 - s) J/n`` with ``s`` the sum
+    of the squared mixing weights, ``c0`` included.
     """
-    left = disagreement_rows(wbar, basis)
-    g = left @ left.T
+    bmat = np.diag(np.broadcast_to(np.asarray(b, dtype=float), (model.n,)))
+    if model.kind == BIRKHOFF:
+        s = sum(c * c for c in model.mixing)
+        wbar = mean_matrix(model)
+        second = s * np.eye(model.n) + (1.0 - s) * metropolis_complete(model.n)
+        return second - bmat @ wbar.T - wbar @ bmat + bmat @ bmat
+    if model.kind == IID:
+        weights = model.probabilities
+    else:
+        weights = [1.0 / len(model.support)] * len(model.support)
+    return sum(p * (w - bmat) @ (w - bmat).T for p, w in zip(weights, model.support))
+
+
+def s0_matrix(model, b, basis):
+    """Agent-space factor ``g = T1 E[(W - B)(W - B).T] T1.T`` of the reduced
+    driving noise (see :func:`weight_noise_moment`).
+
+    At consensus the martingale noise is ``(W - B)(Y - P)``: the term
+    ``(W - Wbar) P`` vanishes there, because ``P = 1 q*.T`` and every ``W``
+    is stochastic.  Agents draw independently and every agent's message has
+    the same limit covariance ``c``, so the driving noise is
+    ``kron(g, c)``.  A fixed network with every ``b_ii = 1`` gives
+    ``g = L L.T``, with ``L`` the :func:`disagreement_rows` of its matrix,
+    and is computed so.
+    """
+    if model.kind == FIXED and np.all(np.asarray(b) == 1.0):
+        left = disagreement_rows(model.support[0], basis)
+        g = left @ left.T
+    else:
+        g = basis.t1 @ weight_noise_moment(model, b) @ basis.t1.T
     return (g + g.T) / 2.0
 
 
@@ -188,17 +226,14 @@ def empirical_scaled_covariance(final_states, q_ref, basis, delta_k):
     """Sample covariance of the scaled disagreement coordinate across trials.
 
     Each trial contributes ``xi / sqrt(delta_k)`` computed from its final
-    ``(N, M)`` state; returns ``(covariance, samples)`` with one sample row
-    per trial.
+    ``(N, M)`` state, a row of the ``(trials, N, M)`` ``final_states``;
+    returns ``(covariance, samples)`` with one sample row per trial.
     """
+    final_states = np.asarray(final_states, dtype=float)
     if len(final_states) < 2:
         raise ValueError("need at least two trials for a sample covariance")
-    q_ref = np.asarray(q_ref, dtype=float)
-    rows = [
-        (basis.t1 @ (np.asarray(q, dtype=float) - q_ref[None, :])).reshape(-1)
-        for q in final_states
-    ]
-    samples = np.asarray(rows) / math.sqrt(delta_k)
+    xi = basis.t1 @ (final_states - np.asarray(q_ref, dtype=float))
+    samples = xi.reshape(len(final_states), -1) / math.sqrt(delta_k)
     cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
     return cov, samples
 
@@ -584,6 +619,7 @@ def asymptotic_report(
     delta,
     q_star,
     n_opinions,
+    b=1.0,
     final_states=None,
     final_step_size=None,
     significance=0.01,
@@ -593,9 +629,11 @@ def asymptotic_report(
     Uses the exact one-hot message covariance at the consensus limit.  The
     drift ``kron(fbar, I_M)`` and the noise ``kron(g, c)`` share their
     Kronecker structure, so ``S = kron(x, c)`` where ``x`` solves the
-    (n-1)-dimensional equation ``F x + x F.T = -g``.  When ``final_states``
-    from repeated trials are supplied (together with the step size of their
-    last update), the empirical scaled covariance and per-component
+    (n-1)-dimensional equation ``F x + x F.T = -g``; ``g`` is
+    :func:`s0_matrix` of the transmission coefficients ``b``, one for every
+    agent or one per agent.  When ``final_states`` from repeated trials are
+    supplied (a ``(trials, N, M)`` array, together with the step size of
+    their last update), the empirical scaled covariance and per-component
     normality tests are attached.
     """
     q_star = as_opinion_vector(q_star, n_opinions)
@@ -603,7 +641,7 @@ def asymptotic_report(
     wbar = mean_matrix(model)
     drift = reduced_drift(wbar, basis, delta)
     c = categorical_covariance(q_star, 1)
-    g = s0_matrix(wbar, basis)
+    g = s0_matrix(model, b, basis)
     x = lyapunov_solve(drift.shifted, g)
     report = AsymptoticReport(
         q_star=q_star,

@@ -130,11 +130,11 @@ def _run(args, cfg):
 
     # replay, the last of the parser's subcommands
     stride = cfg.stride if args.stride is not None else "all"
-    trace = replay_trial(cfg, args.trial, stride=stride)
+    results = replay_trial(cfg, args.trial, stride=stride)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"replay_trial_{args.trial}.csv"
-    write_trace([trace], path)
+    write_trace(results, path)
     print(f"trace written to {path}")
     return 0
 

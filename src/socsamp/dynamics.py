@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -75,40 +75,61 @@ class StepSchedule:
         return self.amplitude / (k + self.offset) ** self.exponent
 
 
-@dataclass
-class TrialDiagnostics:
-    """Counters and maxima accumulated while a trial runs."""
-
-    simplex_violation_agent_steps: int = 0
-    max_negative_component: float = 0.0
-    silent_messages: int = 0
-    uniform_fallbacks: int = 0
-    clamped_agents: int = 0
-    max_sum_drift: float = 0.0
-    max_noise_norm: float = 0.0
-    max_martingale_norm: float = 0.0
-    noise_norm_bound: float = math.nan
+# the diagnostics of a trial, in the order an abort prints them
+DIAGNOSTICS = (
+    "simplex_violation_agent_steps", "max_negative_component", "silent_messages",
+    "uniform_fallbacks", "clamped_agents", "max_sum_drift", "max_noise_norm",
+    "max_martingale_norm", "noise_norm_bound",
+)
 
 
 @dataclass
-class TrialTrace:
-    trial_index: int
-    seed: int
-    checkpoints: list
-    snapshots: list
-    consensus_errors: list
-    final_state: np.ndarray
-    diagnostics: TrialDiagnostics
+class TrialResults:
+    """A run of trials as arrays with one row per trial, in trial order.
+
+    ``snapshots`` is ``(trials, checkpoints, N, M)``, or None once written;
+    ``diagnostics`` maps each name of ``DIAGNOSTICS`` to a ``(trials,)``
+    array, int64 for the counters and float64 for the maxima.  The seconds
+    are the worker time spent stepping and writing traces, 0 when untimed.
+    """
+
+    trial_indices: np.ndarray
+    seeds: np.ndarray
+    checkpoints: tuple
+    snapshots: np.ndarray | None
+    consensus_errors: np.ndarray
+    final_states: np.ndarray
+    diagnostics: dict
+    kernel_seconds: float = 0.0
+    trace_write_seconds: float = 0.0
+
+    @staticmethod
+    def concatenate(parts):
+        """The results of ``parts``, runs at the same checkpoints, in order:
+        their arrays joined and their seconds summed."""
+        def join(values):
+            if isinstance(values[0], dict):
+                return {name: join([v[name] for v in values]) for name in values[0]}
+            if isinstance(values[0], np.ndarray):
+                return np.concatenate(values)
+            return sum(values) if isinstance(values[0], float) else values[0]
+
+        joined = TrialResults(
+            *(join([getattr(p, f.name) for p in parts]) for f in fields(TrialResults))
+        )
+        joined.final_states.setflags(write=False)
+        return joined
 
 
 class TrialAborted(RuntimeError):
-    """A trial hit a non-finite value; names the trial, its seed and the step."""
+    """A trial hit a non-finite value; names the trial, its seed, the step
+    and, by the names of ``DIAGNOSTICS``, its diagnostics at that step."""
 
     def __init__(self, step_index, diagnostics, trial_index, seed):
         super().__init__(
             f"trial {trial_index} (seed {seed}) aborted: "
             f"non-finite value encountered at step {step_index}; "
-            f"diagnostics: {asdict(diagnostics)}"
+            f"diagnostics: {diagnostics}"
         )
         self.step_index = step_index
         self.diagnostics = diagnostics
@@ -296,8 +317,8 @@ def run_chunk(cfg, trials):
     using the pre-assigned uniform of each (trial, agent, step), and applies
     the update with step size ``schedule.step_size(k)``.  Every trial draws
     from its own streams and every operation acts on each trial's slice
-    alone, so a trial's trace is the same bits in any chunk, a chunk of one
-    included.
+    alone, so a trial's results are the same bits in any chunk, a chunk of
+    one included.  Returns the chunk's :class:`TrialResults`.
 
     The steps run in windows of :func:`window_steps` steps, and a step does
     only what the next step reads.  Once per step: the sampling map, the
@@ -406,18 +427,12 @@ def run_chunk(cfg, trials):
     weights = np.empty((2, window, chunk, n, n)) if random_weights else None
     bound = noise_norm_bound(n, m)
 
-    def diagnostics(r):
-        return TrialDiagnostics(
-            simplex_violation_agent_steps=violations[r].item(),
-            max_negative_component=max_negative[r].item(),
-            silent_messages=silent[r].item(),
-            uniform_fallbacks=fallbacks[r].item(),
-            clamped_agents=clamped[r].item(),
-            max_sum_drift=maxima[2, r].item(),
-            max_noise_norm=math.sqrt(maxima[1, r]),
-            max_martingale_norm=math.sqrt(maxima[0, r]),
-            noise_norm_bound=bound,
-        )
+    def diagnostics():
+        """Every trial's diagnostics so far, by name."""
+        return dict(zip(DIAGNOSTICS, (
+            violations, max_negative, silent, fallbacks, clamped, maxima[2],
+            np.sqrt(maxima[1]), np.sqrt(maxima[0]), np.full(chunk, bound),
+        )))
 
     # row 0 of ``states`` holds a window's starting state and row i the
     # state after its i-th step.  ``messages`` holds each step's messages,
@@ -585,8 +600,10 @@ def run_chunk(cfg, trials):
                 # not its drift
                 np.fmax(maxima[:2], now[:2, 0], out=maxima[:2])
                 bad = ~np.isfinite(drift[0])
+                diag = diagnostics()
                 for r in np.flatnonzero(bad):
-                    aborted.setdefault(int(r), (first + b, diagnostics(r)))
+                    at_step = {name: v[r].item() for name, v in diag.items()}
+                    aborted.setdefault(int(r), (first + b, at_step))
                 q[bad] = q0
                 if 0 in aborted:
                     break  # no earlier trial in the chunk can abort instead
@@ -609,15 +626,12 @@ def run_chunk(cfg, trials):
 
     final = q.copy()  # not a view that holds the window buffer
     final.setflags(write=False)
-    return [
-        TrialTrace(
-            trial_index=indices[r],
-            seed=seeds[r],
-            checkpoints=list(checkpoints),
-            snapshots=list(snapshots[r]),
-            consensus_errors=errs[r].tolist(),
-            final_state=final[r],
-            diagnostics=diagnostics(r),
-        )
-        for r in range(chunk)
-    ]
+    return TrialResults(
+        trial_indices=np.array(indices, dtype=np.int64),
+        seeds=np.array(seeds, dtype=np.uint64),
+        checkpoints=checkpoints,
+        snapshots=snapshots,
+        consensus_errors=errs,
+        final_states=final,
+        diagnostics=diagnostics(),
+    )

@@ -20,18 +20,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import asymptotic_report, import_theory_modules, q_star_prediction
-from .dynamics import (
-    StepSchedule,
-    TrialDiagnostics,
-    resolve_checkpoints,
-    run_chunk,
-)
+from .dynamics import StepSchedule, TrialResults, resolve_checkpoints, run_chunk
 from .network import (
     BIRKHOFF,
     FIXED,
@@ -122,6 +117,21 @@ class ExperimentConfig:
         for i, x in enumerate(self.initial_samples):
             if not 1 <= x <= m:
                 raise ConfigError(f"experiment.initial: sample {i} out of range 1..{m}")
+        b = np.array(self.b, dtype=float)
+        if b.size == 1:
+            b = np.full(n, b.item())
+        if b.shape != (n,):
+            raise ConfigError(f"mixing.b: expected 1 or {n} values, got {b.size}")
+        # a NaN fails both comparisons
+        outside = ~((b >= 0.0) & (b <= 1.0))
+        if outside.any():
+            i = int(outside.argmax())
+            raise ConfigError(
+                f"mixing.b: A4 violated: b_ii must lie in [0, 1], got {float(b[i])!r} "
+                f"at i={i + 1}"
+            )
+        b.setflags(write=False)
+        self.b = b
         if self.covariance or self.normality:
             key = "covariance" if self.covariance else "normality"
             if len(set(self.initial_samples)) == 1:
@@ -136,6 +146,22 @@ class ExperimentConfig:
                     f"experiment.{key}: censored sampling with exponent "
                     f"{fmt(p.censor_exponent)} < 2 is outside the regime of the "
                     f"asymptotic normality result: there is no prediction to check"
+                )
+            # a covariance check alone stays: its error is at the Monte Carlo
+            # floor in both cases below
+            if self.normality and not b.any():
+                raise ConfigError(
+                    "experiment.normality: every b_ii is 0, where the scaled "
+                    "disagreement is not normal at the horizons measured: there "
+                    "is no normality prediction to check"
+                )
+            if self.normality and self.schedule.exponent == 1.0 and (b != 1.0).any():
+                i = int((b != 1.0).argmax())
+                raise ConfigError(
+                    f"experiment.normality: gamma = 1 with b_ii = {float(b[i])!r} at "
+                    f"i={i + 1}, where the normality test misses with the "
+                    f"covariance at its Monte Carlo floor: there is no normality "
+                    f"prediction to check"
                 )
             try:
                 import_theory_modules()
@@ -154,21 +180,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"network: weight model has {self.weight_model.n} agents, expected {n}"
             )
-        b = np.array(self.b, dtype=float)
-        if b.size == 1:
-            b = np.full(n, b.item())
-        if b.shape != (n,):
-            raise ConfigError(f"mixing.b: expected 1 or {n} values, got {b.size}")
-        # a NaN fails both comparisons
-        outside = ~((b >= 0.0) & (b <= 1.0))
-        if outside.any():
-            i = int(outside.argmax())
-            raise ConfigError(
-                f"mixing.b: A4 violated: b_ii must lie in [0, 1], got {float(b[i])!r} "
-                f"at i={i + 1}"
-            )
-        b.setflags(write=False)
-        self.b = b
         try:
             resolve_checkpoints(self.stride, self.horizon)
         except ValueError as e:
@@ -485,12 +496,18 @@ def _part_paths(cfg):
 def _write_chunk(cfg, trials, part):
     """Step one chunk and write its trials' trace rows to ``part``.
 
-    Returns the traces without their snapshots, so only the consensus
-    errors, diagnostics and final states go back to the parent.
+    Returns the results without their snapshots, so only the consensus
+    errors, diagnostics and final states go back to the parent, with the
+    seconds spent stepping and writing.
     """
-    traces = run_chunk(cfg, trials)
-    write_trace(traces, part)
-    return [replace(tr, snapshots=None) for tr in traces]
+    start = time.perf_counter()
+    results = run_chunk(cfg, trials)
+    stepped = time.perf_counter()
+    write_trace(results, part)
+    return replace(
+        results, snapshots=None, kernel_seconds=stepped - start,
+        trace_write_seconds=time.perf_counter() - stepped,
+    )
 
 
 def run_trials(cfg):
@@ -498,12 +515,12 @@ def run_trials(cfg):
 
     Each chunk, in a worker process when ``cfg.threads`` > 1, writes the
     trace rows of its trials to its own part file in ``cfg.out_dir``, which
-    :func:`join_traces` joins into ``traces.csv``; the traces returned hold
-    the checkpoints, consensus errors, diagnostics and final states, and
-    ``snapshots`` is None.  When a chunk fails, every chunk is waited for,
-    every part file is deleted, and the first failure in chunk order is
-    raised.  Trial results and trace bytes do not depend on the worker
-    count or the chunk sizes.
+    :func:`join_traces` joins into ``traces.csv``.  Returns one
+    :class:`TrialResults` whose ``snapshots`` is None, with the chunks'
+    seconds summed in chunk order.  When a chunk fails, every chunk is
+    waited for, every part file is deleted, and the first failure in chunk
+    order is raised.  Trial results and trace bytes do not depend on the
+    worker count or the chunk sizes.
     """
     chunks = [
         [(i, derive_trial_seed(cfg.master_seed, i)) for i in range(start, stop)]
@@ -526,7 +543,7 @@ def run_trials(cfg):
         for part in parts:
             part.unlink(missing_ok=True)
         raise
-    return [trace for traces in results for trace in traces]
+    return TrialResults.concatenate(results)
 
 
 def join_traces(cfg):
@@ -597,19 +614,6 @@ class RunSummary:
     summary_text: str
 
 
-def _aggregate_diagnostics(traces):
-    """Integer counters summed over the trials, float fields maximized."""
-    out = asdict(traces[0].diagnostics)
-    for tr in traces[1:]:
-        for f in fields(TrialDiagnostics):
-            value = getattr(tr.diagnostics, f.name)
-            if isinstance(f.default, int):
-                out[f.name] += value
-            else:
-                out[f.name] = max(out[f.name], value)
-    return out
-
-
 def _column_median(a):
     """``np.median(a, axis=0)`` bit for bit, by its partition (NaNs last) and
     its NaN rule, without the ``numpy.ma`` import it makes on first call."""
@@ -638,23 +642,23 @@ def _trace_template(checkpoints, n_agents, n_opinions):
     return "".join(f"\0,{k}".join(ends) for k in checkpoints)
 
 
-def write_trace(traces, path):
-    """Write the traces to ``path``: the ``trial,k,agent,component,value``
-    header, then lines trial-, checkpoint-, agent-, then component-major;
-    values as :func:`fmt` writes them.
+def write_trace(results, path):
+    """Write the snapshots of ``results`` to ``path``: the
+    ``trial,k,agent,component,value`` header, then lines trial-,
+    checkpoint-, agent-, then component-major; values as :func:`fmt` writes
+    them.
 
     Each trial's lines are formatted by one ``%`` over the shared template
     with the trial index filled in, and written as they are made.
     """
+    _, _, n, m = results.snapshots.shape
+    template = _trace_template(results.checkpoints, n, m)
+    # + 0.0 folds negative zero, as fmt does
+    snapshots = results.snapshots + 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER)
-        for trace in traces:
-            snapshots = np.asarray(trace.snapshots, dtype=float)
-            _, n, m = snapshots.shape
-            template = _trace_template(tuple(trace.checkpoints), n, m)
-            # + 0.0 folds negative zero, as fmt does
-            values = tuple((snapshots + 0.0).ravel().tolist())
-            fh.write(template.replace("\0", str(trace.trial_index)) % values)
+        for index, values in zip(results.trial_indices.tolist(), snapshots):
+            fh.write(template.replace("\0", str(index)) % tuple(values.ravel().tolist()))
 
 
 def _matrix_lines(name, mat):
@@ -692,9 +696,10 @@ def report_text(report):
 def theory_report(cfg, final_states=None):
     """:func:`asymptotic_report` of ``cfg``'s protocol at its initial average.
 
-    With ``final_states``, the trials' final states at ``cfg.horizon``, the
-    report also compares them with the prediction.  Raises ``ValueError``
-    (:class:`StabilityError` among them) when the prediction does not exist.
+    With ``final_states``, the ``(trials, N, M)`` final states at
+    ``cfg.horizon``, the report also compares them with the prediction.
+    Raises ``ValueError`` (:class:`StabilityError` among them) when the
+    prediction does not exist.
     """
     q_star = q_star_prediction(initial_state(cfg.initial_samples, cfg.n_opinions))
     return asymptotic_report(
@@ -702,6 +707,7 @@ def theory_report(cfg, final_states=None):
         cfg.schedule.limit_constant,
         q_star,
         cfg.n_opinions,
+        b=cfg.b,
         final_states=final_states,
         final_step_size=cfg.schedule.step_size(cfg.horizon),
     )
@@ -723,13 +729,16 @@ def run_experiment(cfg, out_dir=None):
     seed; the exit predicate fails when an enabled analysis check misses its
     threshold or the assumption audit fails.  ``timing.txt`` gives the wall
     time and the seconds of each phase: the trials with their part files,
-    the join into ``traces.csv``, the audit, the theory and the outputs.
+    then within them the chunks' stepping and trace writing (worker
+    seconds, summed over the chunks, so with several workers they can
+    exceed the wall time), the join into ``traces.csv``, the audit, the
+    theory and the outputs.
     """
     marks = [time.perf_counter()]
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     cfg = replace(cfg, out_dir=str(out))
     # run_trials makes the directory and writes the part files into it
-    traces = run_trials(cfg)
+    results = run_trials(cfg)
     marks.append(time.perf_counter())
     join_traces(cfg)
     marks.append(time.perf_counter())
@@ -744,7 +753,7 @@ def run_experiment(cfg, out_dir=None):
     report = None
     if cfg.covariance or cfg.normality:
         try:
-            report = theory_report(cfg, [tr.final_state for tr in traces])
+            report = theory_report(cfg, results.final_states)
         except ValueError as e:  # StabilityError among them
             failures.append(f"analysis failed: {e}")
         if report is not None:
@@ -762,10 +771,9 @@ def run_experiment(cfg, out_dir=None):
                 )
     marks.append(time.perf_counter())
 
-    checkpoints = tuple(traces[0].checkpoints)
-    errs = np.asarray([tr.consensus_errors for tr in traces])
+    checkpoints = results.checkpoints
+    errs = results.consensus_errors
     err_med = _column_median(errs)
-    diagnostics = _aggregate_diagnostics(traces)
     lines = [
         f"config_digest = {config_digest(cfg)}",
         f"agents = {cfg.n_agents}",
@@ -778,8 +786,10 @@ def run_experiment(cfg, out_dir=None):
         f"consensus_error_median = {fmt_vector(err_med)}",
         f"consensus_error_max = {fmt_vector(errs.max(axis=0))}",
     ]
-    for key in sorted(diagnostics):
-        lines.append(f"diag_{key} = {diagnostics[key]}")
+    # counters summed over the trials, maxima maximized
+    for key, values in sorted(results.diagnostics.items()):
+        total = values.sum() if values.dtype.kind == "i" else values.max()
+        lines.append(f"diag_{key} = {total.item()}")
     for name, ok, detail in audit:
         lines.append(f"assumption_{name} = {'pass' if ok else 'FAIL'}: {detail}")
     if report is not None:
@@ -797,8 +807,10 @@ def run_experiment(cfg, out_dir=None):
     if report is not None:
         write_report(report, out)
     marks.append(time.perf_counter())
-    seconds = [marks[-1] - marks[0], *np.diff(marks)]
-    phases = ("wall_clock", "trials", "join", "audit", "theory", "outputs")
+    seconds = [marks[-1] - marks[0], marks[1] - marks[0], results.kernel_seconds,
+               results.trace_write_seconds, *np.diff(marks[1:])]
+    phases = ("wall_clock", "trials", "kernel", "trace_write", "join", "audit",
+              "theory", "outputs")
     (out / "timing.txt").write_text(
         "".join(f"{p}_seconds = {t:.3f}\n" for p, t in zip(phases, seconds)),
         encoding="utf-8",
@@ -821,4 +833,4 @@ def replay_trial(cfg, trial_index, stride="all"):
             f"trial index {trial_index} out of range 0..{cfg.replications - 1}"
         )
     seed = derive_trial_seed(cfg.master_seed, trial_index)
-    return run_chunk(replace(cfg, stride=stride), [(trial_index, seed)])[0]
+    return run_chunk(replace(cfg, stride=stride), [(trial_index, seed)])

@@ -238,14 +238,15 @@ def per_trial_reference(
     half the time.  A check that reads no noise diagnostic may pass
     ``record_noise=False``, which leaves them 0 and steps faster.
 
-    Returns ``(trace, mean_increments)``.  Row ``k - 1`` of the
+    Returns ``(results, mean_increments)``, the first a one-trial
+    :class:`socsamp.TrialResults`.  Row ``k - 1`` of the
     ``(horizon, M)`` series is step ``k``'s shift of the network average,
     ``(d_k / N) (1ᵀW - bᵀ)(Y - Q)``: the accumulated message noise whose sum,
     added to the initial average, is the trial's limit.  With every
     ``b_ii = 1`` each term is zero up to rounding.
     """
     from socsamp.dynamics import (
-        TrialAborted, TrialDiagnostics, TrialTrace, noise_norm_bound,
+        DIAGNOSTICS, TrialAborted, TrialResults, noise_norm_bound,
         resolve_checkpoints,
     )
     from socsamp.network import FIXED, IID, SWITCHING, mean_matrix
@@ -272,8 +273,9 @@ def per_trial_reference(
         )
     wbar_static = None if model.kind == SWITCHING else mean_matrix(model)
 
-    diag = TrialDiagnostics()
-    diag.noise_norm_bound = noise_norm_bound(n, m)
+    # the counters are ints and the maxima floats, as an abort prints them
+    diag = {name: 0.0 if name.startswith("max_") else 0 for name in DIAGNOSTICS}
+    diag["noise_norm_bound"] = noise_norm_bound(n, m)
     mean_increments = np.zeros((horizon, m))
     kept, snapshots, errs = [], [], []
 
@@ -299,8 +301,8 @@ def per_trial_reference(
         else:
             p = np.empty((n, m))
             fallbacks, clamped = policy_map(config.policy, q, delta, p)
-            diag.uniform_fallbacks += int(fallbacks)
-            diag.clamped_agents += int(clamped)
+            diag["uniform_fallbacks"] += int(fallbacks)
+            diag["clamped_agents"] += int(clamped)
 
         cdf = np.cumsum(p, axis=1)
         u = uniforms[:, k - 1]
@@ -308,7 +310,7 @@ def per_trial_reference(
         rows = np.flatnonzero(u < cdf[:, -1])
         y = np.zeros((n, m))
         y[rows, idx[rows]] = 1.0
-        diag.silent_messages += n - rows.size
+        diag["silent_messages"] += n - rows.size
 
         ym_q = y - q
         ym_p = ym_q if p is q else y - p
@@ -317,10 +319,10 @@ def per_trial_reference(
             if wbar is not w:
                 mart += (w - wbar) @ p
             sq = float((mart * mart).sum())
-            diag.max_martingale_norm = max(diag.max_martingale_norm, math.sqrt(sq))
+            diag["max_martingale_norm"] = max(diag["max_martingale_norm"], math.sqrt(sq))
             col_mean = mart.mean(axis=0)
             proj = math.sqrt(max(sq - n * float(col_mean @ col_mean), 0.0))
-            diag.max_noise_norm = max(diag.max_noise_norm, proj)
+            diag["max_noise_norm"] = max(diag["max_noise_norm"], proj)
         mean_increments[k - 1] = (delta / n) * ((w.sum(axis=0) - b) @ ym_q)
 
         if conserving:
@@ -330,20 +332,27 @@ def per_trial_reference(
 
         qmin = float(q.min())
         if qmin < 0.0:
-            diag.simplex_violation_agent_steps += int((q < 0.0).any(axis=1).sum())
-            diag.max_negative_component = max(diag.max_negative_component, -qmin)
+            diag["simplex_violation_agent_steps"] += int((q < 0.0).any(axis=1).sum())
+            diag["max_negative_component"] = max(diag["max_negative_component"], -qmin)
         drift = float(np.abs(q.sum(axis=1) - 1.0).max())
         if not drift < math.inf:
             raise TrialAborted(k, diag, trial_index, seed)
-        diag.max_sum_drift = max(diag.max_sum_drift, drift)
+        diag["max_sum_drift"] = max(diag["max_sum_drift"], drift)
         if k in checkpoints:
             snapshot(k)
 
-    trace = TrialTrace(
-        trial_index, seed, kept, snapshots, errs,
-        q, diag,
+    final = q[None]
+    final.setflags(write=False)
+    results = TrialResults(
+        trial_indices=np.array([trial_index], dtype=np.int64),
+        seeds=np.array([seed], dtype=np.uint64),
+        checkpoints=tuple(kept),
+        snapshots=np.array([snapshots]),
+        consensus_errors=np.array([errs]),
+        final_states=final,
+        diagnostics={name: np.array([value]) for name, value in diag.items()},
     )
-    return trace, mean_increments
+    return results, mean_increments
 
 
 def reference_fmt(x):
@@ -355,13 +364,13 @@ def reference_fmt_vector(v):
     return ",".join(reference_fmt(x) for x in np.asarray(v, dtype=float).reshape(-1))
 
 
-def reference_trace_text(traces):
+def reference_trace_text(results):
     """A trace file's text built one line and one value at a time."""
     lines = ["trial,k,agent,component,value"]
-    for trace in traces:
-        for k, snap in zip(trace.checkpoints, trace.snapshots):
+    for trial, snapshots in zip(results.trial_indices, results.snapshots):
+        for k, snap in zip(results.checkpoints, snapshots):
             for i in range(snap.shape[0]):
                 for mcomp in range(snap.shape[1]):
                     value = reference_fmt(snap[i, mcomp])
-                    lines.append(f"{trace.trial_index},{k},{i + 1},{mcomp + 1},{value}")
+                    lines.append(f"{trial},{k},{i + 1},{mcomp + 1},{value}")
     return "\n".join(lines) + "\n"

@@ -53,18 +53,19 @@ def test_criterion_1_conservation_laws():
     n_configs = 200
     for idx in range(n_configs):
         tc, trial, conserving = random_trial_config(rng, idx, horizon=1000)
-        tr = ss.run_chunk(tc, [trial])[0]
+        tr = ss.run_chunk(tc, [trial])
+        diagnostics = {name: v.item() for name, v in tr.diagnostics.items()}
         initial_avg = ss.network_average(
             ss.initial_state(tc.initial_samples, tc.n_opinions)
         )
-        max_sum_drift = max(max_sum_drift, tr.diagnostics.max_sum_drift)
+        max_sum_drift = max(max_sum_drift, diagnostics["max_sum_drift"])
         if conserving:
-            for snap in tr.snapshots:
+            for snap in tr.snapshots[0]:
                 drift = float(np.abs(snap.mean(axis=0) - initial_avg).max())
                 max_avg_drift = max(max_avg_drift, drift)
         max_noise_frac = max(
             max_noise_frac,
-            tr.diagnostics.max_noise_norm / tr.diagnostics.noise_norm_bound,
+            diagnostics["max_noise_norm"] / diagnostics["noise_norm_bound"],
         )
         if not conserving:
             # the limit is the initial average plus the accumulated message
@@ -76,7 +77,7 @@ def test_criterion_1_conservation_laws():
             running = initial_avg + increments.sum(axis=0)
             max_running_gap = max(
                 max_running_gap,
-                float(np.abs(running - ss.network_average(tr.final_state)).max()),
+                float(np.abs(running - ss.network_average(tr.final_states[0])).max()),
             )
     elapsed = time.perf_counter() - t0
     ok = (
@@ -157,20 +158,16 @@ def normality_run(tmp_path_factory):
     cfg = ss.load_config(CONFIG_DIR / "normality_n5.cfg")
     # run_trials writes the 1000 traces, so keep them out of the checkout
     cfg = replace(cfg, out_dir=str(tmp_path_factory.mktemp("normality")))
-    traces = ss.run_trials(cfg)
+    results = ss.run_trials(cfg)
     elapsed = time.perf_counter() - t0
-    return cfg, traces, elapsed
-
-
-def _normality_report(cfg, traces):
-    return theory_report(cfg, [tr.final_state for tr in traces])
+    return cfg, results.final_states, elapsed
 
 
 def test_criterion_3_asymptotic_normality(normality_run):
-    cfg, traces, trial_time = normality_run
+    cfg, final_states, trial_time = normality_run
     t0 = time.perf_counter()
     assert ss.spectral_gap(ss.mean_matrix(cfg.weight_model)) >= 0.4  # lambda2 <= 0.6
-    rep = _normality_report(cfg, traces)
+    rep = theory_report(cfg, final_states)
     elapsed = trial_time + time.perf_counter() - t0
     cov_ok = rep.cov_rel_error <= 0.20
     norm_ok = rep.normality_pass_fraction >= 0.90
@@ -191,10 +188,20 @@ def test_criterion_3_asymptotic_normality(normality_run):
 def test_criterion_3_scaling_more_trials_do_not_hurt(normality_run):
     # Monte Carlo consistency: doubling the replication count on the same
     # seed family does not increase the covariance error
-    cfg, traces, _ = normality_run
-    rep_half = _normality_report(cfg, traces[:500])
-    rep_full = _normality_report(cfg, traces)
+    cfg, final_states, _ = normality_run
+    rep_half = theory_report(cfg, final_states[:500])
+    rep_full = theory_report(cfg, final_states)
     assert rep_full.cov_rel_error <= rep_half.cov_rel_error
+
+
+def test_criterion_3_partial_transmission_passes_both_gates(tmp_path):
+    # with b = 0.6 the driving noise is (W - B)(Y - P) at consensus; the
+    # prediction from (W - I)(Y - P) missed both gates here (0.764 / 0.00)
+    cfg = ss.load_config(CONFIG_DIR / "normality_n5.cfg")
+    assert (cfg.replications, cfg.horizon, cfg.master_seed) == (1000, 500, 712)
+    cfg = replace(cfg, b=0.6, threads=2)
+    summary = ss.run_experiment(cfg, out_dir=tmp_path)
+    assert summary.passed, summary.failures
 
 
 # ---------------------------------------------------------------- criterion 4
@@ -237,8 +244,8 @@ def test_criterion_4_lyapunov_integral_equivalence():
 
 
 def _replay_martingale(tc, seed, freeze_k, n_replays, replay_seed):
-    tr = ss.run_chunk(tc, [(0, seed)])[0]
-    frozen = dict(zip(tr.checkpoints, tr.snapshots))[freeze_k]
+    tr = ss.run_chunk(tc, [(0, seed)])
+    frozen = dict(zip(tr.checkpoints, tr.snapshots[0]))[freeze_k]
     delta = tc.schedule.step_size(freeze_k + 1)
     model = tc.weight_model
     means = step_mean_matrices(model)

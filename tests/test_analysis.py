@@ -16,8 +16,11 @@ from socsamp.analysis import (
     _ks_normal_pvalue,
     lyapunov_residual,
     normality_test,
+    weight_noise_moment,
 )
 from socsamp.harness import load_config, theory_report, write_report
+from socsamp.network import birkhoff_permutation_blocks, birkhoff_weights, iid_picks
+from socsamp.sampling import WEIGHT_DOMAIN, substreams
 
 from oracles import (
     dense_asymptotic_covariance,
@@ -134,14 +137,14 @@ def test_s0_zero_for_vertex_limit():
     n = 3
     basis = ss.build_projection(n)
     c = ss.categorical_covariance(np.array([1.0, 0.0]), 1)
-    g = ss.s0_matrix(ss.metropolis_complete(n), basis)
+    g = ss.s0_matrix(ss.fixed_model(ss.metropolis_complete(n)), 1.0, basis)
     np.testing.assert_allclose(c, 0.0, atol=1e-14)
     np.testing.assert_allclose(np.kron(g, c), 0.0, atol=1e-14)
 
 
 def test_s0_zero_for_identity_mean():
     basis = ss.build_projection(3)
-    g = ss.s0_matrix(np.eye(3), basis)
+    g = ss.s0_matrix(ss.fixed_model(np.eye(3)), 1.0, basis)
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
@@ -149,12 +152,79 @@ def test_s0_two_agent_scalar_formula():
     basis = ss.build_projection(2)
     wbar = np.array([[0.75, 0.25], [0.25, 0.75]])
     sigma2 = 0.37
-    g = ss.s0_matrix(wbar, basis)
+    g = ss.s0_matrix(ss.fixed_model(wbar), 1.0, basis)
     row = (basis.t1 @ (wbar - np.eye(2))).reshape(-1)
     np.testing.assert_allclose(g, [[float(row @ row)]], atol=1e-14)
     # one opinion with message variance sigma2: s0 = kron(g, [[sigma2]])
     expected = sigma2 * float(row @ row)
     np.testing.assert_allclose(np.kron(g, [[sigma2]]), [[expected]], atol=1e-14)
+
+
+# transmission coefficients with every case: 1, strictly between, and 0
+MIXED_B = np.array([1.0, 0.6, 0.0, 0.85, 0.3])
+
+
+def assert_mean_of_draws(moment, weights, b):
+    """``moment`` against the mean of ``(W - B)(W - B).T`` over the ``weights``
+    drawn, entry by entry within five standard errors of that mean."""
+    v = weights - np.diag(b)
+    products = v @ v.swapaxes(-1, -2)
+    mean = products.mean(axis=0)
+    stderr = products.std(axis=0, ddof=1) / math.sqrt(len(products))
+    assert np.all(np.abs(mean - moment) <= 5.0 * stderr + 1e-12), (mean - moment) / stderr
+
+
+@pytest.mark.parametrize("b", [1.0, MIXED_B], ids=["b-1", "b-mixed"])
+def test_weight_noise_moment_birkhoff_matches_kernel_draws(b):
+    model = ss.birkhoff_model(5, (0.4, 0.35, 0.25))
+    perms = np.concatenate(
+        list(birkhoff_permutation_blocks(model, substreams(range(4), WEIGHT_DOMAIN), 5000)),
+        axis=1,
+    )
+    weights = birkhoff_weights(model, perms).reshape(-1, 5, 5)
+    assert_mean_of_draws(weight_noise_moment(model, b), weights, np.broadcast_to(b, 5))
+
+
+@pytest.mark.parametrize("b", [1.0, MIXED_B], ids=["b-1", "b-mixed"])
+def test_weight_noise_moment_iid_matches_kernel_draws(b):
+    rng = np.random.default_rng(31)
+    support = [random_doubly_stochastic(rng, 5) for _ in range(3)]
+    model = ss.iid_model(support, (0.5, 0.3, 0.2), tau=1e-9)
+    picks = iid_picks(model, substreams(range(4), WEIGHT_DOMAIN), 5000)
+    weights = np.stack(model.support)[picks.reshape(-1)]
+    assert_mean_of_draws(weight_noise_moment(model, b), weights, np.broadcast_to(b, 5))
+
+
+def test_weight_noise_moment_fixed_and_switching_are_exact():
+    rng = np.random.default_rng(32)
+    mats = [random_doubly_stochastic(rng, 5) for _ in range(3)]
+    v = [w - np.diag(MIXED_B) for w in mats]
+    np.testing.assert_allclose(
+        weight_noise_moment(ss.fixed_model(mats[0], tau=1e-9), MIXED_B),
+        v[0] @ v[0].T, rtol=0.0, atol=1e-15,
+    )
+    # one period of the matrices the kernel steps with, support[k % 3]
+    period = [v[k % 3] @ v[k % 3].T for k in range(1, 4)]
+    np.testing.assert_allclose(
+        weight_noise_moment(ss.switching_model(mats, tau=1e-9), MIXED_B),
+        sum(period) / 3, rtol=0.0, atol=1e-15,
+    )
+
+
+def test_s0_fixed_unit_b_keeps_l_lt_and_agrees_with_the_moment(rng):
+    # a fixed network with every b_ii = 1 computes g = L L.T, bit for bit as
+    # before the moment existed, and the moment gives the same g to rounding
+    for n in (2, 5, 9):
+        basis = ss.build_projection(n)
+        wbar = random_doubly_stochastic(rng, n)
+        model = ss.fixed_model(wbar, tau=1e-9)
+        left = basis.t1 @ (wbar - np.eye(n))
+        g = left @ left.T
+        np.testing.assert_array_equal(ss.s0_matrix(model, 1.0, basis), (g + g.T) / 2.0)
+        moment = basis.t1 @ weight_noise_moment(model, 1.0) @ basis.t1.T
+        np.testing.assert_allclose(moment, g, rtol=0.0, atol=1e-14)
+        # b != 1 changes g: B (Y - P) no longer cancels the self-weight
+        assert not np.allclose(ss.s0_matrix(model, 0.6, basis), g)
 
 
 def test_s0_symmetric_psd(rng):
@@ -163,7 +233,7 @@ def test_s0_symmetric_psd(rng):
         m = int(rng.integers(1, 4))
         basis = ss.build_projection(n)
         wbar = random_doubly_stochastic(rng, n)
-        g = ss.s0_matrix(wbar, basis)
+        g = ss.s0_matrix(ss.fixed_model(wbar, tau=1e-9), 1.0, basis)
         c = ss.categorical_covariance(rng.dirichlet(np.ones(m)), 1)
         assert g.shape == (n - 1, n - 1)
         np.testing.assert_array_equal(g, g.T)

@@ -38,8 +38,8 @@ def make_config(n, m, samples, model, b, policy, schedule, horizon, **kw):
 
 
 def run_seeded(cfg, seed):
-    """Trial 0 of ``cfg`` stepped from ``seed``."""
-    return ss.run_chunk(cfg, [(0, seed)])[0]
+    """Trial 0 of ``cfg`` stepped from ``seed``, a one-trial result."""
+    return ss.run_chunk(cfg, [(0, seed)])
 
 
 # ---------------------------------------------------------------- schedules
@@ -232,20 +232,20 @@ def test_null_dynamics_constant_states():
                      sched, 200)
     tr = run_seeded(tc, 5)
     q0 = ss.initial_state((1, 2, 2), 2)
-    for snap in tr.snapshots:
+    for snap in tr.snapshots[0]:
         np.testing.assert_array_equal(snap, q0)
 
 
 def test_average_conservation_with_unit_b(rng):
     for idx in range(10):
         tc, trial, conserving = random_trial_config(rng, idx * 2, horizon=300)
-        tr = ss.run_chunk(tc, [trial])[0]
-        assert tr.diagnostics.max_sum_drift <= 1e-12 * 300
+        tr = ss.run_chunk(tc, [trial])
+        assert tr.diagnostics["max_sum_drift"][0] <= 1e-12 * 300
         if conserving:
             initial_avg = ss.network_average(
                 ss.initial_state(tc.initial_samples, tc.n_opinions)
             )
-            for snap in tr.snapshots:
+            for snap in tr.snapshots[0]:
                 drift = np.abs(snap.mean(axis=0) - initial_avg).max()
                 assert drift <= 1e-9
 
@@ -256,9 +256,8 @@ def test_trial_determinism():
     tc = make_config(4, 3, (1, 2, 3, 1), model, 1.0, ss.SamplingPolicy("direct"),
                      sched, 500)
     a, b = run_seeded(tc, 77), run_seeded(tc, 77)
-    np.testing.assert_array_equal(a.final_state, b.final_state)
-    for sa, sb in zip(a.snapshots, b.snapshots):
-        np.testing.assert_array_equal(sa, sb)
+    np.testing.assert_array_equal(a.final_states, b.final_states)
+    np.testing.assert_array_equal(a.snapshots, b.snapshots)
 
 
 def test_qstar_running_zero_series_with_unit_b():
@@ -281,7 +280,7 @@ def test_qstar_series_partial_sums_shrink():
     tc = make_config(4, 3, (1, 2, 3, 3), model, 0.5, ss.SamplingPolicy("direct"),
                      sched, 10_000)
     tr = run_seeded(tc, 11)
-    avg = {k: snap.mean(axis=0) for k, snap in zip(tr.checkpoints, tr.snapshots)}
+    avg = {k: snap.mean(axis=0) for k, snap in zip(tr.checkpoints, tr.snapshots[0])}
     prev = np.linalg.norm(avg[1000] - avg[100])
     last = np.linalg.norm(avg[10_000] - avg[1000])
     assert last < prev
@@ -294,14 +293,14 @@ def test_silent_dynamics_do_not_conserve_component_sums():
     policy = ss.SamplingPolicy("censored", 0.5, 1.0, renormalize=False)
     tc = make_config(4, 3, (1, 2, 3, 3), model, 1.0, policy, sched, 200)
     tr = run_seeded(tc, 2)
-    assert tr.diagnostics.silent_messages > 0
+    assert tr.diagnostics["silent_messages"][0] > 0
 
 
 def test_noise_norm_stays_below_static_bound(rng):
     for idx in range(8):
         tc, trial, _ = random_trial_config(rng, idx, horizon=300)
-        tr = ss.run_chunk(tc, [trial])[0]
-        assert tr.diagnostics.max_noise_norm <= tr.diagnostics.noise_norm_bound
+        diagnostics = ss.run_chunk(tc, [trial]).diagnostics
+        assert diagnostics["max_noise_norm"][0] <= diagnostics["noise_norm_bound"][0]
 
 
 def test_consensus_error_envelope_decreases():
@@ -312,7 +311,7 @@ def test_consensus_error_envelope_decreases():
         tc = make_config(6, 3, (1, 1, 2, 2, 3, 3), model, 1.0,
                          ss.SamplingPolicy("direct"), sched, 10_000)
         tr = run_seeded(tc, seed)
-        err = dict(zip(tr.checkpoints, tr.consensus_errors))
+        err = dict(zip(tr.checkpoints, tr.consensus_errors[0]))
         assert err[10_000] < err[1000] < err[100]
 
 
@@ -342,7 +341,7 @@ def test_component_sums_hold_over_long_horizon():
     tc = make_config(5, 3, (1, 2, 3, 1, 2), model, 0.7, ss.SamplingPolicy("direct"),
                      sched, 100_000)
     tr = run_seeded(tc, 13)
-    assert tr.diagnostics.max_sum_drift <= 1e-9
+    assert tr.diagnostics["max_sum_drift"][0] <= 1e-9
 
 
 def test_early_steps_go_negative_and_are_counted():
@@ -352,9 +351,9 @@ def test_early_steps_go_negative_and_are_counted():
     tc = make_config(6, 4, (1, 2, 3, 4, 1, 2), model, 1.0,
                      ss.SamplingPolicy("direct"), sched, 50)
     tr = run_seeded(tc, 21)
-    assert tr.diagnostics.simplex_violation_agent_steps > 0
-    assert tr.diagnostics.max_negative_component > 0
-    assert tr.diagnostics.max_sum_drift <= 1e-12  # sums still conserved
+    assert tr.diagnostics["simplex_violation_agent_steps"][0] > 0
+    assert tr.diagnostics["max_negative_component"][0] > 0
+    assert tr.diagnostics["max_sum_drift"][0] <= 1e-12  # sums still conserved
 
 
 def test_trial_abort_on_nonfinite():

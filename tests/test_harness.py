@@ -5,7 +5,7 @@ import subprocess
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +16,6 @@ import socsamp as ss
 import socsamp.cli as cli
 import socsamp.harness as harness
 from socsamp.cli import main as cli_main
-from socsamp.dynamics import TrialDiagnostics
 from socsamp.harness import ConfigError, fmt, fmt_vector, write_trace
 
 from oracles import (
@@ -156,6 +155,15 @@ INVALID_FIELDS = {
          "policy": ss.SamplingPolicy("censored", censor_floor_scale=0.5, censor_exponent=1.5)},
         r"experiment\.normality: censored sampling with exponent 1\.5 < 2 ",
     ),
+    "normality with every b_ii 0": (
+        {"normality": True, "b": 0.0},
+        r"experiment\.normality: every b_ii is 0, ",
+    ),
+    "normality at gamma 1 with b below 1": (
+        {"normality": True, "b": [1.0, 0.6, 1.0, 1.0],
+         "schedule": ss.StepSchedule(1.0, 1.0, 0)},
+        r"experiment\.normality: gamma = 1 with b_ii = 0\.6 at i=2, ",
+    ),
     "nan covariance threshold": (
         {"max_cov_rel_error": np.nan},
         "experiment.max_cov_rel_error: must be finite and nonnegative",
@@ -177,6 +185,47 @@ def test_experiment_config_refuses_invalid_fields(tmp_path, case):
         ss.ExperimentConfig(**{**fields, **updates})
     with pytest.raises(ConfigError, match=message):
         replace(cfg, **updates)
+
+
+@pytest.mark.parametrize(
+    "updates",
+    [{"b": 0.0}, {"b": [1.0, 0.6, 1.0, 1.0], "schedule": ss.StepSchedule(1.0, 1.0, 0)}],
+    ids=["b-0", "gamma-1-b-below-1"],
+)
+def test_covariance_check_alone_stays_accepted(tmp_path, updates):
+    # the normality refusals leave the covariance check, whose error is at
+    # the Monte Carlo floor in both cases
+    cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path)))
+    assert replace(cfg, covariance=True, **updates).covariance
+
+
+# the configs the benchmark runs, and those shipped beside them
+BENCHMARK_CONFIGS = sorted(
+    [*CONFIG_DIR.glob("*.cfg"), *(CONFIG_DIR.parent / "perfbench" / "configs").glob("*.cfg")]
+)
+
+
+def test_benchmark_configs_are_all_found():
+    assert sorted(p.name for p in BENCHMARK_CONFIGS) == [
+        "analyze_n150.cfg", "consensus_n50.cfg", "normality_n5.cfg",
+        "random_censored.cfg",
+    ]
+
+
+@pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.name)
+def test_benchmark_configs_load_and_pass_check(path, capsys):
+    ss.load_config(path)
+    assert cli_main(["check", str(path)]) == 0
+
+
+def test_analyze_n150_meets_the_benchmark_gate(tmp_path, capsys):
+    # the benchmark's analyze workload gates on the Lyapunov residual
+    path = CONFIG_DIR.parent / "perfbench" / "configs" / "analyze_n150.cfg"
+    assert cli_main(["analyze", str(path), "--out", str(tmp_path)]) == 0
+    report = dict(
+        line.split(" = ", 1) for line in (tmp_path / "report.txt").read_text().splitlines()
+    )
+    assert float(report["lyapunov_residual"]) <= 1e-10
 
 
 @pytest.mark.parametrize("m", [3, 4, 6, 7])
@@ -278,10 +327,16 @@ def test_run_experiment_outputs(tmp_path):
     assert (out / "summary.txt").exists()
     timing = (out / "timing.txt").read_text().splitlines()
     assert [line.split(" = ")[0] for line in timing] == [
-        "wall_clock_seconds", "trials_seconds", "join_seconds", "audit_seconds",
-        "theory_seconds", "outputs_seconds",
+        "wall_clock_seconds", "trials_seconds", "kernel_seconds",
+        "trace_write_seconds", "join_seconds", "audit_seconds", "theory_seconds",
+        "outputs_seconds",
     ]
-    assert all(float(line.split(" = ")[1]) >= 0.0 for line in timing)
+    seconds = dict(line.split(" = ") for line in timing)
+    assert all(float(t) >= 0.0 for t in seconds.values())
+    # one worker steps and writes inside the trials phase
+    assert float(seconds["kernel_seconds"]) + float(
+        seconds["trace_write_seconds"]
+    ) <= float(seconds["trials_seconds"]) + 0.002
     # one trace file, and no part file left beside it
     assert sorted(p.name for p in out.iterdir()) == [
         "summary.txt", "timing.txt", "traces.csv",
@@ -326,10 +381,10 @@ def test_null_config_constant_trace(tmp_path):
 
 def test_replay_matches_original_checkpoints(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "r")))
-    traces = ss.run_trials(cfg)
+    results = ss.run_trials(cfg)
     harness.join_traces(cfg)
     rerun = ss.replay_trial(cfg, 1, stride="all")
-    lookup = dict(zip(rerun.checkpoints, rerun.snapshots))
+    lookup = dict(zip(rerun.checkpoints, rerun.snapshots[0]))
     # the run keeps no snapshots, so compare with trial 1's rows of the
     # traces it wrote; %.17g round-trips, so the comparison stays exact
     rows = [
@@ -337,8 +392,8 @@ def test_replay_matches_original_checkpoints(tmp_path):
         for row in (tmp_path / "r" / "traces.csv").read_text().splitlines()[1:]
         if row.startswith("1,")
     ]
-    assert len(rows) == len(traces[1].checkpoints) * cfg.n_agents * cfg.n_opinions
-    assert {int(row.split(",")[0]) for row in rows} == set(traces[1].checkpoints)
+    assert len(rows) == len(results.checkpoints) * cfg.n_agents * cfg.n_opinions
+    assert {int(row.split(",")[0]) for row in rows} == set(results.checkpoints)
     for row in rows:
         k, agent, comp, value = row.split(",")
         assert float(value) == lookup[int(k)][int(agent) - 1, int(comp) - 1]
@@ -350,21 +405,28 @@ def test_run_trials_writes_traces_and_keeps_no_snapshots(tmp_path, threads):
     # diagnostics and final states, and no snapshot arrays
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "r")))
     cfg = replace(cfg, threads=threads)
-    traces = ss.run_trials(cfg)
+    results = ss.run_trials(cfg)
     harness.join_traces(cfg)
     trials = [(i, ss.derive_trial_seed(cfg.master_seed, i)) for i in range(3)]
     full = ss.run_chunk(cfg, trials)
-    assert [tr.trial_index for tr in traces] == [0, 1, 2]
-    for tr, ref in zip(traces, full):
-        assert tr.snapshots is None
-        assert not any(
-            isinstance(v, np.ndarray)
-            for k, v in vars(tr).items() if k != "final_state"
+    assert results.trial_indices.tolist() == [0, 1, 2]
+    assert results.snapshots is None
+    # the arrays returned are the per-trial rows the parent reads
+    assert {k for k, v in vars(results).items() if isinstance(v, np.ndarray)} == {
+        "trial_indices", "seeds", "consensus_errors", "final_states",
+    }
+    assert results.checkpoints == full.checkpoints
+    for name in ("trial_indices", "seeds", "consensus_errors", "final_states"):
+        np.testing.assert_array_equal(
+            getattr(results, name), getattr(full, name), err_msg=name, strict=True
         )
-        assert (tr.seed, tr.checkpoints) == (ref.seed, ref.checkpoints)
-        assert tr.consensus_errors == ref.consensus_errors
-        assert asdict(tr.diagnostics) == asdict(ref.diagnostics)
-        np.testing.assert_array_equal(tr.final_state, ref.final_state)
+    assert list(results.diagnostics) == list(full.diagnostics)
+    for name, values in full.diagnostics.items():
+        np.testing.assert_array_equal(
+            results.diagnostics[name], values, err_msg=name, strict=True
+        )
+    # each chunk timed its stepping and its trace writing
+    assert results.kernel_seconds > 0.0 and results.trace_write_seconds > 0.0
     written = (tmp_path / "r" / "traces.csv").read_text()
     assert written == reference_trace_text(full)
     assert [p.name for p in (tmp_path / "r").iterdir()] == ["traces.csv"]
@@ -385,7 +447,7 @@ def test_aborted_run_leaves_no_output_files(tmp_path, monkeypatch, threads):
     def run_chunk(cfg, trials):
         index, seed = trials[-1]
         if index == last:
-            raise ss.TrialAborted(2, TrialDiagnostics(), index, seed)
+            raise ss.TrialAborted(2, {}, index, seed)
         return stepped(cfg, trials)
 
     monkeypatch.setattr(harness, "run_chunk", run_chunk)
@@ -469,7 +531,7 @@ def test_run_trials_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "r")))
     cfg = replace(cfg, replications=2, threads=4)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    assert len(ss.run_trials(cfg)) == 2
+    assert ss.run_trials(cfg).trial_indices.tolist() == [0, 1]
     assert started == [2]
     assert 1 <= len(spawned) <= 2
 
@@ -482,10 +544,10 @@ def test_replay_rejects_out_of_range(tmp_path):
 
 def test_trial_permutation_only_reorders_outputs(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path)))
-    traces = {tc_i: ss.run_trials(replace(cfg, replications=3))[tc_i] for tc_i in range(3)}
+    results = ss.run_trials(replace(cfg, replications=3))
     # running trial 2 alone reproduces the batch's trial 2
-    solo = ss.run_chunk(cfg, [(2, ss.derive_trial_seed(cfg.master_seed, 2))])[0]
-    np.testing.assert_array_equal(solo.final_state, traces[2].final_state)
+    solo = ss.run_chunk(cfg, [(2, ss.derive_trial_seed(cfg.master_seed, 2))])
+    np.testing.assert_array_equal(solo.final_states[0], results.final_states[2])
 
 
 def test_audit_assumptions_pass_and_fail(tmp_path):
@@ -730,6 +792,13 @@ DIVERGING = {
         ("analyze", {"kind = direct": "kind = censored\nc = 0.5\nexponent = 1.99",
                      "normality = false": "normality = true"}, [],
          "config error: experiment.normality: censored sampling with exponent 1.99 < 2 "),
+        # normality where the scaled disagreement is not normal, or the test
+        # misses at the covariance's Monte Carlo floor
+        ("simulate", {"b = 1.0": "b = 0", "normality = false": "normality = true"}, [],
+         "config error: experiment.normality: every b_ii is 0, "),
+        ("simulate", {"b = 1.0": "b = 1,0.6,1,1", "gamma = 0.75": "gamma = 1",
+                      "normality = false": "normality = true"}, [],
+         "config error: experiment.normality: gamma = 1 with b_ii = 0.6 at i=2, "),
         # b outside [0, 1], NaN among them, and a wrong count
         ("simulate", {"b = 1.0": "b = nan"}, [],
          "config error: mixing.b: A4 violated: b_ii must lie in [0, 1], got nan at i=1"),
@@ -796,6 +865,7 @@ DIVERGING = {
          "b-empty", "threads-not-int", "covariance-not-bool", "threads-0",
          "threads-flag-negative", "covariance-at-vertex", "normality-one-opinion",
          "covariance-censored-exponent-1", "normality-censored-exponent-1.99",
+         "normality-b-0", "normality-gamma-1-b-below-1",
          "b-nan", "b-negative", "b-above-1", "b-wrong-count",
          "c-nan", "c-inf", "exponent-nan", "exponent-inf", "a-nan", "a-inf",
          "tau-nan", "birkhoff-mixing-nan", "iid-probabilities-nan",
@@ -885,11 +955,11 @@ def test_cli_freezes_the_objects_alive_at_start_for_its_run_only(tmp_path, monke
 
 def test_write_trace_layout(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path)))
-    trace = ss.run_chunk(cfg, [(0, ss.derive_trial_seed(cfg.master_seed, 0))])[0]
+    results = ss.run_chunk(cfg, [(0, ss.derive_trial_seed(cfg.master_seed, 0))])
     path = tmp_path / "t.csv"
-    write_trace([trace], path)
+    write_trace(results, path)
     rows = path.read_text().splitlines()
-    n_rows = len(trace.checkpoints) * cfg.n_agents * cfg.n_opinions
+    n_rows = len(results.checkpoints) * cfg.n_agents * cfg.n_opinions
     assert len(rows) == n_rows + 1
     assert rows[0] == "trial,k,agent,component,value"
     assert rows[1].split(",")[:4] == ["0", "0", "1", "1"]
@@ -914,23 +984,24 @@ def test_formatters_match_per_value_reference(tmp_path):
     path, start = tmp_path / "t.csv", 0
     while start < len(values):
         c, n, m = (int(x) for x in rng.integers(1, 7, size=3))
-        checkpoints = sorted(int(k) for k in rng.choice(10_000, c, replace=False))
-        traces = [
-            SimpleNamespace(
-                trial_index=int(rng.integers(0, 10_000)), checkpoints=checkpoints,
-                snapshots=list(np.resize(np.roll(values, -start - j * c * n * m),
-                                         (c, n, m))),
-            )
+        checkpoints = tuple(sorted(int(k) for k in rng.choice(10_000, c, replace=False)))
+        indices = rng.integers(0, 10_000, 3)
+        snapshots = np.stack([
+            np.resize(np.roll(values, -start - j * c * n * m), (c, n, m))
             for j in range(3)
-        ]
-        for group in (traces[:1], traces):
-            write_trace(group, path)
-            assert path.read_bytes() == reference_trace_text(group).encode()
+        ])
+        for count in (1, 3):
+            results = SimpleNamespace(
+                trial_indices=indices[:count], checkpoints=checkpoints,
+                snapshots=snapshots[:count],
+            )
+            write_trace(results, path)
+            assert path.read_bytes() == reference_trace_text(results).encode()
         start += c * n * m
     # a dense stride, as replay writes it: every step from 0 to the horizon
-    trace = SimpleNamespace(
-        trial_index=7, checkpoints=list(range(201)),
-        snapshots=list(np.resize(values, (201, 3, 4))),
+    results = SimpleNamespace(
+        trial_indices=np.array([7]), checkpoints=tuple(range(201)),
+        snapshots=np.resize(values, (1, 201, 3, 4)),
     )
-    write_trace([trace], path)
-    assert path.read_bytes() == reference_trace_text([trace]).encode()
+    write_trace(results, path)
+    assert path.read_bytes() == reference_trace_text(results).encode()

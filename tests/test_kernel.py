@@ -18,7 +18,7 @@ import functools
 import hashlib
 import pickle
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -123,18 +123,15 @@ def test_outputs_match_recorded_digests(tmp_path, name, threads):
 
 
 def assert_same_trace(a, b):
-    for f in fields(ss.TrialTrace):
+    # every field, arrays and diagnostics with their shapes and dtypes
+    for f in fields(ss.TrialResults):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "diagnostics":
-            assert asdict(x) == asdict(y)
-        elif f.name == "snapshots":
-            assert len(x) == len(y)
-            for sx, sy in zip(x, y):
-                np.testing.assert_array_equal(sx, sy)
-        elif x is None or isinstance(x, (int, float, list)):
-            assert x == y, f.name
+            assert list(x) == list(y) == list(dynamics.DIAGNOSTICS)
+            for name in x:
+                np.testing.assert_array_equal(x[name], y[name], err_msg=name, strict=True)
         else:
-            np.testing.assert_array_equal(x, y, err_msg=f.name)
+            np.testing.assert_array_equal(x, y, err_msg=f.name, strict=True)
 
 
 def kernel_corpus(renormalize):
@@ -184,9 +181,12 @@ def kernel_corpus(renormalize):
 
 @functools.lru_cache(maxsize=None)
 def corpus_references(renormalize):
-    """``(config, trials, reference traces)`` of :func:`kernel_corpus`."""
+    """``(config, trials, reference results)`` of :func:`kernel_corpus`: the
+    trials stepped one at a time by the reference loop, then joined."""
     return [
-        (tc, trials, [per_trial_reference(tc, i, s)[0] for i, s in trials])
+        (tc, trials, ss.TrialResults.concatenate(
+            [per_trial_reference(tc, i, s)[0] for i, s in trials]
+        ))
         for tc, trials in kernel_corpus(renormalize)
     ]
 
@@ -202,14 +202,17 @@ def test_chunk_size_does_not_change_traces(renormalize):
         censored += tc.policy.kind == "censored"
         kinds.add(tc.weight_model.kind)
         whole = ss.run_chunk(tc, trials)
-        sevens = ss.run_chunk(tc, trials[:7]) + ss.run_chunk(tc, trials[7:])
-        for j, (index, seed) in enumerate(trials):
-            single = ss.run_chunk(tc, [(index, seed)])[0]
-            assert_same_trace(references[j], whole[j])
-            assert_same_trace(single, whole[j])
-            assert_same_trace(single, sevens[j])
-            for key in totals:
-                totals[key] += getattr(single.diagnostics, key)
+        sevens = ss.TrialResults.concatenate(
+            [ss.run_chunk(tc, trials[:7]), ss.run_chunk(tc, trials[7:])]
+        )
+        singles = ss.TrialResults.concatenate(
+            [ss.run_chunk(tc, [trial]) for trial in trials]
+        )
+        assert_same_trace(references, whole)
+        assert_same_trace(singles, whole)
+        assert_same_trace(singles, sevens)
+        for key in totals:
+            totals[key] += singles.diagnostics[key].sum()
     # the corpus reaches the per-row branches: censor, clamp, and silence
     assert censored and totals["clamped_agents"]
     assert "birkhoff-random" in kinds
@@ -228,11 +231,12 @@ def test_one_agent_records_its_martingale_noise():
         policy=ss.SamplingPolicy("censored", 1.2, 2.0, renormalize=False),
         schedule=ss.StepSchedule(1.0, 0.75, 0),
     )
-    trace = ss.run_chunk(cfg, [(0, 11)])[0]
-    assert_same_trace(per_trial_reference(cfg, 0, 11)[0], trace)
-    assert trace.diagnostics.silent_messages > 0
-    assert trace.diagnostics.max_martingale_norm > 0.0
-    assert trace.diagnostics.max_noise_norm == 0.0
+    results = ss.run_chunk(cfg, [(0, 11)])
+    assert_same_trace(per_trial_reference(cfg, 0, 11)[0], results)
+    diagnostics = results.diagnostics
+    assert diagnostics["silent_messages"][0] > 0
+    assert diagnostics["max_martingale_norm"][0] > 0.0
+    assert diagnostics["max_noise_norm"][0] == 0.0
 
 
 WINDOWS = pytest.mark.parametrize(
@@ -254,8 +258,7 @@ def test_window_length_does_not_change_traces(monkeypatch, window):
     set_window(monkeypatch, window)
     for renormalize in (True, False):
         for tc, trials, references in corpus_references(renormalize):
-            for reference, trace in zip(references, ss.run_chunk(tc, trials)):
-                assert_same_trace(reference, trace)
+            assert_same_trace(references, ss.run_chunk(tc, trials))
 
 
 def test_trial_chunks_cover_trials_in_order():
@@ -353,7 +356,11 @@ def test_window_length_keeps_aborts(monkeypatch, window, amplitude, trials, step
                 per_trial_reference(tc, *trials[2])
     assert kernel.value.step_index == reference.value.step_index == step
     assert (kernel.value.trial_index, kernel.value.seed) == trials[0]
-    assert asdict(kernel.value.diagnostics) == asdict(reference.value.diagnostics)
+    assert kernel.value.diagnostics == reference.value.diagnostics
+    assert list(kernel.value.diagnostics) == list(dynamics.DIAGNOSTICS)
+    assert [type(v) for v in kernel.value.diagnostics.values()] == [
+        type(v) for v in reference.value.diagnostics.values()
+    ]
     assert str(kernel.value) == str(reference.value)
 
 

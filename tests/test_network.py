@@ -157,7 +157,7 @@ def test_switching_model_mean_and_steps():
         b=1.0, policy=ss.SamplingPolicy("direct"),
         schedule=ss.StepSchedule(1.0, 1.0, 0), stride="all",
     )
-    snapshots = ss.run_chunk(cfg, [(0, 7)])[0].snapshots
+    snapshots = ss.run_chunk(cfg, [(0, 7)]).snapshots[0]
     np.testing.assert_array_equal(snapshots[1], wb)
     np.testing.assert_array_equal(snapshots[2], wb)
     np.testing.assert_allclose(snapshots[3], [[1 / 3, 2 / 3], [2 / 3, 1 / 3]])
