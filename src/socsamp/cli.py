@@ -128,9 +128,11 @@ def _run(args, cfg):
         print(f"report written to {path}")
         return 0
 
-    # replay, the last of the parser's subcommands
-    stride = cfg.stride if args.stride is not None else "all"
-    results = replay_trial(cfg, args.trial, stride=stride)
+    # replay, the last of the parser's subcommands: dense unless --stride
+    # names the checkpoints
+    if args.stride is None:
+        cfg = replace(cfg, stride="all")
+    results = replay_trial(cfg, args.trial)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"replay_trial_{args.trial}.csv"

@@ -94,7 +94,6 @@ class TrialResults:
     """
 
     trial_indices: np.ndarray
-    seeds: np.ndarray
     checkpoints: tuple
     snapshots: np.ndarray | None
     consensus_errors: np.ndarray
@@ -628,7 +627,6 @@ def run_chunk(cfg, trials):
     final.setflags(write=False)
     return TrialResults(
         trial_indices=np.array(indices, dtype=np.int64),
-        seeds=np.array(seeds, dtype=np.uint64),
         checkpoints=checkpoints,
         snapshots=snapshots,
         consensus_errors=errs,

@@ -31,14 +31,15 @@ from .network import (
     BIRKHOFF,
     FIXED,
     IID,
+    KINDS,
     SWITCHING,
     WeightMatrixModel,
     birkhoff_model,
     fixed_model,
     iid_model,
     jointly_connected,
-    mean_matrix,
     metropolis_complete,
+    step_mean_matrices,
     switching_model,
 )
 from .sampling import INIT_DOMAIN, SamplingPolicy, substreams
@@ -244,7 +245,6 @@ def _resolve_initial(spec, n_agents, n_opinions, master_seed):
     if spec is None:
         probs = [1.0 / n_opinions] * n_opinions
     else:
-        spec = spec.strip()
         if spec.startswith("samples:"):
             return tuple(
                 int(tok) for tok in spec[len("samples:"):].split(",") if tok.strip()
@@ -277,47 +277,50 @@ def _parse_stride(text):
         raise ConfigError(f"experiment.stride: {e}") from e
 
 
-def _build_model(cp, n, base_dir):
-    kind = cp.get("network", "kind", fallback="complete").strip()
-    with _malformed("network"):
-        tau = cp.getfloat("network", "tau", fallback=1e-6)
-        window = cp.getint("network", "window", fallback=0)
-        if kind == "complete":
-            return fixed_model(metropolis_complete(n), tau=tau, window=window)
-        if kind == FIXED:
-            w = _parse_matrix(cp.get("network", "matrix"), n, base_dir, "network.matrix")
-            return fixed_model(w, tau=tau, window=window)
-        if kind == IID:
-            mats = [
-                _parse_matrix(part, n, base_dir, "network.support")
-                for part in cp.get("network", "support").split(";")
-            ]
-            probs = _parse_floats(cp.get("network", "probabilities"))
-            return iid_model(mats, probs, tau=tau, window=window)
-        if kind == SWITCHING:
-            mats = [
-                _parse_matrix(part, n, base_dir, "network.support")
-                for part in cp.get("network", "support").split(";")
-            ]
-            return switching_model(mats, tau=tau, window=window)
-        if kind == BIRKHOFF:
-            mixing = _parse_floats(cp.get("network", "mixing"))
-            return birkhoff_model(n, mixing, tau=tau, window=window)
-    raise ConfigError(f"network.kind: unknown kind {kind!r}")
-
-
-# every key load_config reads, by section
-_CONFIG_KEYS = {
+# Every key of the config file, by section in file order, as
+# ``(field, syntax, *kinds)``.  The field is the attribute the key sets, of
+# the ExperimentConfig or of its weight model, policy or schedule; a key the
+# file leaves out leaves it at the dataclass default.  A syntax that is a
+# type reads with configparser's getter of that type; :func:`_read` parses
+# the others.  A ``[network]`` key with kinds is read, and required, by
+# those kinds only.
+_KEYS = {
     "experiment": {
-        "agents", "opinions", "horizon", "replications", "master_seed",
-        "initial", "out_dir", "stride", "covariance", "normality",
-        "connectivity_report", "threads", "max_cov_rel_error",
-        "min_normality_pass",
+        "agents": ("n_agents", int), "opinions": ("n_opinions", int),
+        "horizon": ("horizon", int), "replications": ("replications", int),
+        "master_seed": ("master_seed", int), "initial": ("initial_samples", "initial"),
+        "out_dir": ("out_dir", str), "stride": ("stride", "stride"),
+        "covariance": ("covariance", bool), "normality": ("normality", bool),
+        "connectivity_report": ("connectivity_report", bool), "threads": ("threads", int),
+        "max_cov_rel_error": ("max_cov_rel_error", float),
+        "min_normality_pass": ("min_normality_pass", float),
     },
-    "network": {"kind", "tau", "window", "matrix", "support", "probabilities", "mixing"},
-    "sampling": {"kind", "c", "exponent", "renormalize"},
-    "schedule": {"a", "gamma", "k0"},
-    "mixing": {"b"},
+    "network": {
+        "kind": ("kind", str), "tau": ("tau", float), "window": ("window", int),
+        "matrix": ("support", "matrix", FIXED),
+        "support": ("support", "matrices", IID, SWITCHING),
+        "probabilities": ("probabilities", "floats", IID),
+        "mixing": ("mixing", "floats", BIRKHOFF),
+    },
+    "sampling": {
+        "kind": ("kind", str), "c": ("censor_floor_scale", float),
+        "exponent": ("censor_exponent", float), "renormalize": ("renormalize", bool),
+    },
+    "schedule": {
+        "a": ("amplitude", float), "gamma": ("exponent", float), "k0": ("offset", int),
+    },
+    "mixing": {"b": ("b", "floats")},
+}
+_GETTERS = {int: "getint", float: "getfloat", bool: "getboolean", str: "get"}
+# initial stays text, which the counts and the seed resolve
+_PARSERS = {"initial": str, "stride": _parse_stride, "floats": _parse_floats}
+# each syntax's text, the inverse of its reading
+_FORMATS = {
+    int: str, float: fmt, bool: lambda v: str(v).lower(), str: str, "floats": fmt_vector,
+    "initial": lambda v: "samples:" + ",".join(map(str, v)),
+    "stride": lambda v: v if isinstance(v, str) else ",".join(map(str, v)),
+    "matrix": lambda v: fmt_vector(v[0]),
+    "matrices": lambda v: " ; ".join(map(fmt_vector, v)),
 }
 
 
@@ -325,11 +328,52 @@ def _refuse_unknown_keys(cp):
     """Refuse a section or key that :func:`load_config` does not read,
     which would otherwise be ignored without a word, a misspelling say."""
     for section in cp.sections():
-        if section not in _CONFIG_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"{section}: unknown section")
         for key in cp.options(section):
-            if key not in _CONFIG_KEYS[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
+
+
+def _read(cp, section, n=None, base_dir=None):
+    """The fields that the keys of ``section`` in the file set, by name;
+    matrices are ``n`` by ``n``, their files relative to ``base_dir``."""
+    values = {}
+    for key in cp.options(section) if cp.has_section(section) else ():
+        field, syntax, *_ = _KEYS[section][key]
+        value = cp.get(section, key)
+        if syntax in _GETTERS:
+            value = getattr(cp, _GETTERS[syntax])(section, key)
+        elif syntax in ("matrix", "matrices"):
+            parts = value.split(";") if syntax == "matrices" else [value]
+            value = tuple(_parse_matrix(p, n, base_dir, f"{section}.{key}") for p in parts)
+        else:
+            value = _PARSERS[syntax](value)
+        values[field] = value
+    return values
+
+
+def _build_model(cp, n, base_dir):
+    """The ``[network]`` weight model: its kind's factory, called with the
+    fields the file sets."""
+    kind = cp.get("network", "kind", fallback="complete")
+    if kind not in ("complete", *KINDS):
+        raise ConfigError(f"network.kind: unknown kind {kind!r}")
+    with _malformed("network"):
+        for key, (_, _, *kinds) in _KEYS["network"].items():
+            if kind in kinds:
+                cp.get("network", key)  # configparser names a missing key
+            elif kinds and cp.has_option("network", key):
+                raise ConfigError(f"network.{key}: the {kind} kind does not read it")
+        options = _read(cp, "network", n, base_dir)
+        options.pop("kind", None)
+        if kind == "complete":
+            return fixed_model(metropolis_complete(n), **options)
+        if kind == FIXED:
+            return fixed_model(*options.pop("support"), **options)
+        if kind == BIRKHOFF:
+            return birkhoff_model(n, **options)
+        return (iid_model if kind == IID else switching_model)(**options)
 
 
 def load_config(path, master_seed=None):
@@ -346,112 +390,48 @@ def load_config(path, master_seed=None):
     with _malformed("config file"):
         cp.read(path, encoding="utf-8")
     _refuse_unknown_keys(cp)
-    base_dir = path.parent
     with _malformed("experiment"):
-        n = cp.getint("experiment", "agents")
-        m = cp.getint("experiment", "opinions")
-        horizon = cp.getint("experiment", "horizon")
-        replications = cp.getint("experiment", "replications", fallback=1)
-        if master_seed is None:
-            master_seed = cp.getint("experiment", "master_seed", fallback=0)
+        for key in ("agents", "opinions", "horizon"):
+            cp.get("experiment", key)  # configparser names a missing key
+        # the dataclass has no default for these two
+        experiment = {"replications": 1, "master_seed": 0, **_read(cp, "experiment")}
+    if master_seed is not None:
+        experiment["master_seed"] = master_seed
+    n, m = experiment["n_agents"], experiment["n_opinions"]
     # the network and the default initial opinions are built from the counts
     _check_counts(n, m)
 
-    model = _build_model(cp, n, base_dir)
+    model = _build_model(cp, n, path.parent)
     with _malformed("schedule"):
-        schedule = StepSchedule(
-            amplitude=cp.getfloat("schedule", "a", fallback=1.0),
-            exponent=cp.getfloat("schedule", "gamma", fallback=0.75),
-            offset=cp.getint("schedule", "k0", fallback=0),
-        )
+        schedule = StepSchedule(**_read(cp, "schedule"))
     with _malformed("sampling"):
-        policy = SamplingPolicy(
-            kind=cp.get("sampling", "kind", fallback="direct").strip(),
-            censor_floor_scale=cp.getfloat("sampling", "c", fallback=0.0),
-            censor_exponent=cp.getfloat("sampling", "exponent", fallback=2.0),
-            renormalize=cp.getboolean("sampling", "renormalize", fallback=True),
-        )
+        policy = SamplingPolicy(**_read(cp, "sampling"))
     with _malformed("mixing"):
-        b = _parse_floats(cp.get("mixing", "b", fallback="1.0"))
-
+        b = _read(cp, "mixing").get("b", 1.0)
     with _malformed("experiment.initial"):
         initial = _resolve_initial(
-            cp.get("experiment", "initial", fallback=None), n, m, master_seed
+            experiment.pop("initial_samples", None), n, m, experiment["master_seed"]
         )
-
     with _malformed("experiment"):
         return ExperimentConfig(
-            n_agents=n,
-            n_opinions=m,
-            horizon=horizon,
-            replications=replications,
-            master_seed=master_seed,
-            initial_samples=initial,
-            weight_model=model,
-            b=b,
-            policy=policy,
-            schedule=schedule,
-            out_dir=cp.get("experiment", "out_dir", fallback="runs/out").strip(),
-            stride=_parse_stride(cp.get("experiment", "stride", fallback="log")),
-            covariance=cp.getboolean("experiment", "covariance", fallback=False),
-            normality=cp.getboolean("experiment", "normality", fallback=False),
-            connectivity_report=cp.getboolean(
-                "experiment", "connectivity_report", fallback=True
-            ),
-            threads=cp.getint("experiment", "threads", fallback=1),
-            max_cov_rel_error=cp.getfloat("experiment", "max_cov_rel_error", fallback=0.20),
-            min_normality_pass=cp.getfloat("experiment", "min_normality_pass", fallback=0.90),
+            **experiment, initial_samples=initial, weight_model=model, b=b,
+            policy=policy, schedule=schedule,
         )
 
 
 def serialize_config(cfg):
-    """Canonical round-trippable text form of a config."""
-    out = io.StringIO()
-    out.write("[experiment]\n")
-    out.write(f"agents = {cfg.n_agents}\n")
-    out.write(f"opinions = {cfg.n_opinions}\n")
-    out.write(f"horizon = {cfg.horizon}\n")
-    out.write(f"replications = {cfg.replications}\n")
-    out.write(f"master_seed = {cfg.master_seed}\n")
-    out.write(f"initial = samples:{','.join(str(x) for x in cfg.initial_samples)}\n")
-    out.write(f"out_dir = {cfg.out_dir}\n")
-    stride = cfg.stride if isinstance(cfg.stride, str) else ",".join(
-        str(k) for k in cfg.stride
-    )
-    out.write(f"stride = {stride}\n")
-    out.write(f"covariance = {str(cfg.covariance).lower()}\n")
-    out.write(f"normality = {str(cfg.normality).lower()}\n")
-    out.write(f"connectivity_report = {str(cfg.connectivity_report).lower()}\n")
-    out.write(f"threads = {cfg.threads}\n")
-    out.write(f"max_cov_rel_error = {fmt(cfg.max_cov_rel_error)}\n")
-    out.write(f"min_normality_pass = {fmt(cfg.min_normality_pass)}\n")
-    model = cfg.weight_model
-    out.write("\n[network]\n")
-    out.write(f"kind = {model.kind}\n")
-    out.write(f"tau = {fmt(model.tau)}\n")
-    out.write(f"window = {model.window}\n")
-    if model.kind == FIXED:
-        out.write(f"matrix = {fmt_vector(model.support[0])}\n")
-    elif model.kind in (IID, SWITCHING):
-        out.write(
-            "support = " + " ; ".join(fmt_vector(w) for w in model.support) + "\n"
-        )
-        if model.kind == IID:
-            out.write(f"probabilities = {fmt_vector(model.probabilities)}\n")
-    else:
-        out.write(f"mixing = {fmt_vector(model.mixing)}\n")
-    out.write("\n[sampling]\n")
-    out.write(f"kind = {cfg.policy.kind}\n")
-    out.write(f"c = {fmt(cfg.policy.censor_floor_scale)}\n")
-    out.write(f"exponent = {fmt(cfg.policy.censor_exponent)}\n")
-    out.write(f"renormalize = {str(cfg.policy.renormalize).lower()}\n")
-    out.write("\n[schedule]\n")
-    out.write(f"a = {fmt(cfg.schedule.amplitude)}\n")
-    out.write(f"gamma = {fmt(cfg.schedule.exponent)}\n")
-    out.write(f"k0 = {cfg.schedule.offset}\n")
-    out.write("\n[mixing]\n")
-    out.write(f"b = {fmt_vector(cfg.b)}\n")
-    return out.getvalue()
+    """Canonical round-trippable text form of a config: every key of
+    ``_KEYS`` that its network kind reads, in table order."""
+    owners = {"network": cfg.weight_model, "sampling": cfg.policy, "schedule": cfg.schedule}
+    sections = []
+    for section, keys in _KEYS.items():
+        owner = owners.get(section, cfg)
+        lines = [f"[{section}]\n"]
+        for key, (field, syntax, *kinds) in keys.items():
+            if not kinds or owner.kind in kinds:
+                lines.append(f"{key} = {_FORMATS[syntax](getattr(owner, field))}\n")
+        sections.append("".join(lines))
+    return "\n".join(sections)
 
 
 def config_digest(cfg):
@@ -584,8 +564,8 @@ def audit_assumptions(cfg):
         )
     )
     model = cfg.weight_model
-    wbar = mean_matrix(model)
-    nz = wbar[wbar > 0]
+    # tau bounds every step's mean, as the model's construction checks
+    nz = np.concatenate([w[w > 0] for w in step_mean_matrices(model)])
     tau_ok = bool(nz.size == 0 or nz.min() >= model.tau)
     connected = jointly_connected(model)
     a2_ok = tau_ok and connected
@@ -722,8 +702,9 @@ def write_report(report, out_dir):
     return path
 
 
-def run_experiment(cfg, out_dir=None):
-    """Run all replications, write traces and summaries, evaluate predicates.
+def run_experiment(cfg):
+    """Run all replications, write traces and summaries into
+    ``cfg.out_dir``, evaluate predicates.
 
     The summary is reproducible byte-for-byte for identical config and master
     seed; the exit predicate fails when an enabled analysis check misses its
@@ -735,8 +716,7 @@ def run_experiment(cfg, out_dir=None):
     theory and the outputs.
     """
     marks = [time.perf_counter()]
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    cfg = replace(cfg, out_dir=str(out))
+    out = Path(cfg.out_dir)
     # run_trials makes the directory and writes the part files into it
     results = run_trials(cfg)
     marks.append(time.perf_counter())
@@ -826,11 +806,11 @@ def run_experiment(cfg, out_dir=None):
     )
 
 
-def replay_trial(cfg, trial_index, stride="all"):
-    """Re-run one trial by its derived seed with a dense (or given) stride."""
+def replay_trial(cfg, trial_index):
+    """Re-run one trial by its derived seed, at the checkpoints of ``cfg.stride``."""
     if not 0 <= trial_index < cfg.replications:
         raise ConfigError(
             f"trial index {trial_index} out of range 0..{cfg.replications - 1}"
         )
     seed = derive_trial_seed(cfg.master_seed, trial_index)
-    return run_chunk(replace(cfg, stride=stride), [(trial_index, seed)])
+    return run_chunk(cfg, [(trial_index, seed)])

@@ -72,7 +72,6 @@ class WeightMatrixModel:
     n: int
     support: tuple = ()
     probabilities: tuple = ()
-    permutation_count: int = 0
     mixing: tuple = ()
     tau: float = 1e-6
     window: int = 0
@@ -120,10 +119,6 @@ class WeightMatrixModel:
         if self.kind == BIRKHOFF:
             if self.permutation_count < 1:
                 raise ValueError("birkhoff model needs at least one permutation")
-            if len(self.mixing) != self.permutation_count + 1:
-                raise ValueError(
-                    "mixing needs one identity weight plus one weight per permutation"
-                )
             if not all(0 <= c < math.inf for c in self.mixing):
                 raise ValueError("mixing weights must be finite and nonnegative")
             if abs(sum(self.mixing) - 1.0) > DS_TOL:
@@ -139,33 +134,31 @@ class WeightMatrixModel:
                     f"tau = {self.tau:.3g}"
                 )
 
+    @property
+    def permutation_count(self):
+        """The birkhoff kind's permutations per step: one per mixing
+        weight after the identity's."""
+        return len(self.mixing) - 1
 
-def fixed_model(w, tau=1e-6, window=0):
-    w = np.asarray(w, dtype=float)
-    return WeightMatrixModel(FIXED, w.shape[0], support=(w,), tau=tau, window=window)
+
+# The factories take the model's other fields, ``tau`` and ``window``, as
+# keywords.
+def fixed_model(w, **options):
+    return WeightMatrixModel(FIXED, len(w), support=(w,), **options)
 
 
-def iid_model(support, probabilities, tau=1e-6, window=0):
-    support = tuple(np.asarray(w, dtype=float) for w in support)
+def iid_model(support, probabilities, **options):
     return WeightMatrixModel(
-        IID, support[0].shape[0], support=support, probabilities=tuple(probabilities),
-        tau=tau, window=window,
+        IID, len(support[0]), support=support, probabilities=probabilities, **options
     )
 
 
-def birkhoff_model(n, mixing, tau=1e-6, window=0):
-    mixing = tuple(mixing)
-    return WeightMatrixModel(
-        BIRKHOFF, n, permutation_count=len(mixing) - 1, mixing=mixing,
-        tau=tau, window=window,
-    )
+def birkhoff_model(n, mixing, **options):
+    return WeightMatrixModel(BIRKHOFF, n, mixing=mixing, **options)
 
 
-def switching_model(support, tau=1e-6, window=0):
-    support = tuple(np.asarray(w, dtype=float) for w in support)
-    return WeightMatrixModel(
-        SWITCHING, support[0].shape[0], support=support, tau=tau, window=window,
-    )
+def switching_model(support, **options):
+    return WeightMatrixModel(SWITCHING, len(support[0]), support=support, **options)
 
 
 def iid_picks(model, rngs, horizon):

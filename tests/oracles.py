@@ -345,7 +345,6 @@ def per_trial_reference(
     final.setflags(write=False)
     results = TrialResults(
         trial_indices=np.array([trial_index], dtype=np.int64),
-        seeds=np.array([seed], dtype=np.uint64),
         checkpoints=tuple(kept),
         snapshots=np.array([snapshots]),
         consensus_errors=np.array([errs]),

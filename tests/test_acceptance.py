@@ -199,8 +199,8 @@ def test_criterion_3_partial_transmission_passes_both_gates(tmp_path):
     # prediction from (W - I)(Y - P) missed both gates here (0.764 / 0.00)
     cfg = ss.load_config(CONFIG_DIR / "normality_n5.cfg")
     assert (cfg.replications, cfg.horizon, cfg.master_seed) == (1000, 500, 712)
-    cfg = replace(cfg, b=0.6, threads=2)
-    summary = ss.run_experiment(cfg, out_dir=tmp_path)
+    cfg = replace(cfg, b=0.6, threads=2, out_dir=str(tmp_path))
+    summary = ss.run_experiment(cfg)
     assert summary.passed, summary.failures
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -314,6 +315,125 @@ def test_config_round_trip(tmp_path):
     assert ss.config_digest(cfg) == ss.config_digest(again)
 
 
+# configs of the other network kinds, and one that gives only the keys
+# without a default, with the digests recorded before the loader read its
+# keys from one table
+IID_CFG = """
+[experiment]
+agents = 4
+opinions = 3
+horizon = 300
+replications = 5
+master_seed = 17
+initial = random:0.5,0.25,0.25
+stride = 0,10,300
+
+[network]
+kind = iid-finite-support
+support = 1,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1 ;
+  0.5,0.5,0,0, 0.5,0.5,0,0, 0,0,0.5,0.5, 0,0,0.5,0.5 ;
+  0.5,0,0,0.5, 0,0.5,0.5,0, 0,0.5,0.5,0, 0.5,0,0,0.5
+probabilities = 0.2,0.5,0.3
+tau = 1e-3
+
+[sampling]
+kind = censored
+c = 0.25
+
+[mixing]
+b = 0.9
+"""
+
+SWITCHING_CFG = """
+[experiment]
+agents = 4
+opinions = 3
+horizon = 300
+initial = samples:1,2,3,1
+connectivity_report = false
+
+[network]
+kind = switching-periodic
+support = 0.5,0.5,0,0, 0.5,0.5,0,0, 0,0,0.5,0.5, 0,0,0.5,0.5 ;
+  0.5,0,0,0.5, 0,0.5,0.5,0, 0,0.5,0.5,0, 0.5,0,0,0.5
+window = 1
+
+[schedule]
+gamma = 1.0
+k0 = 3
+"""
+
+MINIMAL_CFG = """
+[experiment]
+agents = 4
+opinions = 3
+horizon = 300
+"""
+
+RECORDED_DIGESTS = {
+    "iid": (IID_CFG, "910610ffd8e564101e3196430ad48926bffec6f2cd69004aca61711a5a642cef"),
+    "switching": (
+        SWITCHING_CFG, "4a5c4dc922300270a0f2b0172bc9892d9071d3b84448971b3898b32e5e87fd8d"
+    ),
+    "minimal": (
+        MINIMAL_CFG, "c857d53c0639abcc23f05424a06f022f63c9b350794dc836c40f879d9214b169"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_DIGESTS))
+def test_config_digest_matches_recorded_and_round_trips(tmp_path, name):
+    text, digest = RECORDED_DIGESTS[name]
+    cfg = ss.load_config(write_cfg(tmp_path, text))
+    assert ss.config_digest(cfg) == digest
+    path = tmp_path / "roundtrip.cfg"
+    path.write_text(harness.serialize_config(cfg), encoding="utf-8")
+    again = ss.load_config(path)
+    assert harness.serialize_config(again) == harness.serialize_config(cfg)
+    assert ss.config_digest(again) == digest
+
+
+def readme_key_table():
+    """(key, default) of each row of README's table of config keys."""
+    text = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    return [
+        tuple(cell.strip() for cell in line.strip("|").split("|")[:2])
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+
+
+def test_readme_key_table_matches_the_loader(tmp_path):
+    rows = readme_key_table()
+    assert [key.strip("`") for key, _ in rows] == [
+        f"{section}.{key}" for section, keys in harness._KEYS.items() for key in keys
+    ]
+    assert [key for key, default in rows if default == "none"] == [
+        "`experiment.agents`", "`experiment.opinions`", "`experiment.horizon`",
+    ]
+    # a file that spells out every default in the table loads as one that
+    # gives only the keys without one
+    spelled = {"experiment": ["agents = 4", "opinions = 3", "horizon = 300"]}
+    for key, default in rows:
+        section, name = key.strip("`").split(".")
+        _, _, *kinds = harness._KEYS[section][name]
+        if kinds:
+            assert re.findall(r"`([^`]+)`", default) == kinds, key
+        elif re.fullmatch(r"`[^`]+`", default):
+            spelled.setdefault(section, []).append(f"{name} = {default.strip('`')}")
+        else:
+            assert default in ("none", "uniform law"), key
+    text = "".join(
+        f"[{section}]\n" + "\n".join(lines) + "\n\n" for section, lines in spelled.items()
+    )
+    path = tmp_path / "spelled.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert harness.serialize_config(ss.load_config(path)) == harness.serialize_config(
+        ss.load_config(write_cfg(tmp_path, MINIMAL_CFG))
+    )
+
+
 def test_trial_seeds_are_stable():
     assert ss.derive_trial_seed(1, 0) == ss.derive_trial_seed(1, 0)
     assert ss.derive_trial_seed(1, 0) != ss.derive_trial_seed(1, 1)
@@ -351,7 +471,7 @@ def test_run_experiment_outputs(tmp_path):
 def test_run_experiment_determinism_and_trace_format(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "a")))
     s1 = ss.run_experiment(cfg)
-    s2 = ss.run_experiment(cfg, out_dir=tmp_path / "b")
+    s2 = ss.run_experiment(replace(cfg, out_dir=str(tmp_path / "b")))
     assert s1.summary_text == s2.summary_text
     t1 = (tmp_path / "a" / "traces.csv").read_bytes()
     t2 = (tmp_path / "b" / "traces.csv").read_bytes()
@@ -383,7 +503,7 @@ def test_replay_matches_original_checkpoints(tmp_path):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "r")))
     results = ss.run_trials(cfg)
     harness.join_traces(cfg)
-    rerun = ss.replay_trial(cfg, 1, stride="all")
+    rerun = ss.replay_trial(replace(cfg, stride="all"), 1)
     lookup = dict(zip(rerun.checkpoints, rerun.snapshots[0]))
     # the run keeps no snapshots, so compare with trial 1's rows of the
     # traces it wrote; %.17g round-trips, so the comparison stays exact
@@ -413,10 +533,10 @@ def test_run_trials_writes_traces_and_keeps_no_snapshots(tmp_path, threads):
     assert results.snapshots is None
     # the arrays returned are the per-trial rows the parent reads
     assert {k for k, v in vars(results).items() if isinstance(v, np.ndarray)} == {
-        "trial_indices", "seeds", "consensus_errors", "final_states",
+        "trial_indices", "consensus_errors", "final_states",
     }
     assert results.checkpoints == full.checkpoints
-    for name in ("trial_indices", "seeds", "consensus_errors", "final_states"):
+    for name in ("trial_indices", "consensus_errors", "final_states"):
         np.testing.assert_array_equal(
             getattr(results, name), getattr(full, name), err_msg=name, strict=True
         )
@@ -439,7 +559,7 @@ def test_aborted_run_leaves_no_output_files(tmp_path, monkeypatch, threads):
     cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")))
     cfg = replace(cfg, threads=threads)
     monkeypatch.setattr(harness, "CHUNK_ROWS", cfg.n_agents)
-    ss.run_experiment(cfg, out_dir=tmp_path / "earlier")
+    ss.run_experiment(replace(cfg, out_dir=str(tmp_path / "earlier")))
     earlier = (tmp_path / "earlier" / "traces.csv").read_bytes()
     last = cfg.replications - 1
     stepped = harness.run_chunk
@@ -456,7 +576,7 @@ def test_aborted_run_leaves_no_output_files(tmp_path, monkeypatch, threads):
     assert list((tmp_path / "out").iterdir()) == []
     # the traces of an earlier complete run are replaced only by a complete run
     with pytest.raises(ss.TrialAborted):
-        ss.run_experiment(cfg, out_dir=tmp_path / "earlier")
+        ss.run_experiment(replace(cfg, out_dir=str(tmp_path / "earlier")))
     assert sorted(p.name for p in (tmp_path / "earlier").iterdir()) == [
         "summary.txt", "timing.txt", "traces.csv",
     ]
@@ -471,7 +591,7 @@ def test_rerun_into_the_same_directory_leaves_no_stale_trace_bytes(tmp_path, mon
     monkeypatch.setattr(harness, "CHUNK_ROWS", 2 * cfg.n_agents)
     ss.run_experiment(replace(cfg, horizon=500))
     ss.run_experiment(replace(cfg, horizon=50))
-    ss.run_experiment(replace(cfg, horizon=50), out_dir=tmp_path / "fresh")
+    ss.run_experiment(replace(cfg, horizon=50, out_dir=str(tmp_path / "fresh")))
     assert (tmp_path / "out" / "traces.csv").read_bytes() == (
         tmp_path / "fresh" / "traces.csv"
     ).read_bytes()
@@ -490,7 +610,7 @@ def test_rerun_with_fewer_trials_leaves_only_its_traces(tmp_path, monkeypatch, t
     monkeypatch.setattr(harness, "CHUNK_ROWS", 2 * cfg.n_agents)
     ss.run_experiment(replace(cfg, replications=6))
     ss.run_experiment(replace(cfg, replications=3))
-    ss.run_experiment(replace(cfg, replications=3), out_dir=tmp_path / "fresh")
+    ss.run_experiment(replace(cfg, replications=3, out_dir=str(tmp_path / "fresh")))
     rows = (tmp_path / "out" / "traces.csv").read_text().splitlines()[1:]
     assert {row.split(",")[0] for row in rows} == {"0", "1", "2"}
     assert (tmp_path / "out" / "traces.csv").read_bytes() == (
@@ -509,7 +629,7 @@ def test_traces_do_not_depend_on_workers_or_chunk_size(tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CHUNK_ROWS", rows)
         for threads in (1, 2):
             out = tmp_path / f"{rows}_{threads}"
-            ss.run_experiment(replace(cfg, threads=threads), out_dir=out)
+            ss.run_experiment(replace(cfg, threads=threads, out_dir=str(out)))
             written[rows, threads] = (out / "traces.csv").read_bytes()
     assert len(set(written.values())) == 1
 
@@ -560,6 +680,23 @@ def test_audit_assumptions_pass_and_fail(tmp_path):
     null_cfg = ss.load_config(write_cfg(tmp_path, null_text))
     results = {name: ok for name, ok, _ in ss.audit_assumptions(null_cfg)}
     assert results["A2"] is False
+    # tau bounds each step's mean, not the period's: each step mixes one pair
+    # at 1e-3, which the period halves
+    switching_text = SMALL_CFG.format(out=tmp_path).replace(
+        "agents = 4", "agents = 3"
+    ).replace("samples:1,2,3,3", "samples:1,2,3").replace(
+        "kind = complete",
+        "kind = switching-periodic\n"
+        "support = 0.999,0.001,0, 0.001,0.999,0, 0,0,1 ;"
+        " 1,0,0, 0,0.999,0.001, 0,0.001,0.999\n"
+        "tau = 1e-3\nwindow = 1",
+    )
+    switching_cfg = ss.load_config(write_cfg(tmp_path, switching_text))
+    audit = {name: (ok, detail) for name, ok, detail in ss.audit_assumptions(switching_cfg)}
+    assert audit["A2"] == (
+        True, "doubly stochastic support; min nonzero mean weight 0.001 vs tau 0.001; "
+        "jointly connected (window 1)",
+    )
 
 
 # ----------------------------------------------------------------- cli
@@ -738,6 +875,8 @@ def test_cli_missing_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+IDENTITY_4 = "1,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1"
+
 # N=3, a=1e200, gamma=0.51, b=0.5: the estimates overflow at step 2
 DIVERGING = {
     "agents = 4": "agents = 3", "samples:1,2,3,3": "samples:1,2,2",
@@ -859,6 +998,27 @@ DIVERGING = {
          "config error: experiment.record_noise: unknown key\n"),
         ("check", {"[mixing]": "[mixng]"}, [],
          "config error: mixng: unknown section\n"),
+        # [network] keys the kind does not read, or that it needs
+        ("check", {"kind = complete": f"kind = fixed\nmatrix = {IDENTITY_4}\n"
+                   "probabilities = 0.3,0.7\nmixing = 0.5,0.5"}, [],
+         "config error: network.probabilities: the fixed kind does not read it\n"),
+        ("check", {"kind = complete": f"matrix = {IDENTITY_4}"}, [],
+         "config error: network.matrix: the complete kind does not read it\n"),
+        ("check", {"kind = complete": "kind = switching-periodic\n"
+                   f"support = {IDENTITY_4}\nprobabilities = 1"}, [],
+         "config error: network.probabilities: the switching-periodic kind does not "
+         "read it\n"),
+        ("check", {"kind = complete": "kind = fixed"}, [],
+         "config error: network: No option 'matrix' in section: 'network'\n"),
+        ("check", {"kind = complete": "kind = ring"}, [],
+         "config error: network.kind: unknown kind 'ring'\n"),
+        # the keys without a default
+        ("check", {"agents = 4\n": ""}, [],
+         "config error: experiment: No option 'agents' in section: 'experiment'\n"),
+        ("check", {"opinions = 3\n": ""}, [],
+         "config error: experiment: No option 'opinions' in section: 'experiment'\n"),
+        ("check", {"horizon = 300\n": ""}, [],
+         "config error: experiment: No option 'horizon' in section: 'experiment'\n"),
     ],
     ids=["replications-0", "stride-past-horizon", "horizon-0", "replay-out-of-range",
          "simulate-diverges", "replay-diverges", "initial-not-int", "b-not-float",
@@ -873,7 +1033,9 @@ DIVERGING = {
          "max-cov-rel-error-nan", "max-cov-rel-error-inf", "max-cov-rel-error-negative",
          "min-normality-pass-nan", "min-normality-pass-above-1",
          "min-normality-pass-negative", "misspelled-key", "removed-record-noise",
-         "unknown-section"],
+         "unknown-section", "network-keys-of-other-kinds", "network-key-without-kind",
+         "switching-probabilities", "fixed-without-matrix", "network-kind-unknown",
+         "no-agents", "no-opinions", "no-horizon"],
 )
 def test_cli_refusals_exit_2_with_one_line(
     tmp_path, capsys, command, edits, flags, prefix

@@ -109,8 +109,8 @@ def output_digests(out):
 def test_outputs_match_recorded_digests(tmp_path, name, threads):
     path, replications, expected = GOLDEN[name]
     cfg = ss.load_config(ROOT / path)
-    cfg = replace(cfg, replications=replications, threads=threads)
-    ss.run_experiment(cfg, out_dir=tmp_path)
+    cfg = replace(cfg, replications=replications, threads=threads, out_dir=str(tmp_path))
+    ss.run_experiment(cfg)
     digests, n_traces = output_digests(tmp_path)
     assert n_traces == replications
     assert digests == expected

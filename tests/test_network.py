@@ -92,6 +92,17 @@ def test_birkhoff_always_doubly_stochastic():
         assert ss.validate_doubly_stochastic(w)
 
 
+def test_birkhoff_permutation_count_follows_the_mixing_weights():
+    # one permutation per weight after the identity's; not settable apart
+    assert ss.birkhoff_model(3, (0.4, 0.3, 0.3)).permutation_count == 2
+    model = ss.WeightMatrixModel("birkhoff-random", 3, mixing=(0.5, 0.5))
+    assert model.permutation_count == 1
+    with pytest.raises(ValueError, match="at least one permutation"):
+        ss.birkhoff_model(3, (1.0,))
+    with pytest.raises(TypeError):
+        ss.WeightMatrixModel("birkhoff-random", 3, permutation_count=2, mixing=(0.5, 0.5))
+
+
 def test_birkhoff_mean_matrix():
     model = ss.birkhoff_model(4, (0.5, 0.25, 0.25))
     expected = 0.5 * np.eye(4) + 0.5 * ss.metropolis_complete(4)
