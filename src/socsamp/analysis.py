@@ -34,12 +34,6 @@ from .state import as_opinion_vector, network_average
 DEGENERATE_VARIANCE = 1e-12
 
 
-def import_theory_modules():
-    """Load the scipy modules of the theory now, not at their first use."""
-    import scipy.linalg  # noqa: F401
-    import scipy.special  # noqa: F401
-
-
 class StabilityError(ValueError):
     """Raised when the mean network does not mix fast enough for the
     asymptotic-normality covariance to exist."""
@@ -125,6 +119,51 @@ def reduced_drift(wbar, basis, delta):
     fbar = disagreement_rows(wbar, basis) @ basis.t1.T
     shifted = fbar + (delta / 2.0) * np.eye(fbar.shape[0])
     return ReducedDrift(fbar=fbar, shifted=shifted, lambda2=lam2, delta=delta)
+
+
+def check_prediction(cfg, trials=None):
+    """Refuse a covariance or normality check of ``cfg``, an ExperimentConfig,
+    that has no prediction to check: every hypothesis of the prediction, and
+    with ``trials`` final states to compare with it, at least two of them.
+    Raises ``ValueError`` led by the check refused, ``covariance: `` or
+    ``normality: ``."""
+    key = "covariance" if cfg.covariance else "normality"
+    p, b, refusal = cfg.policy, cfg.b, None
+    if len(set(cfg.initial_samples)) == 1:
+        refusal = (f"every initial sample is {cfg.initial_samples[0]}, so the limit q* "
+                   f"is a vertex and its predicted covariance is zero: there is nothing "
+                   f"to check")
+    elif p.kind == "censored" and p.censor_floor_scale > 0 and p.censor_exponent < 2:
+        refusal = (f"censored sampling with exponent {p.censor_exponent:.17g} < 2 is "
+                   f"outside the regime of the asymptotic normality result: there is "
+                   f"no prediction to check")
+    # a covariance check alone stays: its error is at the Monte Carlo floor
+    # in both cases below
+    elif cfg.normality and not b.any():
+        key, refusal = "normality", (
+            "every b_ii is 0, where the scaled disagreement is not normal at the "
+            "horizons measured: there is no normality prediction to check")
+    elif cfg.normality and cfg.schedule.exponent == 1.0 and (b != 1.0).any():
+        i = int((b != 1.0).argmax())
+        key, refusal = "normality", (
+            f"gamma = 1 with b_ii = {float(b[i])!r} at i={i + 1}, where the normality "
+            f"test misses with the covariance at its Monte Carlo floor: there is no "
+            f"normality prediction to check")
+    elif trials is not None and trials < 2:
+        refusal = (f"need at least two trials for a sample covariance, got "
+                   f"replications = {trials}")
+    if refusal:
+        raise ValueError(f"{key}: {refusal}")
+    try:
+        reduced_drift(mean_matrix(cfg.weight_model), build_projection(cfg.n_agents),
+                      cfg.schedule.limit_constant)
+        # the theory's scipy modules load now, not at their first use
+        import scipy.linalg  # noqa: F401
+        import scipy.special  # noqa: F401
+    except StabilityError as e:
+        raise ValueError(f"{key}: {e}") from None
+    except ImportError as e:
+        raise ValueError(f"{key}: the theory needs scipy: {e}") from None
 
 
 def weight_noise_moment(model, b):

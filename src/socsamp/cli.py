@@ -66,10 +66,12 @@ def build_parser():
 def main(argv=None):
     """Run one subcommand.
 
-    Exit status: 0 on success, 1 when ``simulate`` finishes but a check
-    misses its threshold (or ``check`` finds a failed assumption), 2 when
-    the input is refused with one ``config error:``, ``analysis failed:``
-    or ``simulation failed:`` line on stderr.
+    Exit status: 0 on success, 1 only when ``simulate`` finishes but a
+    check misses its threshold or the audit fails (or ``check`` finds a
+    failed assumption), 2 when the input is refused with one line on
+    stderr: ``config error:`` before any output is written,
+    ``simulation failed:``, or ``analysis failed:`` from ``analyze`` of a
+    config with neither check on.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

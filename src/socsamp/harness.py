@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import asymptotic_report, import_theory_modules, q_star_prediction
+from .analysis import asymptotic_report, check_prediction, q_star_prediction
 from .dynamics import StepSchedule, TrialResults, resolve_checkpoints, run_chunk
 from .network import (
     BIRKHOFF,
@@ -133,41 +133,6 @@ class ExperimentConfig:
             )
         b.setflags(write=False)
         self.b = b
-        if self.covariance or self.normality:
-            key = "covariance" if self.covariance else "normality"
-            if len(set(self.initial_samples)) == 1:
-                raise ConfigError(
-                    f"experiment.{key}: every initial sample is "
-                    f"{self.initial_samples[0]}, so the limit q* is a vertex and "
-                    f"its predicted covariance is zero: there is nothing to check"
-                )
-            p = self.policy
-            if p.kind == "censored" and p.censor_floor_scale > 0 and p.censor_exponent < 2:
-                raise ConfigError(
-                    f"experiment.{key}: censored sampling with exponent "
-                    f"{fmt(p.censor_exponent)} < 2 is outside the regime of the "
-                    f"asymptotic normality result: there is no prediction to check"
-                )
-            # a covariance check alone stays: its error is at the Monte Carlo
-            # floor in both cases below
-            if self.normality and not b.any():
-                raise ConfigError(
-                    "experiment.normality: every b_ii is 0, where the scaled "
-                    "disagreement is not normal at the horizons measured: there "
-                    "is no normality prediction to check"
-                )
-            if self.normality and self.schedule.exponent == 1.0 and (b != 1.0).any():
-                i = int((b != 1.0).argmax())
-                raise ConfigError(
-                    f"experiment.normality: gamma = 1 with b_ii = {float(b[i])!r} at "
-                    f"i={i + 1}, where the normality test misses with the "
-                    f"covariance at its Monte Carlo floor: there is no normality "
-                    f"prediction to check"
-                )
-            try:
-                import_theory_modules()
-            except ImportError as e:
-                raise ConfigError(f"experiment.{key}: the theory needs scipy: {e}") from None
         if self.threads < 1:
             raise ConfigError("experiment.threads: must be at least 1")
         # a NaN fails each comparison
@@ -185,11 +150,21 @@ class ExperimentConfig:
             resolve_checkpoints(self.stride, self.horizon)
         except ValueError as e:
             raise ConfigError(f"experiment.stride: {e}") from e
+        _check_theory(self)
 
     def __eq__(self, other):
         if not isinstance(other, ExperimentConfig):
             return NotImplemented
         return serialize_config(self) == serialize_config(other)
+
+
+def _check_theory(cfg, trials=None):
+    """:func:`check_prediction` of a config with a check on, as a ConfigError."""
+    if cfg.covariance or cfg.normality:
+        try:
+            check_prediction(cfg, trials)
+        except ValueError as e:
+            raise ConfigError(f"experiment.{e}") from None
 
 
 def derive_trial_seed(master_seed, trial_index):
@@ -564,17 +539,15 @@ def audit_assumptions(cfg):
         )
     )
     model = cfg.weight_model
-    # tau bounds every step's mean, as the model's construction checks
+    # construction refused a step mean below tau: only connectivity can fail
     nz = np.concatenate([w[w > 0] for w in step_mean_matrices(model)])
-    tau_ok = bool(nz.size == 0 or nz.min() >= model.tau)
     connected = jointly_connected(model)
-    a2_ok = tau_ok and connected
     results.append(
         (
             "A2",
-            a2_ok,
+            connected,
             f"doubly stochastic support; min nonzero mean weight "
-            f"{fmt(nz.min() if nz.size else 0.0)} vs tau {fmt(model.tau)}; "
+            f"{fmt(nz.min())} vs tau {fmt(model.tau)}; "
             f"{'jointly connected' if connected else 'NOT jointly connected'} "
             f"(window {model.window})",
         )
@@ -679,7 +652,8 @@ def theory_report(cfg, final_states=None):
     With ``final_states``, the ``(trials, N, M)`` final states at
     ``cfg.horizon``, the report also compares them with the prediction.
     Raises ``ValueError`` (:class:`StabilityError` among them) when the
-    prediction does not exist.
+    prediction does not exist, which a config with a check on refuses at
+    construction, and a run before its trials (:func:`check_prediction`).
     """
     q_star = q_star_prediction(initial_state(cfg.initial_samples, cfg.n_opinions))
     return asymptotic_report(
@@ -716,6 +690,7 @@ def run_experiment(cfg):
     theory and the outputs.
     """
     marks = [time.perf_counter()]
+    _check_theory(cfg, cfg.replications)  # construction checks all but the trial count
     out = Path(cfg.out_dir)
     # run_trials makes the directory and writes the part files into it
     results = run_trials(cfg)
@@ -732,23 +707,17 @@ def run_experiment(cfg):
 
     report = None
     if cfg.covariance or cfg.normality:
-        try:
-            report = theory_report(cfg, results.final_states)
-        except ValueError as e:  # StabilityError among them
-            failures.append(f"analysis failed: {e}")
-        if report is not None:
-            if cfg.covariance and not report.cov_rel_error <= cfg.max_cov_rel_error:
-                failures.append(
-                    f"covariance mismatch: rel error {fmt(report.cov_rel_error)} "
-                    f"> {fmt(cfg.max_cov_rel_error)}"
-                )
-            if cfg.normality and not (
-                report.normality_pass_fraction >= cfg.min_normality_pass
-            ):
-                failures.append(
-                    f"normality: pass fraction {fmt(report.normality_pass_fraction)} "
-                    f"< {fmt(cfg.min_normality_pass)}"
-                )
+        report = theory_report(cfg, results.final_states)
+        if cfg.covariance and not report.cov_rel_error <= cfg.max_cov_rel_error:
+            failures.append(
+                f"covariance mismatch: rel error {fmt(report.cov_rel_error)} "
+                f"> {fmt(cfg.max_cov_rel_error)}"
+            )
+        if cfg.normality and not report.normality_pass_fraction >= cfg.min_normality_pass:
+            failures.append(
+                f"normality: pass fraction {fmt(report.normality_pass_fraction)} "
+                f"< {fmt(cfg.min_normality_pass)}"
+            )
     marks.append(time.perf_counter())
 
     checkpoints = results.checkpoints

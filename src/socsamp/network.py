@@ -43,7 +43,7 @@ def metropolis_complete(n):
 
 
 def _frozen(a):
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    a = np.array(a, dtype=float, order="C")  # a copy: the caller's stays writeable
     a.setflags(write=False)
     return a
 

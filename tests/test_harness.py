@@ -160,6 +160,16 @@ INVALID_FIELDS = {
         {"normality": True, "b": 0.0},
         r"experiment\.normality: every b_ii is 0, ",
     ),
+    "covariance with an unstable mean network": (
+        {"covariance": True, "weight_model": ss.fixed_model(np.eye(4))},
+        r"experiment\.covariance: asymptotic-normality stability condition failed: "
+        r"lambda2 = 1 is not below 1 - delta/2 = 1",
+    ),
+    "normality at a = 0.5 and gamma 1": (
+        {"normality": True, "schedule": ss.StepSchedule(0.5, 1.0, 0)},
+        r"experiment\.normality: asymptotic-normality stability condition failed: "
+        r"lambda2 = .* is not below 1 - delta/2 = 0",
+    ),
     "normality at gamma 1 with b below 1": (
         {"normality": True, "b": [1.0, 0.6, 1.0, 1.0],
          "schedule": ss.StepSchedule(1.0, 1.0, 0)},
@@ -186,6 +196,47 @@ def test_experiment_config_refuses_invalid_fields(tmp_path, case):
         ss.ExperimentConfig(**{**fields, **updates})
     with pytest.raises(ConfigError, match=message):
         replace(cfg, **updates)
+
+
+THEORY_NETWORKS = {
+    "complete": lambda n: ss.fixed_model(ss.metropolis_complete(n)),
+    "identity": lambda n: ss.fixed_model(np.eye(n)),
+    "birkhoff": lambda n: ss.birkhoff_model(n, (0.4, 0.3, 0.3)),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("a, gamma", [(1.0, 0.75), (1.0, 1.0), (0.5, 1.0), (2.0, 1.0)])
+@pytest.mark.parametrize("network", sorted(THEORY_NETWORKS))
+def test_theory_config_is_refused_before_its_trials_or_gets_its_report(
+    tmp_path, network, a, gamma, trials
+):
+    # every precondition of the prediction is checked before the first
+    # trial: a config with both checks on is refused at construction (an
+    # unstable mean network: lambda2 = 1 for the identity, and
+    # 1 - delta/2 = 0 at a = 0.5, gamma = 1), or its run is refused before
+    # it writes anything (one trial), or the report of its final states
+    # exists
+    cfg = ss.load_config(write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")))
+    updates = {
+        "weight_model": THEORY_NETWORKS[network](cfg.n_agents), "replications": trials,
+        "schedule": ss.StepSchedule(a, gamma, 0), "covariance": True, "normality": True,
+    }
+    if network == "identity" or (a, gamma) == (0.5, 1.0):
+        with pytest.raises(ConfigError, match="stability condition failed"):
+            replace(cfg, **updates)
+        return
+    cfg = replace(cfg, **updates)
+    if trials < 2:
+        with pytest.raises(ConfigError, match="need at least two trials"):
+            ss.run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+        return
+    rng = np.random.default_rng(5)
+    final_states = rng.dirichlet(np.ones(cfg.n_opinions), size=(trials, cfg.n_agents))
+    report = harness.theory_report(cfg, final_states)
+    assert np.isfinite(report.cov_rel_error)
+    assert np.isfinite(report.normality_pass_fraction)
 
 
 @pytest.mark.parametrize(
@@ -877,6 +928,12 @@ def test_cli_missing_config(capsys):
 
 IDENTITY_4 = "1,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1"
 
+# a = 0.5 at gamma = 1 asks lambda2 < 1 - delta/2 = 0, which no mean network
+# meets
+UNSTABLE = {
+    "covariance = false": "covariance = true", "a = 1.0": "a = 0.5", "gamma = 0.75": "gamma = 1",
+}
+
 # N=3, a=1e200, gamma=0.51, b=0.5: the estimates overflow at step 2
 DIVERGING = {
     "agents = 4": "agents = 3", "samples:1,2,3,3": "samples:1,2,2",
@@ -1019,6 +1076,24 @@ DIVERGING = {
          "config error: experiment: No option 'opinions' in section: 'experiment'\n"),
         ("check", {"horizon = 300\n": ""}, [],
          "config error: experiment: No option 'horizon' in section: 'experiment'\n"),
+        # the stability condition of the prediction, under every command
+        *[(command, UNSTABLE, flags,
+           "config error: experiment.covariance: asymptotic-normality stability "
+           "condition failed: lambda2 = ")
+          for command, flags in (("check", []), ("simulate", []), ("analyze", []),
+                                 ("replay", ["--trial", "0"]))],
+        ("simulate", {"kind = complete": f"kind = fixed\nmatrix = {IDENTITY_4}",
+                      "normality = false": "normality = true"}, [],
+         "config error: experiment.normality: asymptotic-normality stability "
+         "condition failed: lambda2 = 1 is not below 1 - delta/2 = 1\n"),
+        # a sample covariance needs two trials, from the file or the flag
+        ("simulate", {"covariance = false": "covariance = true",
+                      "replications = 3": "replications = 1"}, [],
+         "config error: experiment.covariance: need at least two trials for a "
+         "sample covariance, got replications = 1\n"),
+        ("simulate", {"normality = false": "normality = true"}, ["--replications", "1"],
+         "config error: experiment.normality: need at least two trials for a "
+         "sample covariance, got replications = 1\n"),
     ],
     ids=["replications-0", "stride-past-horizon", "horizon-0", "replay-out-of-range",
          "simulate-diverges", "replay-diverges", "initial-not-int", "b-not-float",
@@ -1035,7 +1110,9 @@ DIVERGING = {
          "min-normality-pass-negative", "misspelled-key", "removed-record-noise",
          "unknown-section", "network-keys-of-other-kinds", "network-key-without-kind",
          "switching-probabilities", "fixed-without-matrix", "network-kind-unknown",
-         "no-agents", "no-opinions", "no-horizon"],
+         "no-agents", "no-opinions", "no-horizon", "check-unstable", "simulate-unstable",
+         "analyze-unstable", "replay-unstable", "simulate-identity-weights",
+         "simulate-one-trial", "simulate-one-trial-flag"],
 )
 def test_cli_refusals_exit_2_with_one_line(
     tmp_path, capsys, command, edits, flags, prefix

@@ -57,6 +57,21 @@ def test_fixed_model_constant():
     np.testing.assert_array_equal(ss.mean_matrix(model), np.eye(2))
 
 
+@pytest.mark.parametrize("factory", [
+    lambda ws: ss.fixed_model(ws[0]),
+    lambda ws: ss.iid_model(ws, (0.5, 0.5)),
+    lambda ws: ss.switching_model(ws, window=1),
+], ids=["fixed", "iid", "switching"])
+def test_models_freeze_a_copy_of_the_callers_matrices(factory):
+    ws = [np.eye(3), np.eye(3)[[1, 2, 0]]]
+    model = factory(ws)
+    assert all(w.flags.writeable for w in ws)
+    assert all(not w.flags.writeable for w in model.support)
+    # the model keeps its own matrices when the caller's change
+    ws[0][0, 0] = 7.0
+    np.testing.assert_array_equal(model.support[0], np.eye(3))
+
+
 IID_MEAN = np.array([[0.75, 0.25], [0.25, 0.75]])
 
 
