@@ -5,13 +5,11 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .dynamics import TrialAborted
 from .harness import (
     ConfigError,
-    _parse_stride,
     audit_assumptions,
     fmt,
     load_config,
@@ -23,28 +21,18 @@ from .harness import (
 )
 
 
+# each flag of simulate, analyze and replay, by its argparse dest, and the
+# [experiment] key whose text it gives load_config
+_FLAGS = {
+    "seed": "master_seed", "replications": "replications", "out": "out_dir",
+    "threads": "threads", "stride": "stride",
+}
+
+
 def _add_common(sub):
     sub.add_argument("config", help="experiment config file")
-    sub.add_argument("--seed", type=int, default=None, help="override master seed")
-    sub.add_argument(
-        "--replications", type=int, default=None, help="override replication count"
-    )
-    sub.add_argument("--out", default=None, help="override output directory")
-    sub.add_argument("--threads", type=int, default=None, help="override worker count")
-    sub.add_argument("--stride", default=None, help="override checkpoint stride")
-
-
-def _apply_overrides(cfg, args):
-    updates = {}
-    if getattr(args, "replications", None) is not None:
-        updates["replications"] = args.replications
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if getattr(args, "threads", None) is not None:
-        updates["threads"] = args.threads
-    if args.stride is not None:
-        updates["stride"] = _parse_stride(args.stride)
-    return replace(cfg, **updates) if updates else cfg
+    for dest, key in _FLAGS.items():
+        sub.add_argument(f"--{dest}", help=f"override experiment.{key}")
 
 
 def build_parser():
@@ -59,6 +47,7 @@ def build_parser():
     check.add_argument("config")
     rep = subs.add_parser("replay", help="re-run a single trial by derived seed")
     _add_common(rep)
+    rep.set_defaults(stride="all")  # dense unless --stride names the checkpoints
     rep.add_argument("--trial", type=int, required=True, help="trial index to replay")
     return parser
 
@@ -66,27 +55,31 @@ def build_parser():
 def main(argv=None):
     """Run one subcommand.
 
+    The flags given are ``[experiment]`` keys that :func:`load_config` reads
+    with the file's, so each command builds and validates its config once.
+
     Exit status: 0 on success, 1 only when ``simulate`` finishes but a
     check misses its threshold or the audit fails (or ``check`` finds a
     failed assumption), 2 when the input is refused with one line on
     stderr: ``config error:`` before any output is written,
     ``simulation failed:``, or ``analysis failed:`` from ``analyze`` of a
-    config with neither check on.
+    config with neither check on.  argparse exits 2 with its own usage text
+    for an unknown subcommand or flag and a non-integer ``--trial``.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     frozen = gc.get_freeze_count()
     try:
-        # the seed is read with the file: random initial opinions derive from it
-        cfg = load_config(args.config, master_seed=getattr(args, "seed", None))
+        flags = vars(args)
+        cfg = load_config(args.config, {
+            key: flags[dest] for dest, key in _FLAGS.items() if flags.get(dest) is not None
+        })
         # What is alive once the config (a theory config's scipy with it) is
         # loaded outlives the command.  Frozen, the collector's full passes
         # skip it, and a forked pool worker's do not write to (and so copy) its
         # pages.  Unfrozen, how close the imports left the collector to its next
         # full pass decides whether a run pays one: 25-45 ms (2-core x86_64).
         gc.freeze()
-        if args.command != "check":
-            cfg = _apply_overrides(cfg, args)
         return _run(args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -130,10 +123,7 @@ def _run(args, cfg):
         print(f"report written to {path}")
         return 0
 
-    # replay, the last of the parser's subcommands: dense unless --stride
-    # names the checkpoints
-    if args.stride is None:
-        cfg = replace(cfg, stride="all")
+    # replay, the last of the parser's subcommands
     results = replay_trial(cfg, args.trial)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

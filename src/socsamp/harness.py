@@ -12,6 +12,7 @@ deterministic.
 from __future__ import annotations
 
 import configparser
+import copy
 import functools
 import hashlib
 import io
@@ -351,12 +352,13 @@ def _build_model(cp, n, base_dir):
         return (iid_model if kind == IID else switching_model)(**options)
 
 
-def load_config(path, master_seed=None):
+def load_config(path, overrides=None):
     """Parse and fully validate an experiment config file.
 
-    ``master_seed``, when given, stands in for the file's ``master_seed``
-    everywhere the file's would go, ``random:`` initial opinions included,
-    so the config is the one a copy of the file with that seed would give.
+    ``overrides`` maps ``[experiment]`` keys to text that stands in for the
+    file's, read as the file's keys are once all of the file is, so the
+    config is that of a copy of the file with those keys, ``random:``
+    initial opinions drawn from its ``master_seed`` included.
     """
     path = Path(path)
     if not path.exists():
@@ -370,8 +372,13 @@ def load_config(path, master_seed=None):
             cp.get("experiment", key)  # configparser names a missing key
         # the dataclass has no default for these two
         experiment = {"replications": 1, "master_seed": 0, **_read(cp, "experiment")}
-    if master_seed is not None:
-        experiment["master_seed"] = master_seed
+    if overrides:
+        # no interpolation: a flag's text is taken as given, % and all
+        flags = configparser.ConfigParser(interpolation=None)
+        flags.read_dict({"experiment": overrides})
+        _refuse_unknown_keys(flags)
+        with _malformed("experiment"):
+            experiment.update(_read(flags, "experiment"))
     n, m = experiment["n_agents"], experiment["n_opinions"]
     # the network and the default initial opinions are built from the counts
     _check_counts(n, m)
@@ -413,9 +420,11 @@ def config_digest(cfg):
     """Digest of the experiment identity.
 
     Where outputs land and how many workers run them do not change what is
-    computed, so ``out_dir`` and ``threads`` are normalized away.
+    computed, so ``out_dir`` and ``threads`` are normalized away on a copy,
+    which is not validated again.
     """
-    canonical = replace(cfg, out_dir="", threads=1)
+    canonical = copy.copy(cfg)
+    canonical.out_dir, canonical.threads = "", 1
     return hashlib.sha256(serialize_config(canonical).encode()).hexdigest()
 
 

@@ -877,7 +877,8 @@ def test_cli_replay_stride(tmp_path, capsys):
 
 def test_cli_flag_overrides(tmp_path):
     path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "ignored"))
-    out = tmp_path / "flagged"
+    # a flag's text is not interpolated, as a file's value would be
+    out = tmp_path / "flag%ged"
     assert cli_main([
         "simulate", str(path), "--out", str(out), "--replications", "2",
         "--seed", "99", "--stride", "50,100",
@@ -888,6 +889,36 @@ def test_cli_flag_overrides(tmp_path):
     assert "checkpoints = 50,100,300" in summary
     rows = (out / "traces.csv").read_text().splitlines()[1:]
     assert {row.split(",")[0] for row in rows} == {"0", "1"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("check", []),
+     ("simulate", ["--seed", "7", "--replications", "2", "--out", "{out}",
+                   "--threads", "1", "--stride", "50,100"]),
+     ("analyze", ["--out", "{out}"]),
+     ("replay", ["--trial", "1", "--out", "{out}"]),
+     ("replay", ["--trial", "1", "--out", "{out}", "--stride", "50"])],
+    ids=["check", "simulate-all-flags", "analyze", "replay", "replay-stride"],
+)
+def test_cli_builds_its_config_once(tmp_path, monkeypatch, capsys, command, flags):
+    constructions = []
+    post_init = harness.ExperimentConfig.__post_init__
+
+    def counting_post_init(self):
+        constructions.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(harness.ExperimentConfig, "__post_init__", counting_post_init)
+    text = SMALL_CFG.format(out=tmp_path / "out").replace(
+        "covariance = false", "covariance = true"
+    )
+    path = write_cfg(tmp_path, text)
+    flags = [flag.format(out=tmp_path / "flagged") for flag in flags]
+    # a covariance check at two trials may miss its threshold
+    assert cli_main([command, str(path), *flags]) in (0, 1)
+    capsys.readouterr()
+    assert len(constructions) == 1
 
 
 def test_cli_seed_redraws_random_initial_opinions(tmp_path, capsys):
@@ -902,6 +933,9 @@ def test_cli_seed_redraws_random_initial_opinions(tmp_path, capsys):
         text.replace("master_seed = 20230917", "master_seed = 5"), encoding="utf-8"
     )
     assert ss.load_config(reseeded).initial_samples != ss.load_config(original).initial_samples
+    assert ss.load_config(original, {"master_seed": "5"}) == ss.load_config(reseeded)
+    with pytest.raises(ConfigError, match="experiment.seed: unknown key"):
+        ss.load_config(original, {"seed": "5"})
     common = ["--replications", "2", "--stride", "100"]
     assert cli_main(
         ["simulate", str(original), "--seed", "5", "--out", str(tmp_path / "flag"), *common]
@@ -970,6 +1004,13 @@ DIVERGING = {
          "config error: experiment.threads: must be at least 1"),
         ("simulate", None, ["--threads", "-2"],
          "config error: experiment.threads: must be at least 1"),
+        ("simulate", None, ["--threads", "two"],
+         "config error: experiment: invalid literal for int() with base 10: 'two'\n"),
+        ("simulate", None, ["--seed", "x"],
+         "config error: experiment: invalid literal for int() with base 10: 'x'\n"),
+        # the file's value is read, and refused, under the flag that replaces it
+        ("simulate", {"master_seed = 4242": "master_seed = x"}, ["--seed", "5"],
+         "config error: experiment: invalid literal for int() with base 10: 'x'\n"),
         # the predicted covariance is zero at a vertex: its relative error and
         # the normality pass fraction would be nan
         ("simulate", {"samples:1,2,3,3": "samples:2,2,2,2",
@@ -1098,7 +1139,8 @@ DIVERGING = {
     ids=["replications-0", "stride-past-horizon", "horizon-0", "replay-out-of-range",
          "simulate-diverges", "replay-diverges", "initial-not-int", "b-not-float",
          "b-empty", "threads-not-int", "covariance-not-bool", "threads-0",
-         "threads-flag-negative", "covariance-at-vertex", "normality-one-opinion",
+         "threads-flag-negative", "threads-flag-not-int", "seed-flag-not-int",
+         "seed-not-int-under-flag", "covariance-at-vertex", "normality-one-opinion",
          "covariance-censored-exponent-1", "normality-censored-exponent-1.99",
          "normality-b-0", "normality-gamma-1-b-below-1",
          "b-nan", "b-negative", "b-above-1", "b-wrong-count",
